@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <tuple>
 
 #include "common/hash.h"
@@ -581,29 +582,34 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
   // contributions — renumbered past the freed id — become the replay's
   // scan-free candidate source.
   const size_t survivors = overlay_->num_peers() - 1;
-  baseline.contributions.resize(survivors);
-  for (auto& per_level : baseline.contributions) {
-    per_level.resize(s_max);
-  }
 
-  // Shard-parallel drain into per-shard partials (the published snapshot
-  // and ledger reorganization are pure moves; the expensive part is
-  // walking every entry).
+  // Shard-parallel drain. Each shard moves its published entries straight
+  // into its own slice of the baseline (keys never change shard) and
+  // buckets its surviving contributions by (survivor, level); everything
+  // carries the table's cached hash, so nothing re-hashes a term array.
   struct Part {
-    std::vector<std::tuple<hdk::TermKey, PeerId, hdk::KeyEntry>> published;
-    std::vector<std::tuple<PeerId, uint32_t, hdk::TermKey,
-                           index::PostingList>>
-        survivors;
+    /// buckets[p * s_max + s - 1]: survivor p's size-s contributions.
+    std::vector<std::vector<KeyedContribution>> buckets;
     uint64_t removed_contributions = 0;
     uint64_t removed_postings = 0;
   };
   std::vector<Part> parts(shards_.size());
+  baseline.published.resize(shards_.size());
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     Part& part = parts[i];
+    hdk::KeyMap<PublishedSlot>& published = baseline.published[i];
+    size_t published_keys = 0;
+    for (const auto& fragment : shard.fragments) {
+      published_keys += fragment.size();
+    }
+    published.reserve(published_keys);
     for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      for (auto& [key, entry] : shard.fragments[owner]) {
-        part.published.emplace_back(key, owner, std::move(entry));
+      auto& fragment = shard.fragments[owner];
+      for (size_t pos = 0; pos < fragment.size(); ++pos) {
+        auto& [key, entry] = fragment.entry(pos);
+        published.try_emplace_hashed(fragment.hash_at(pos), key,
+                                     PublishedSlot{owner, std::move(entry)});
       }
     }
     shard.fragments.clear();
@@ -617,8 +623,11 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
     } else {
       shard.replicas.clear();  // replay publishes re-derive the copies
     }
-    for (auto& [key, ledger] : shard.ledger) {
+    part.buckets.resize(survivors * s_max);
+    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
+      auto& [key, ledger] = shard.ledger.entry(pos);
       assert(key.size() >= 1 && key.size() <= s_max);
+      const uint64_t key_hash = shard.ledger.hash_at(pos);
       for (Contribution& c : ledger.contributions) {
         if (c.peer == departing) {
           ++part.removed_contributions;
@@ -626,50 +635,79 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
           continue;
         }
         const PeerId new_id = c.peer > departing ? c.peer - 1 : c.peer;
-        part.survivors.emplace_back(new_id, key.size() - 1, key,
-                                    std::move(c.full));
+        part.buckets[new_id * s_max + key.size() - 1].push_back(
+            KeyedContribution{key, key_hash, std::move(c.full)});
       }
     }
     shard.ledger.clear();
     shard.pending.clear();
   });
 
-  // Serial reduce in shard order; the targets are maps, so the resulting
-  // state is independent of that order (and of the shard count).
-  for (Part& part : parts) {
+  // Survivor-parallel assembly: each survivor concatenates its buckets in
+  // shard order — a fixed order, so the replay sees the same sequence on
+  // every run. Every bucket belongs to exactly one survivor.
+  baseline.contributions.resize(survivors);
+  ParallelForEach(pool_, survivors, [&](size_t p) {
+    auto& per_level = baseline.contributions[p];
+    per_level.resize(s_max);
+    for (uint32_t level = 0; level < s_max; ++level) {
+      size_t total = 0;
+      for (const Part& part : parts) {
+        total += part.buckets[p * s_max + level].size();
+      }
+      std::vector<KeyedContribution>& out = per_level[level];
+      out.reserve(total);
+      for (Part& part : parts) {
+        auto& bucket = part.buckets[p * s_max + level];
+        std::move(bucket.begin(), bucket.end(), std::back_inserter(out));
+      }
+    }
+  });
+  for (const Part& part : parts) {
     baseline.removed_contributions += part.removed_contributions;
     baseline.removed_postings += part.removed_postings;
-    for (auto& [key, owner, entry] : part.published) {
-      baseline.owners.emplace(key, owner);
-      baseline.published.emplace(key, std::move(entry));
-    }
-    for (auto& [new_id, level, key, full] : part.survivors) {
-      baseline.contributions[new_id][level].emplace(key, std::move(full));
-    }
   }
   return baseline;
 }
 
 DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
-    FinishDeparture(const DepartureBaseline& baseline) {
+    FinishDeparture(DepartureBaseline baseline) {
   const PeerId departed = baseline.departed;
+  assert(baseline.published.size() == shards_.size());
 
   std::vector<DepartureOutcome> parts(shards_.size());
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
+    // The shard's baseline slice dies with this task, so releasing the
+    // old published entries runs shard-parallel as well.
+    const hdk::KeyMap<PublishedSlot> published =
+        std::move(baseline.published[i]);
     DepartureOutcome& part = parts[i];
+    // The lowest-id surviving contributor of a replayed key: the peer the
+    // new owner re-pulls a changed entry from.
+    auto first_contributor = [&shard](uint64_t key_hash,
+                                      const hdk::TermKey& key) {
+      auto it = shard.ledger.find_hashed(key_hash, key);
+      assert(it != shard.ledger.end());
+      assert(!it->second.contributions.empty());
+      return it->second.contributions.front().peer;
+    };
+    uint64_t republished = 0;
     for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      for (const auto& [key, entry] : shard.fragments[owner]) {
-        auto old_it = baseline.published.find(key);
-        if (old_it == baseline.published.end()) {
+      const auto& fragment = shard.fragments[owner];
+      for (size_t pos = 0; pos < fragment.size(); ++pos) {
+        const auto& [key, entry] = fragment.entry(pos);
+        const uint64_t key_hash = fragment.hash_at(pos);
+        auto old_it = published.find_hashed(key_hash, key);
+        if (old_it == published.end()) {
           // A key born from Ff re-admission — its insertion traffic was
           // already recorded by the replay.
           continue;
         }
-        const hdk::KeyEntry& old_entry = old_it->second;
+        ++republished;
+        const auto& [old_owner, old_entry] = old_it->second;
         if (!old_entry.is_hdk && entry.is_hdk) ++part.reverse_reclassified;
 
-        const PeerId old_owner = baseline.owners.at(key);
         const bool was_on_departed = old_owner == departed;
         const PeerId old_owner_now =
             old_owner > departed ? old_owner - 1 : old_owner;
@@ -679,12 +717,9 @@ DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
           // lowest-id surviving contributor when the departed peer hosted
           // it (the contributors' data stays available, exactly what the
           // contribution ledger models).
-          PeerId src = old_owner_now;
-          if (was_on_departed) {
-            const auto& contributions = shard.ledger.at(key).contributions;
-            assert(!contributions.empty());
-            src = contributions.front().peer;
-          }
+          const PeerId src = was_on_departed
+                                 ? first_contributor(key_hash, key)
+                                 : old_owner_now;
           traffic_->Record(src, owner, net::MessageKind::kMaintenance,
                            entry.postings.size(), /*hops=*/1);
           part.moved_postings += entry.postings.size();
@@ -695,9 +730,7 @@ DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
           // Re-derived in place: the owner re-pulls the changed entry from
           // a surviving contributor (un-truncation restores postings the
           // published fragment no longer carried).
-          const auto& contributions = shard.ledger.at(key).contributions;
-          assert(!contributions.empty());
-          traffic_->Record(contributions.front().peer, owner,
+          traffic_->Record(first_contributor(key_hash, key), owner,
                            net::MessageKind::kMaintenance,
                            entry.postings.size(), /*hops=*/1);
           part.moved_postings += entry.postings.size();
@@ -705,20 +738,20 @@ DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
         }
       }
     }
+    // Keys nobody re-contributed simply cease to exist: their fragments
+    // are dropped by the (old) owners without traffic. A replayed key sits
+    // on exactly one fragment, so the old keys not met above are those.
+    assert(republished <= published.size());
+    part.erased_keys = published.size() - republished;
   });
 
   DepartureOutcome outcome;
   for (const DepartureOutcome& part : parts) {
+    outcome.erased_keys += part.erased_keys;
     outcome.reverse_reclassified += part.reverse_reclassified;
     outcome.migrated_keys += part.migrated_keys;
     outcome.repaired_keys += part.repaired_keys;
     outcome.moved_postings += part.moved_postings;
-  }
-
-  // Keys nobody re-contributed simply cease to exist: their fragments are
-  // dropped by the (old) owners without traffic.
-  for (const auto& [key, entry] : baseline.published) {
-    if (Peek(key) == nullptr) ++outcome.erased_keys;
   }
 
   if (replica_defer_) {

@@ -105,17 +105,33 @@ class DistributedGlobalIndex {
     bool truncation_sensitive = false;
   };
 
+  /// One surviving ledger contribution as the departure replay consumes
+  /// it: the key, its cached Hash64 (so the replay never re-hashes the
+  /// term array) and the contributor's full local posting list.
+  struct KeyedContribution {
+    hdk::TermKey key;
+    uint64_t key_hash = 0;
+    index::PostingList full;
+  };
+
+  /// A pre-departure published entry and its owner (old peer id).
+  struct PublishedSlot {
+    PeerId owner = kInvalidPeer;
+    hdk::KeyEntry entry;
+  };
+
   /// Snapshot taken when a departure repair begins (see BeginDeparture):
   /// the pre-departure published state plus the surviving contribution
   /// history, reorganized for the protocol's ledger-driven replay.
   struct DepartureBaseline {
     PeerId departed = kInvalidPeer;
-    /// Pre-departure published entries and their owners (old peer ids).
-    hdk::KeyMap<hdk::KeyEntry> published;
-    hdk::KeyMap<PeerId> owners;
-    /// contributions[p][s - 1]: surviving peer p's (renumbered id) full
-    /// local posting list per size-s key it had contributed.
-    std::vector<std::vector<hdk::KeyMap<index::PostingList>>> contributions;
+    /// published[i]: shard i's pre-departure published entries. A key
+    /// never changes shard across overlay changes, so FinishDeparture
+    /// reads its old entry shard-locally.
+    std::vector<hdk::KeyMap<PublishedSlot>> published;
+    /// contributions[p][s - 1]: surviving peer p's (renumbered id) size-s
+    /// contributions, one per key, in shard order.
+    std::vector<std::vector<std::vector<KeyedContribution>>> contributions;
     /// The departed peer's dropped ledger share.
     uint64_t removed_contributions = 0;
     uint64_t removed_postings = 0;
@@ -240,7 +256,9 @@ class DistributedGlobalIndex {
   /// contribution history. Must be called while the overlay still
   /// contains the departing peer (owners are captured under the old
   /// placement); the caller then shrinks the overlay and replays.
-  /// The snapshot scan runs shard-parallel.
+  /// The snapshot scan runs shard-parallel and fills each shard's slice
+  /// of the published baseline in place; the per-survivor contribution
+  /// lists are then assembled survivor-parallel from per-shard buckets.
   DepartureBaseline BeginDeparture(PeerId departing, uint32_t s_max);
 
   /// Reconciles the replayed index against the pre-departure `baseline`
@@ -248,8 +266,9 @@ class DistributedGlobalIndex {
   /// whose fragment moved (carrying the published postings, re-pulled
   /// from a surviving contributor when the departed peer hosted it) or
   /// whose published content changed in place (reverse reclassification,
-  /// avgdl re-truncation). The reconcile scan runs shard-parallel.
-  DepartureOutcome FinishDeparture(const DepartureBaseline& baseline);
+  /// avgdl re-truncation). The reconcile scan — erased-key count
+  /// included — runs shard-parallel and releases the baseline.
+  DepartureOutcome FinishDeparture(DepartureBaseline baseline);
 
   /// Removes every key containing term `t` from the ledger and the
   /// fragments — used when a term crosses the very-frequent threshold Ff

@@ -251,72 +251,74 @@ Status HdkIndexingProtocol::Depart(
   //    only re-admission keys record insert traffic.
   const double avgdl = stats.average_document_length();
   std::vector<bool> rescan_counted(peers_.size(), false);
+  // The overlay already shrank; concurrent InsertPostings must find the
+  // fragment/traffic capacity in place (see RunLevels).
+  global_->EnsureCapacity();
   for (uint32_t s = 1; s <= params_.s_max; ++s) {
     ProtocolLevelStats& level_stats = report_.levels[s - 1];
-    for (Peer& peer : peers_) {
-      hdk::KeyMap<index::PostingList> kept =
-          std::move(baseline.contributions[peer.id()][s - 1]);
-      hdk::KeyMap<index::PostingList> fresh;
-      if (s == 1) {
-        // Level-1 candidates only depend on the vocabulary, which never
-        // shrank for the survivors — everything is kept; re-admitted
-        // terms are scanned back in.
-        if (!readmitted.empty()) {
-          hdk::CandidateBuildStats generation;
-          auto full = peer.BuildLevel1(store_, very_frequent_, &generation);
-          level_stats.generation += generation;
-          if (!rescan_counted[peer.id()]) {
-            rescan_counted[peer.id()] = true;
-            ++stats_out.rescanned_peers;
-          }
-          for (auto& [key, pl] : full) {
-            if (readmitted.count(key.term(0)) > 0) {
-              fresh.emplace(key, std::move(pl));
-            }
-          }
-        }
-      } else {
-        for (auto it = kept.begin(); it != kept.end();) {
-          if (hdk::GenerableUnder(it->first, peer.oracle())) {
-            ++it;
-          } else {
-            ++stats_out.retracted_keys;
-            it = kept.erase(it);
-          }
-        }
-        if (peer.HasFreshKnowledge()) {
-          hdk::CandidateBuildStats generation;
-          fresh = peer.BuildLevelDelta(s, store_, &generation);
-          level_stats.generation += generation;
-          if (!rescan_counted[peer.id()]) {
-            rescan_counted[peer.id()] = true;
-            ++stats_out.rescanned_peers;
-          }
-        }
-      }
 
-      auto insert_all = [&](hdk::KeyMap<index::PostingList>& candidates,
-                            bool record_traffic) {
-        for (size_t ci = 0; ci < candidates.size(); ++ci) {
-          auto& [key, pl] = candidates.entry(ci);
-          const uint64_t key_hash = candidates.hash_at(ci);
-          std::vector<DocId> key_docs;
-          if (s < params_.s_max) key_docs = pl.Documents();
-          const uint64_t payload = global_->InsertPostings(
-              peer.id(), key, key_hash, std::move(pl), params_, avgdl,
-              record_traffic);
-          peer.MarkPublished(s, key, key_hash, std::move(key_docs));
-          if (record_traffic) {
-            ++level_stats.keys_inserted;
-            level_stats.postings_inserted += payload;
-            report_.inserted_postings_per_peer[peer.id()] += payload;
-            ++stats_out.repair_insertions;
-            stats_out.repair_postings += payload;
-          }
+    // Parallel replay, the shape of RunLevels' scan wave: a peer's
+    // candidates depend only on its own knowledge at level entry, each
+    // task owns its peer and keeps its own counters, and the insertions
+    // are per-key commutative. With no pool this is the serial replay in
+    // ascending peer order.
+    struct ReplayTask {
+      hdk::CandidateBuildStats generation;
+      bool rescanned = false;
+      uint64_t retracted_keys = 0;
+      /// Re-admission insertions — the only ones that travel.
+      uint64_t keys_inserted = 0;
+      uint64_t postings_inserted = 0;
+    };
+    std::vector<ReplayTask> tasks(peers_.size());
+    ParallelForEach(pool_, peers_.size(), [&](size_t i) {
+      Peer& peer = peers_[i];
+      ReplayTask& task = tasks[i];
+      // Level-1 candidates only depend on the vocabulary, which never
+      // shrank for the survivors — everything is kept and re-admitted
+      // terms are scanned back in. Higher levels re-scan only the delta
+      // of fresh knowledge.
+      hdk::KeyMap<index::PostingList> scanned;
+      if (s == 1 ? !readmitted.empty() : peer.HasFreshKnowledge()) {
+        scanned = s == 1 ? peer.BuildLevel1(store_, very_frequent_,
+                                            &task.generation)
+                         : peer.BuildLevelDelta(s, store_, &task.generation);
+        task.rescanned = true;
+      }
+      std::vector<DistributedGlobalIndex::KeyedContribution> kept =
+          std::move(baseline.contributions[i][s - 1]);
+      for (auto& c : kept) {
+        if (s > 1 && !hdk::GenerableUnder(c.key, peer.oracle())) {
+          ++task.retracted_keys;
+          continue;
         }
-      };
-      insert_all(kept, /*record_traffic=*/false);
-      insert_all(fresh, /*record_traffic=*/true);
+        InsertCandidate(peer, s, c.key, c.key_hash, std::move(c.full), avgdl,
+                        /*record_traffic=*/false);
+      }
+      for (size_t ci = 0; ci < scanned.size(); ++ci) {
+        auto& [key, pl] = scanned.entry(ci);
+        if (s == 1 && readmitted.count(key.term(0)) == 0) continue;
+        ++task.keys_inserted;
+        task.postings_inserted +=
+            InsertCandidate(peer, s, key, scanned.hash_at(ci), std::move(pl),
+                            avgdl, /*record_traffic=*/true);
+      }
+    });
+
+    // Serial reduce in ascending peer order.
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      const ReplayTask& task = tasks[i];
+      level_stats.generation += task.generation;
+      stats_out.retracted_keys += task.retracted_keys;
+      if (task.rescanned && !rescan_counted[i]) {
+        rescan_counted[i] = true;
+        ++stats_out.rescanned_peers;
+      }
+      level_stats.keys_inserted += task.keys_inserted;
+      level_stats.postings_inserted += task.postings_inserted;
+      report_.inserted_postings_per_peer[i] += task.postings_inserted;
+      stats_out.repair_insertions += task.keys_inserted;
+      stats_out.repair_postings += task.postings_inserted;
     }
 
     LevelOutcome outcome =
@@ -324,7 +326,7 @@ Status HdkIndexingProtocol::Depart(
                           s < params_.s_max, /*record_traffic=*/false);
     if (s < params_.s_max) {
       for (const auto& [key, contributors] : outcome.notifications) {
-        const PeerId owner = global_->ResponsiblePeer(key);
+        PeerId owner = kInvalidPeer;  // routed only when a fact travels
         for (PeerId contributor : contributors) {
           if (prior_knows(contributor, key)) {
             // Old news: the fact survives the churn; adopting it silently
@@ -332,6 +334,7 @@ Status HdkIndexingProtocol::Depart(
             peers_[contributor].AdoptNdk(key);
           } else {
             peers_[contributor].OnNdkNotification(key);
+            if (owner == kInvalidPeer) owner = global_->ResponsiblePeer(key);
             traffic_->Record(owner, contributor,
                              net::MessageKind::kNdkNotification,
                              /*postings=*/0, /*hops=*/1);
@@ -345,34 +348,34 @@ Status HdkIndexingProtocol::Depart(
 
   // 5. Reverse notices: every fact a survivor held that the replay did
   //    not reproduce (its key flipped back to discriminative or vanished)
-  //    is explicitly forgotten — one message from the key's owner.
-  for (Peer& peer : peers_) {
-    const hdk::SetNdkOracle& before = prior_of(peer.id()).oracle();
-    const hdk::SetNdkOracle& after = peer.oracle();
+  //    is explicitly forgotten — one message from the key's owner. The
+  //    check runs survivor-parallel, and each task releases its peer's
+  //    pre-departure state, which nothing reads afterwards.
+  std::vector<uint64_t> forgets(peers_.size(), 0);
+  ParallelForEach(pool_, peers_.size(), [&](size_t i) {
+    const Peer before_peer = std::move(prior[i < departing ? i : i + 1]);
+    const hdk::SetNdkOracle& before = before_peer.oracle();
+    const hdk::SetNdkOracle& after = peers_[i].oracle();
+    auto forget = [&](const hdk::TermKey& key) {
+      traffic_->Record(global_->ResponsiblePeer(key), static_cast<PeerId>(i),
+                       net::MessageKind::kReclassifyNotification,
+                       /*postings=*/0, /*hops=*/1);
+      ++forgets[i];
+    };
     for (TermId t : before.expandable_terms()) {
-      if (!after.IsExpandableTerm(t)) {
-        traffic_->Record(global_->ResponsiblePeer(hdk::TermKey{t}),
-                         peer.id(),
-                         net::MessageKind::kReclassifyNotification,
-                         /*postings=*/0, /*hops=*/1);
-        ++stats_out.forget_notifications;
-      }
+      if (!after.IsExpandableTerm(t)) forget(hdk::TermKey{t});
     }
     for (const hdk::TermKey& key : before.ndks()) {
-      if (!after.IsNdk(key)) {
-        traffic_->Record(global_->ResponsiblePeer(key), peer.id(),
-                         net::MessageKind::kReclassifyNotification,
-                         /*postings=*/0, /*hops=*/1);
-        ++stats_out.forget_notifications;
-      }
+      if (!after.IsNdk(key)) forget(key);
     }
-  }
+  });
+  for (uint64_t f : forgets) stats_out.forget_notifications += f;
 
   // 6. Reconcile against the pre-departure published state: fragment
   //    handovers, in-place repairs and reverse reclassifications record
   //    their churn traffic here.
   DistributedGlobalIndex::DepartureOutcome outcome =
-      global_->FinishDeparture(baseline);
+      global_->FinishDeparture(std::move(baseline));
   stats_out.erased_keys = outcome.erased_keys;
   stats_out.reverse_reclassified = outcome.reverse_reclassified;
   stats_out.migrated_keys = outcome.migrated_keys;
@@ -387,6 +390,23 @@ Status HdkIndexingProtocol::Depart(
   }
   if (departure != nullptr) *departure = stats_out;
   return Status::OK();
+}
+
+uint64_t HdkIndexingProtocol::InsertCandidate(Peer& peer, uint32_t s,
+                                              const hdk::TermKey& key,
+                                              uint64_t key_hash,
+                                              index::PostingList full,
+                                              double avgdl,
+                                              bool record_traffic) {
+  // Keys below the top level can become expansion material later;
+  // remember which local documents carry them (delta-scan targets).
+  std::vector<DocId> key_docs;
+  if (s < params_.s_max) key_docs = full.Documents();
+  const uint64_t payload =
+      global_->InsertPostings(peer.id(), key, key_hash, std::move(full),
+                              params_, avgdl, record_traffic);
+  peer.MarkPublished(s, key, key_hash, std::move(key_docs));
+  return payload;
 }
 
 void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
@@ -468,16 +488,10 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
         auto& [key, pl] = candidates.entry(ci);
         const uint64_t key_hash = candidates.hash_at(ci);
         if (!task.is_new && peer.HasPublished(s, key, key_hash)) continue;
-        // Keys below the top level can become expansion material
-        // later; remember which local documents carry them (delta-scan
-        // targets).
-        std::vector<DocId> key_docs;
-        if (s < params_.s_max) key_docs = pl.Documents();
-        const uint64_t payload = global_->InsertPostings(
-            peer.id(), key, key_hash, std::move(pl), params_, avgdl);
-        peer.MarkPublished(s, key, key_hash, std::move(key_docs));
         ++task.keys_inserted;
-        task.postings_inserted += payload;
+        task.postings_inserted += InsertCandidate(
+            peer, s, key, key_hash, std::move(pl), avgdl,
+            /*record_traffic=*/true);
       }
     });
     phase_timings_.scan_seconds += scan_watch.ElapsedSeconds();

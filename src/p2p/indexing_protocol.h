@@ -149,10 +149,11 @@ class HdkIndexingProtocol {
   /// \param overlay DHT overlay (outlives the protocol; grown by the
   ///                caller before Grow is invoked).
   /// \param traffic traffic sink (outlives the protocol).
-  /// \param pool    thread pool the per-peer candidate scans (with their
-  ///                shard-buffered insertions) and the sharded global
-  ///                index's merge paths fan out on (outlives the
-  ///                protocol); nullptr runs the exact serial path.
+  /// \param pool    thread pool the per-peer candidate scans and
+  ///                departure replays (with their shard-buffered
+  ///                insertions) and the sharded global index's merge
+  ///                paths fan out on (outlives the protocol); nullptr
+  ///                runs the exact serial path.
   ///                Contributions land in per-key shard buffers and every
   ///                level is classified in ascending-key order, so
   ///                parallel builds are posting-for-posting identical to
@@ -198,6 +199,12 @@ class HdkIndexingProtocol {
   /// vocabulary via targeted delta scans. The result is posting-for-
   /// posting identical to a from-scratch build over the surviving
   /// document ranges (asserted by the membership-churn tests).
+  ///
+  /// Each level's replay fans the surviving peers out on the pool like
+  /// Run/Grow's scan waves: every task owns one peer and its counters,
+  /// which are reduced in ascending peer order, so the repaired index,
+  /// the traffic and every DepartureStats counter are identical at any
+  /// thread and shard count.
   ///
   /// `stats` must describe the SURVIVING collection (ranges-based).
   /// `shrink_overlay` is invoked exactly once, after the pre-departure
@@ -252,6 +259,15 @@ class HdkIndexingProtocol {
   /// candidate delta that knowledge makes newly generable.
   void RunLevels(const corpus::CollectionStats& stats, size_t first_new_peer,
                  GrowthStats* growth);
+
+  /// The per-candidate insert step shared by RunLevels and the departure
+  /// replay: ships `peer`'s full local list for the size-`s` key to the
+  /// global index and records the key in the peer's published
+  /// bookkeeping. Safe to call concurrently for distinct peers once
+  /// EnsureCapacity() ran. Returns the postings transmitted.
+  uint64_t InsertCandidate(Peer& peer, uint32_t s, const hdk::TermKey& key,
+                           uint64_t key_hash, index::PostingList full,
+                           double avgdl, bool record_traffic);
 
   const HdkParams params_;
   const corpus::DocumentStore& store_;

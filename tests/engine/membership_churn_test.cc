@@ -20,6 +20,7 @@
 #include "engine/membership.h"
 #include "engine/partition.h"
 #include "engine/st_engine.h"
+#include "expect_departure.h"
 
 namespace hdk::engine {
 namespace {
@@ -160,7 +161,10 @@ INSTANTIATE_TEST_SUITE_P(Threads, HdkChurnIdentityTest,
                            return "threads_" + std::to_string(info.param);
                          });
 
-TEST(MembershipChurnTest, ReverseReclassificationAndFfReadmission) {
+// Builds the readmission scenario below into the empty `store` at the
+// given engine thread count and departs the crossing peer.
+void RunReadmissionScenario(size_t threads, corpus::DocumentStore& store,
+                            std::unique_ptr<HdkSearchEngine>* out) {
   // The handcrafted collection of the growth test's hard paths, churned
   // BACK: wave 2 pushed term 1 over Ff (purge) and term 2 over DFmax
   // (reclassification + expansion of {2,3} by old peers). Departing the
@@ -173,8 +177,8 @@ TEST(MembershipChurnTest, ReverseReclassificationAndFfReadmission) {
   config.hdk.very_frequent_threshold = 25;
   config.hdk.window = 8;
   config.hdk.s_max = 3;
+  config.num_threads = threads;
 
-  corpus::DocumentStore store;
   auto filler = [](DocId d, uint32_t i) -> TermId {
     return 1000 + d * 16 + i;  // unique background terms
   };
@@ -242,6 +246,27 @@ TEST(MembershipChurnTest, ReverseReclassificationAndFfReadmission) {
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
   ExpectSameContents((*scratch)->global_index().ExportContents(),
                      (*churned)->global_index().ExportContents());
+  *out = std::move(churned).value();
+}
+
+TEST(MembershipChurnTest, ReverseReclassificationAndFfReadmission) {
+  // The only scenario that reaches the replay's Ff-readmission level-1
+  // rescan and its BuildLevelDelta branch — run serially and on a 4-thread
+  // pool (3 survivors, one replay task each), which must agree exactly.
+  corpus::DocumentStore serial_store;
+  std::unique_ptr<HdkSearchEngine> serial;
+  ASSERT_NO_FATAL_FAILURE(RunReadmissionScenario(1, serial_store, &serial));
+  corpus::DocumentStore parallel_store;
+  std::unique_ptr<HdkSearchEngine> parallel;
+  ASSERT_NO_FATAL_FAILURE(
+      RunReadmissionScenario(4, parallel_store, &parallel));
+  EXPECT_GT(parallel->global_index().num_shards(), 1u);
+
+  ExpectSameDepartureStats(serial->last_departure(),
+                           parallel->last_departure());
+  ExpectSameContents(serial->global_index().ExportContents(),
+                     parallel->global_index().ExportContents());
+  EXPECT_EQ(serial->traffic()->total(), parallel->traffic()->total());
 }
 
 TEST(MembershipChurnTest, SingleTermDepartureEqualsFromScratchBuild) {

@@ -3,8 +3,11 @@
 // count (and therefore every shard count — the heuristic picks 1 shard at
 // num_threads == 1 and a pow2 multiple of the worker count otherwise) for
 // a fresh build, a growth wave, and a join/leave/join churn sequence, on
-// both overlays. Runs in the CI ThreadSanitizer job: the shard-parallel
-// EndLevel/InsertPostings merge path is exactly what it stresses.
+// both overlays — and so is every protocol counter reduced from per-task
+// partials (the indexing report and the departure repair's stats). Runs
+// in the CI ThreadSanitizer job: the shard-parallel EndLevel/
+// InsertPostings merge path and the peer-parallel departure replay are
+// exactly what it stresses.
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -16,6 +19,7 @@
 #include "engine/hdk_engine.h"
 #include "engine/membership.h"
 #include "engine/partition.h"
+#include "expect_departure.h"
 #include "hdk/indexer.h"
 #include "net/traffic.h"
 
@@ -53,6 +57,8 @@ struct StageSnapshot {
   uint64_t total_keys = 0;
   uint64_t stored_postings = 0;
   uint64_t reclassified = 0;  // cumulative growth observability
+  p2p::DepartureStats departure;  // the latest departure repair
+  p2p::IndexingReport report;     // cumulative per-level protocol report
 };
 
 StageSnapshot Capture(const std::string& stage,
@@ -67,6 +73,8 @@ StageSnapshot Capture(const std::string& stage,
   snap.total_keys = engine.global_index().TotalKeys();
   snap.stored_postings = engine.global_index().TotalStoredPostings();
   snap.reclassified = engine.last_growth().reclassified_keys;
+  snap.departure = engine.last_departure();
+  snap.report = engine.indexing_report();
   return snap;
 }
 
@@ -77,6 +85,20 @@ void ExpectSameSnapshot(const StageSnapshot& want, const StageSnapshot& got,
   EXPECT_EQ(want.total_keys, got.total_keys);
   EXPECT_EQ(want.stored_postings, got.stored_postings);
   EXPECT_EQ(want.reclassified, got.reclassified);
+  ExpectSameDepartureStats(want.departure, got.departure);
+  ASSERT_EQ(want.report.levels.size(), got.report.levels.size());
+  for (size_t l = 0; l < want.report.levels.size(); ++l) {
+    SCOPED_TRACE("report level " + std::to_string(l + 1));
+    const p2p::ProtocolLevelStats& a = want.report.levels[l];
+    const p2p::ProtocolLevelStats& b = got.report.levels[l];
+    EXPECT_EQ(a.keys_inserted, b.keys_inserted);
+    EXPECT_EQ(a.postings_inserted, b.postings_inserted);
+    EXPECT_EQ(a.notifications, b.notifications);
+    EXPECT_EQ(a.hdks, b.hdks);
+    EXPECT_EQ(a.ndks, b.ndks);
+  }
+  EXPECT_EQ(want.report.inserted_postings_per_peer,
+            got.report.inserted_postings_per_peer);
   // Posting-for-posting identity of the published index.
   ASSERT_EQ(want.contents.size(), got.contents.size());
   for (const auto& [key, entry] : want.contents.entries()) {
