@@ -2,12 +2,15 @@
 #ifndef HDKP2P_BENCH_BENCH_COMMON_H_
 #define HDKP2P_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "engine/experiment.h"
 #include "engine/fingerprint.h"
 
@@ -18,32 +21,70 @@ using engine::FingerprintBatch;
 using engine::FingerprintContents;
 using engine::FingerprintTraffic;
 
+/// True when HDKP2P_BENCH_SCALE=tiny selects the smoke-test scale.
+inline bool TinyScale() {
+  const char* scale = std::getenv("HDKP2P_BENCH_SCALE");
+  return scale != nullptr && std::strcmp(scale, "tiny") == 0;
+}
+
+/// The scale name the benches print and write into their JSON.
+inline const char* ScaleName() { return TinyScale() ? "tiny" : "default"; }
+
 /// Selects the experiment scale: HDKP2P_BENCH_SCALE=tiny for smoke runs,
-/// anything else (or unset) for the scaled-default reproduction. Two more
-/// environment knobs apply to every bench:
-///   HDKP2P_THREADS       worker threads per engine (0/unset = hardware
-///                        concurrency, 1 = serial; results identical),
-///   HDKP2P_CORPUS_CACHE  directory of the on-disk synthetic-corpus cache
-///                        (unset = "corpus_cache"; "off" or "0" disables).
+/// anything else (or unset) for the scaled-default reproduction.
+/// HDKP2P_THREADS sets the worker threads per engine (0/unset = hardware
+/// concurrency, 1 = serial; results identical).
 inline engine::ExperimentSetup SelectSetup() {
   SetLogLevel(LogLevel::kWarning);
-  const char* scale = std::getenv("HDKP2P_BENCH_SCALE");
-  engine::ExperimentSetup setup =
-      (scale != nullptr && std::strcmp(scale, "tiny") == 0)
-          ? engine::ExperimentSetup::Tiny()
-          : engine::ExperimentSetup::ScaledDefault();
-
+  engine::ExperimentSetup setup = TinyScale()
+                                      ? engine::ExperimentSetup::Tiny()
+                                      : engine::ExperimentSetup::ScaledDefault();
   if (const char* threads = std::getenv("HDKP2P_THREADS")) {
     setup.num_threads = static_cast<size_t>(std::strtoul(threads, nullptr, 10));
   }
-  const char* cache = std::getenv("HDKP2P_CORPUS_CACHE");
-  if (cache == nullptr) {
-    setup.corpus_cache_dir = "corpus_cache";
-  } else if (std::strcmp(cache, "off") != 0 && std::strcmp(cache, "0") != 0 &&
-             cache[0] != '\0') {
-    setup.corpus_cache_dir = cache;
-  }
   return setup;
+}
+
+/// Thread counts of a scaling sweep: the comma list in `env_var`, or
+/// "1,2,4,8" when unset. Thread count 1 always comes first, because it
+/// anchors the speedups and the serial-identity checks.
+inline std::vector<size_t> ThreadSweep(const char* env_var) {
+  const char* env = std::getenv(env_var);
+  std::string spec = env != nullptr ? env : "1,2,4,8";
+  std::vector<size_t> sweep;
+  for (char* tok = std::strtok(spec.data(), ","); tok != nullptr;
+       tok = std::strtok(nullptr, ",")) {
+    const size_t n = std::strtoul(tok, nullptr, 10);
+    if (n >= 1) sweep.push_back(n);
+  }
+  if (sweep.empty() || sweep.front() != 1) sweep.insert(sweep.begin(), 1);
+  return sweep;
+}
+
+/// The q-quantile (0..1) of `values` by nearest rank; sorts in place.
+template <typename T>
+double Percentile(std::vector<T>& values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t idx = std::min(
+      values.size() - 1,
+      static_cast<size_t>(q * static_cast<double>(values.size())));
+  return static_cast<double>(values[idx]);
+}
+
+/// Writes the `"host"` member every BENCH_*.json carries: hardware
+/// threads, compiler and CMake build type (HDKP2P_BUILD_TYPE, defined by
+/// bench/CMakeLists.txt) of the measuring binary.
+inline void WriteHostJson(std::FILE* out) {
+#ifdef __clang__
+  const char* compiler = "clang " __clang_version__;
+#else
+  const char* compiler = "g++ " __VERSION__;
+#endif
+  std::fprintf(out,
+               "  \"host\": {\"nproc\": %zu, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\"},\n",
+               ThreadPool::HardwareThreads(), compiler, HDKP2P_BUILD_TYPE);
 }
 
 /// Prints the standard bench banner.

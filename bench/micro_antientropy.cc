@@ -3,22 +3,23 @@
 // wave sweep where every wave's lossy replica maintenance is healed by
 // a sweep.
 //
-// Part 1 builds twin replicated engines under identical lossy replica
-// pushes (identical divergence) and sweeps one in SyncMode::kIbf and
-// one in kFull: the IBF path must ship >= 5x fewer postings at small
-// divergence — that ratio is this bench's acceptance assertion, checked
-// at runtime. Part 2 alternates join and leave waves on the kIbf engine
+// Part 1 builds a replicated engine under lossy replica pushes and sweeps
+// it once: the IBF path must ship >= 5x fewer postings at small
+// divergence than full re-replication, which re-ships every holder's
+// whole bucket, (replication - 1) x TotalStoredPostings() — that ratio is
+// this bench's acceptance assertion, checked at runtime. Part 2
+// alternates join and leave waves on the same engine
 // and sweeps after each: divergence found, healed to zero, and a second
 // sweep confirms nothing is left. Emits BENCH_antientropy.json. (Plain
 // main(), no Google Benchmark dependency, like micro_churn.)
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
-// HDKP2P_THREADS, HDKP2P_CORPUS_CACHE.
+// HDKP2P_THREADS.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -52,6 +53,26 @@ void PrintSweep(const SweepPoint& p) {
               static_cast<unsigned long long>(p.stats.ShippedPostings()),
               static_cast<unsigned long long>(p.stats.sketch_bytes),
               static_cast<unsigned long long>(p.stats.messages));
+}
+
+/// One timed RunAntiEntropy() sweep, with the divergence before and
+/// after it; prints the row. False (after reporting) if the sweep failed.
+bool MeasureSweep(engine::HdkSearchEngine& engine, std::string label,
+                  SweepPoint* point) {
+  point->label = std::move(label);
+  point->divergence_before = engine.global_index().CountReplicaDivergence();
+  Stopwatch watch;
+  auto sweep = engine.RunAntiEntropy();
+  point->seconds = watch.ElapsedSeconds();
+  if (!sweep.ok()) {
+    std::fprintf(stderr, "sweep failed: %s\n",
+                 sweep.status().ToString().c_str());
+    return false;
+  }
+  point->stats = *sweep;
+  point->divergence_after = engine.global_index().CountReplicaDivergence();
+  PrintSweep(*point);
+  return true;
 }
 
 void JsonSweep(std::FILE* out, const SweepPoint& p, const char* indent,
@@ -106,69 +127,51 @@ int main() {
     return 1;
   }
 
-  auto make_config = [&](sync::SyncMode mode) {
-    engine::HdkEngineConfig config;
-    config.hdk = setup.MakeParams(setup.DfMaxLow());
-    config.overlay = setup.overlay;
-    config.overlay_seed = setup.overlay_seed;
-    config.num_threads = setup.num_threads;
-    config.replication = 2;
-    config.sync.mode = mode;
-    // The defaults trade sketch size against fallback probability: a
-    // strata undershoot on a medium-sized diff under-allocates the IBF,
-    // the decode fails and the pair honestly falls back to a full sync.
-    // This bench prices the sketch path itself (fallback cost has its own
-    // tests), so give every pair enough cells to decode at this scale.
-    config.sync.min_cells = 2048;
-    config.sync.max_cells = 1u << 16;
-    config.faults = *plan;
-    return config;
-  };
+  engine::HdkEngineConfig config;
+  config.hdk = setup.MakeParams(setup.DfMaxLow());
+  config.overlay = setup.overlay;
+  config.overlay_seed = setup.overlay_seed;
+  config.num_threads = setup.num_threads;
+  config.replication = 2;
+  config.sync.mode = sync::SyncMode::kIbf;
+  // The defaults trade sketch size against fallback probability: a
+  // strata undershoot on a medium-sized diff under-allocates the IBF,
+  // the decode fails and the pair honestly falls back to a full sync.
+  // This bench prices the sketch path itself (fallback cost has its own
+  // tests), so give every pair enough cells to decode at this scale.
+  config.sync.min_cells = 2048;
+  config.sync.max_cells = 1u << 16;
+  config.faults = *plan;
 
-  // -- Part 1: one sweep over identical small divergence, per mode ------
+  // -- Part 1: one sweep over small divergence vs full re-replication ---
   std::printf("%-12s %12s %12s %10s %9s %6s %13s %12s %11s\n", "mode",
               "div_before", "div_after", "seconds", "diverged", "fulls",
               "shipped_post", "sketch_B", "messages");
-  std::vector<SweepPoint> modes;
-  std::unique_ptr<engine::HdkSearchEngine> ibf_engine;
-  for (const sync::SyncMode mode :
-       {sync::SyncMode::kIbf, sync::SyncMode::kFull}) {
-    auto built = engine::HdkSearchEngine::Build(
-        make_config(mode), store,
-        engine::SplitEvenly(initial_docs, initial_peers));
-    if (!built.ok()) {
-      std::fprintf(stderr, "build failed: %s\n",
-                   built.status().ToString().c_str());
-      return 1;
-    }
-    auto engine = std::move(built).value();
-    SweepPoint point;
-    point.label = std::string(sync::SyncModeName(mode));
-    point.divergence_before = engine->global_index().CountReplicaDivergence();
-    Stopwatch watch;
-    auto sweep = engine->RunAntiEntropy();
-    point.seconds = watch.ElapsedSeconds();
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "sweep failed: %s\n",
-                   sweep.status().ToString().c_str());
-      return 1;
-    }
-    point.stats = *sweep;
-    point.divergence_after = engine->global_index().CountReplicaDivergence();
-    PrintSweep(point);
-    if (point.divergence_before == 0 || point.divergence_after != 0) {
-      std::fprintf(stderr,
-                   "acceptance failed: expected divergence healed "
-                   "(before %llu, after %llu)\n",
-                   static_cast<unsigned long long>(point.divergence_before),
-                   static_cast<unsigned long long>(point.divergence_after));
-      return 1;
-    }
-    modes.push_back(point);
-    if (mode == sync::SyncMode::kIbf) ibf_engine = std::move(engine);
+  auto built = engine::HdkSearchEngine::Build(
+      config, store, engine::SplitEvenly(initial_docs, initial_peers));
+  if (!built.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 built.status().ToString().c_str());
+    return 1;
   }
-  const uint64_t ibf_postings = modes[0].stats.ShippedPostings();
-  const uint64_t full_postings = modes[1].stats.ShippedPostings();
+  std::unique_ptr<engine::HdkSearchEngine> ibf_engine =
+      std::move(built).value();
+  SweepPoint ibf;
+  if (!MeasureSweep(*ibf_engine, "ibf", &ibf)) return 1;
+  if (ibf.divergence_before == 0 || ibf.divergence_after != 0) {
+    std::fprintf(stderr,
+                 "acceptance failed: expected divergence healed "
+                 "(before %llu, after %llu)\n",
+                 static_cast<unsigned long long>(ibf.divergence_before),
+                 static_cast<unsigned long long>(ibf.divergence_after));
+    return 1;
+  }
+  const uint64_t ibf_postings = ibf.stats.ShippedPostings();
+  const uint64_t full_postings =
+      (config.replication - 1) *
+      ibf_engine->global_index().TotalStoredPostings();
+  std::printf("%-12s %12s %12s %10s %9s %6s %13llu\n", "full", "", "", "",
+              "", "", static_cast<unsigned long long>(full_postings));
   if (ibf_postings * 5 > full_postings) {
     std::fprintf(stderr,
                  "acceptance failed: IBF shipped %llu postings, full sync "
@@ -181,7 +184,7 @@ int main() {
               static_cast<double>(full_postings) /
                   static_cast<double>(std::max<uint64_t>(ibf_postings, 1)));
 
-  // -- Part 2: join/leave wave sweep on the kIbf engine -----------------
+  // -- Part 2: join/leave wave sweep on the same engine ----------------
   std::printf("%-12s %12s %12s %10s %9s %6s %13s %12s %11s\n", "wave",
               "div_before", "div_after", "seconds", "diverged", "fulls",
               "shipped_post", "sketch_B", "messages");
@@ -208,21 +211,11 @@ int main() {
         return 1;
       }
       SweepPoint point;
-      point.label = std::string(step.kind) + std::to_string(cycle + 1);
-      point.divergence_before =
-          ibf_engine->global_index().CountReplicaDivergence();
-      Stopwatch watch;
-      auto sweep = ibf_engine->RunAntiEntropy();
-      point.seconds = watch.ElapsedSeconds();
-      if (!sweep.ok()) {
-        std::fprintf(stderr, "sweep failed: %s\n",
-                     sweep.status().ToString().c_str());
+      if (!MeasureSweep(*ibf_engine,
+                        std::string(step.kind) + std::to_string(cycle + 1),
+                        &point)) {
         return 1;
       }
-      point.stats = *sweep;
-      point.divergence_after =
-          ibf_engine->global_index().CountReplicaDivergence();
-      PrintSweep(point);
       if (point.divergence_after != 0) {
         std::fprintf(stderr, "acceptance failed: wave %s left %llu "
                              "divergent slots after the sweep\n",
@@ -249,12 +242,9 @@ int main() {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
-  const char* scale_env = std::getenv("HDKP2P_BENCH_SCALE");
   std::fprintf(out, "{\n  \"bench\": \"micro_antientropy\",\n");
-  std::fprintf(out, "  \"scale\": \"%s\",\n",
-               scale_env != nullptr && std::strcmp(scale_env, "tiny") == 0
-                   ? "tiny"
-                   : "default");
+  std::fprintf(out, "  \"scale\": \"%s\",\n", bench::ScaleName());
+  bench::WriteHostJson(out);
   std::fprintf(out,
                "  \"initial_peers\": %u,\n  \"wave_peers\": %u,\n"
                "  \"leaves_per_wave\": %u,\n  \"docs_per_peer\": %u,\n"
@@ -264,11 +254,10 @@ int main() {
   std::fprintf(out, "  \"ibf_vs_full_postings_ratio\": %.2f,\n",
                static_cast<double>(full_postings) /
                    static_cast<double>(std::max<uint64_t>(ibf_postings, 1)));
-  std::fprintf(out, "  \"modes\": [\n");
-  for (size_t i = 0; i < modes.size(); ++i) {
-    JsonSweep(out, modes[i], "    ", i + 1 == modes.size());
-  }
-  std::fprintf(out, "  ],\n  \"waves\": [\n");
+  std::fprintf(out, "  \"full_postings\": %llu,\n  \"ibf\":\n",
+               static_cast<unsigned long long>(full_postings));
+  JsonSweep(out, ibf, "    ", /*last=*/false);
+  std::fprintf(out, "  \"waves\": [\n");
   for (size_t i = 0; i < waves.size(); ++i) {
     JsonSweep(out, waves[i], "    ", i + 1 == waves.size());
   }

@@ -9,9 +9,8 @@
 // like micro_parallel.)
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
-// HDKP2P_THREADS, HDKP2P_CORPUS_CACHE.
+// HDKP2P_THREADS.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -208,12 +207,9 @@ int main() {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
-  const char* scale_env = std::getenv("HDKP2P_BENCH_SCALE");
   std::fprintf(out, "{\n  \"bench\": \"micro_churn\",\n");
-  std::fprintf(out, "  \"scale\": \"%s\",\n",
-               scale_env != nullptr && std::strcmp(scale_env, "tiny") == 0
-                   ? "tiny"
-                   : "default");
+  std::fprintf(out, "  \"scale\": \"%s\",\n", bench::ScaleName());
+  bench::WriteHostJson(out);
   std::fprintf(out, "  \"initial_peers\": %u,\n  \"wave_peers\": %u,\n",
                initial_peers, wave);
   std::fprintf(out, "  \"leaves_per_wave\": %u,\n  \"docs_per_peer\": %u,\n",

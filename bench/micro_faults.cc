@@ -15,11 +15,9 @@
 //     survives.
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
-// HDKP2P_THREADS, HDKP2P_CORPUS_CACHE.
-#include <algorithm>
+// HDKP2P_THREADS.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,15 +39,6 @@ struct SweepPoint {
   unsigned long long degraded = 0;
   unsigned long long keys_unreachable = 0;
 };
-
-double PercentileMs(std::vector<double>& seconds, double q) {
-  if (seconds.empty()) return 0.0;
-  std::sort(seconds.begin(), seconds.end());
-  const size_t idx = std::min(
-      seconds.size() - 1, static_cast<size_t>(q * static_cast<double>(
-                                                      seconds.size())));
-  return seconds[idx] * 1e3;
-}
 
 /// Runs the whole query batch one query at a time (per-query wall clock)
 /// and folds the failure-handling counters. Query origins rotate over
@@ -76,8 +65,8 @@ SweepPoint RunBatch(hdk::engine::HdkSearchEngine& engine,
     point.degraded += response.degraded ? 1 : 0;
     point.keys_unreachable += response.cost.keys_unreachable;
   }
-  point.p50_ms = PercentileMs(latencies, 0.50);
-  point.p99_ms = PercentileMs(latencies, 0.99);
+  point.p50_ms = hdk::bench::Percentile(latencies, 0.50) * 1e3;
+  point.p99_ms = hdk::bench::Percentile(latencies, 0.99) * 1e3;
   return point;
 }
 
@@ -93,11 +82,6 @@ int main() {
       "deterministic fault-injection transport");
   bench::PrintSetup(setup);
 
-  const char* scale_env = std::getenv("HDKP2P_BENCH_SCALE");
-  const std::string scale =
-      scale_env != nullptr && std::strcmp(scale_env, "tiny") == 0
-          ? "tiny"
-          : "default";
 
   const uint32_t peers = setup.max_peers;
   const uint64_t docs = static_cast<uint64_t>(peers) * setup.docs_per_peer;
@@ -181,7 +165,8 @@ int main() {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"micro_faults\",\n");
-  std::fprintf(out, "  \"scale\": \"%s\",\n", scale.c_str());
+  std::fprintf(out, "  \"scale\": \"%s\",\n", bench::ScaleName());
+  bench::WriteHostJson(out);
   std::fprintf(out, "  \"num_peers\": %u,\n  \"num_docs\": %llu,\n", peers,
                static_cast<unsigned long long>(docs));
   std::fprintf(out, "  \"num_queries\": %zu,\n", queries.size());

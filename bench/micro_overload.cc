@@ -21,11 +21,10 @@
 //     never silently dropped.
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
-// HDKP2P_THREADS, HDKP2P_CORPUS_CACHE.
+// HDKP2P_THREADS.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,15 +49,6 @@ struct Row {
   unsigned long long failovers = 0;
   unsigned long long degraded = 0;
 };
-
-double Percentile(std::vector<uint64_t>& ticks, double q) {
-  if (ticks.empty()) return 0.0;
-  std::sort(ticks.begin(), ticks.end());
-  const size_t idx = std::min(
-      ticks.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(ticks.size())));
-  return static_cast<double>(ticks[idx]);
-}
 
 /// One row: a fresh identical build (so breaker state and the origin
 /// rotation never leak between rows), then the whole query batch one
@@ -101,8 +91,8 @@ Row RunRow(const char* name, const hdk::engine::HdkEngineConfig& config,
     row.failovers += response.cost.failovers;
     row.degraded += response.degraded ? 1 : 0;
   }
-  row.p50_ticks = Percentile(per_query, 0.50);
-  row.p99_ticks = Percentile(per_query, 0.99);
+  row.p50_ticks = bench::Percentile(per_query, 0.50);
+  row.p99_ticks = bench::Percentile(per_query, 0.99);
   return row;
 }
 
@@ -118,11 +108,6 @@ int main() {
       "admission control over the deterministic fault transport");
   bench::PrintSetup(setup);
 
-  const char* scale_env = std::getenv("HDKP2P_BENCH_SCALE");
-  const std::string scale =
-      scale_env != nullptr && std::strcmp(scale_env, "tiny") == 0
-          ? "tiny"
-          : "default";
 
   const uint32_t peers = setup.max_peers;
   const uint64_t docs = static_cast<uint64_t>(peers) * setup.docs_per_peer;
@@ -256,7 +241,8 @@ int main() {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"micro_overload\",\n");
-  std::fprintf(out, "  \"scale\": \"%s\",\n", scale.c_str());
+  std::fprintf(out, "  \"scale\": \"%s\",\n", bench::ScaleName());
+  bench::WriteHostJson(out);
   std::fprintf(out, "  \"num_peers\": %u,\n  \"num_docs\": %llu,\n", peers,
                static_cast<unsigned long long>(docs));
   std::fprintf(out, "  \"num_queries\": %zu,\n", queries.size());

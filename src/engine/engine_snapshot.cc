@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <tuple>
 #include <string_view>
 #include <utility>
@@ -122,8 +123,8 @@ Status ReadKeyMapKeys(SectionCursor& cur, std::vector<hdk::TermKey>* keys,
 ///
 /// Posting columns are 4-byte aligned by construction: section payloads
 /// start 8-byte aligned and every column written before a posting blob
-/// is a multiple of 4 bytes (the u8 flag columns deliberately come LAST
-/// in each map's layout).
+/// is a multiple of 4 bytes (the u8 flag columns come LAST in each map's
+/// layout and are zero-padded to 4 bytes, see WriteFlagColumn).
 static_assert(alignof(index::Posting) == 4,
               "posting-blob alignment argument above assumes this");
 
@@ -136,6 +137,26 @@ Status ReadPostingSlice(SectionCursor& cur, uint32_t count,
   *out = index::PostingList::Borrowed(std::span<const index::Posting>(
       reinterpret_cast<const index::Posting*>(bytes), count));
   return Status::OK();
+}
+
+/// Writes a map's trailing u8 flag column, zero-padded to a multiple of
+/// 4 bytes so the posting blobs of the map that follows stay aligned.
+void WriteFlagColumn(SnapshotWriter& w, const std::vector<uint8_t>& flags) {
+  constexpr uint8_t kPad[3] = {0, 0, 0};
+  w.WriteArray(flags);
+  w.WriteBytes(kPad, (4 - flags.size() % 4) % 4);
+}
+
+/// Counterpart of WriteFlagColumn: reads `n` flags and skips the padding.
+Status ReadFlagColumn(SectionCursor& cur, size_t n, const char* map_kind,
+                      std::vector<uint8_t>* flags) {
+  HDK_RETURN_NOT_OK(cur.ReadArray(flags));
+  if (flags->size() != n) {
+    return Status::IOError(std::string("snapshot: ") + map_kind +
+                           " flag column size disagrees");
+  }
+  const uint8_t* padding = nullptr;
+  return cur.ReadView((4 - n % 4) % 4, &padding);
 }
 
 // --- columnar writers / readers for the three big map shapes -------------
@@ -189,7 +210,7 @@ void WriteLedgerMap(SnapshotWriter& w, const LedgerMap& map) {
   }
   // The u8 column goes last so every posting blob above stays 4-byte
   // aligned (all preceding columns are multiples of 4 bytes).
-  w.WriteArray(flags);
+  WriteFlagColumn(w, flags);
 }
 
 Status ReadLedgerMap(SectionCursor& cur, LedgerMap* out) {
@@ -249,10 +270,7 @@ Status ReadLedgerMap(SectionCursor& cur, LedgerMap* out) {
         "snapshot: contribution columns longer than their counts claim");
   }
   std::vector<uint8_t> flags;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&flags));
-  if (flags.size() != n) {
-    return Status::IOError("snapshot: ledger flag column size disagrees");
-  }
+  HDK_RETURN_NOT_OK(ReadFlagColumn(cur, n, "ledger", &flags));
   for (size_t i = 0; i < n; ++i) {
     entries[i].second.published_ndk = (flags[i] & 1u) != 0;
     entries[i].second.truncation_sensitive = (flags[i] & 2u) != 0;
@@ -286,7 +304,7 @@ void WriteFragmentMap(SnapshotWriter& w, const FragmentMap& map) {
     w.WriteBytes(postings.data(), postings.size() * sizeof(index::Posting));
   }
   // u8 column last: keeps the posting blob 4-byte aligned.
-  w.WriteArray(flags);
+  WriteFlagColumn(w, flags);
 }
 
 Status ReadFragmentMap(SectionCursor& cur, FragmentMap* out) {
@@ -312,10 +330,7 @@ Status ReadFragmentMap(SectionCursor& cur, FragmentMap* out) {
     HDK_RETURN_NOT_OK(ReadPostingSlice(cur, counts[i], &entry.postings));
   }
   std::vector<uint8_t> flags;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&flags));
-  if (flags.size() != n) {
-    return Status::IOError("snapshot: fragment flag column size disagrees");
-  }
+  HDK_RETURN_NOT_OK(ReadFlagColumn(cur, n, "fragment", &flags));
   for (size_t i = 0; i < n; ++i) {
     entries[i].second.is_hdk = (flags[i] & 1u) != 0;
   }

@@ -10,7 +10,7 @@
 // rebuilds each table's slot index from the cached hashes in one linear
 // pass — no TermKey is ever re-hashed. At the default experiment scale
 // that turns a multi-second protocol run into a sub-second (millisecond-
-// range) cold start; bench/micro_persist.cc measures the ratio.
+// range) cold start; hdkbench's cold-start workload measures the ratio.
 //
 // Sections (see store/snapshot_format.h for the container layout):
 //   kConfig       engine parameters + network shape, cross-checked on load

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "corpus/corpus_cache.h"
-
 namespace hdk::engine {
 
 ExperimentSetup ExperimentSetup::ScaledDefault() {
@@ -85,12 +83,7 @@ ExperimentContext::ExperimentContext(const ExperimentSetup& setup)
 ExperimentContext::~ExperimentContext() = default;
 
 const corpus::DocumentStore& ExperimentContext::GrowTo(uint64_t docs) {
-  if (setup_.corpus_cache_dir.empty()) {
-    corpus_.FillStore(docs, &store_);
-  } else {
-    corpus::FillStoreCached(corpus_, docs, &store_,
-                            setup_.corpus_cache_dir);
-  }
+  corpus_.FillStore(docs, &store_);
   return store_;
 }
 

@@ -58,9 +58,7 @@ struct ExperimentSetup {
   /// concurrency, 1 = exact serial path); results are identical either
   /// way. Benches override via HDKP2P_THREADS.
   size_t num_threads = 0;
-  /// Directory for the on-disk synthetic-corpus cache (see
-  /// corpus/corpus_cache.h); empty disables caching. Benches default to
-  /// "corpus_cache", overridable via HDKP2P_CORPUS_CACHE.
+  /// Unused; kept because the frozen hdkbench harness still clears it.
   std::string corpus_cache_dir;
 
   /// Paper-faithful defaults scaled to laptop size.

@@ -73,8 +73,8 @@ struct HdkEngineConfig {
   uint32_t replication = 1;
   /// Replica maintenance / anti-entropy reconciliation (see sync/sync.h).
   /// kOff (default) keeps the silent wholesale-rebuild behaviour —
-  /// byte-identical to the pre-sync engine; kIbf/kFull route repair
-  /// through the recorded sketch-exchange protocol. Excluded from the
+  /// byte-identical to the pre-sync engine; kIbf routes repair through
+  /// the recorded sketch-exchange protocol. Excluded from the
   /// snapshot config hash for the same reason as `faults`: sync modes
   /// perturb repair transport, never the published index.
   sync::SyncConfig sync;

@@ -52,7 +52,7 @@ enum class MessageKind : uint8_t {
   kSyncIbf = 12,        // primary -> replica: invertible Bloom filter
   kSyncDelta = 13,      // decoded-difference exchange: key list one way,
                         // missing postings the other
-  kSyncFull = 14,       // IBF decode failed (or full mode): whole-bucket
+  kSyncFull = 14,       // IBF decode failed: whole-bucket
                         // re-replication fallback
 };
 inline constexpr size_t kNumMessageKinds = 15;

@@ -992,10 +992,9 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
   if (res_.replication <= 1 || overlay_->num_peers() < 2) return stats;
   EnsureCapacity();
   ++sync_epoch_;
-  sync::SyncConfig cfg = res_.sync;
-  // An explicit sweep on a kOff engine still reconciles — via the sketch
-  // protocol (this is what RunAntiEntropy on a default engine does).
-  if (cfg.mode == sync::SyncMode::kOff) cfg.mode = sync::SyncMode::kIbf;
+  // Every sweep runs the sketch protocol, also an explicit one on a kOff
+  // engine (this is what RunAntiEntropy on a default engine does).
+  const sync::SyncConfig& cfg = res_.sync;
 
   const size_t num_peers = overlay_->num_peers();
   // Holder-parallel workers write shard.replicas[h] without resizing.
@@ -1173,14 +1172,9 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
         for (size_t i = wbegin; i < wi; ++i) ship_desired(want[i]);
       };
 
-      if (cfg.mode == sync::SyncMode::kFull) {
-        full_sync();
-        continue;
-      }
-
-      // kIbf: the exchange is computed locally by the planner; the legs
-      // below bill exactly what would travel, and any lost leg aborts
-      // the pair with nothing applied.
+      // The exchange is computed locally by the planner; the legs below
+      // bill exactly what would travel, and any lost leg aborts the pair
+      // with nothing applied.
       const sync::PairPlan plan =
           sync::PlanPairSync(want_digests, have_digests, cfg);
       const uint64_t ibf_bytes =

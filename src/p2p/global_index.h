@@ -369,16 +369,14 @@ class DistributedGlobalIndex {
   // -- anti-entropy replica sync (sync/) --------------------------------
 
   /// Reconciles every (primary, holder) replica pair against the primary
-  /// fragments using the configured sync mode: kIbf exchanges a strata
-  /// estimator + invertible Bloom filter per pair and ships only the
-  /// decoded difference, falling back to a full bucket re-send when the
-  /// sketch fails to decode; kFull re-ships every pair's whole bucket
-  /// (the baseline). Called with mode kOff (an explicit sweep, e.g.
-  /// RunAntiEntropy on an otherwise silent engine) it reconciles via the
-  /// kIbf protocol. Pairs whose primary or holder is hard-dead, or whose
-  /// exchange loses a leg after retries, are skipped whole — a pair is
-  /// repaired atomically or not at all, so reconciliation can degrade
-  /// but never diverge. Runs holder-parallel on the pool; traffic,
+  /// fragments: each pair exchanges a strata estimator + invertible Bloom
+  /// filter and ships only the decoded difference, falling back to a full
+  /// bucket re-send when the sketch fails to decode. This holds in every
+  /// sync mode, also for an explicit sweep (e.g. RunAntiEntropy) on an
+  /// otherwise silent kOff engine. Pairs whose primary or holder is
+  /// hard-dead, or whose exchange loses a leg after retries, are skipped
+  /// whole — a pair is repaired atomically or not at all, so
+  /// reconciliation can degrade but never diverge. Runs holder-parallel on the pool; traffic,
   /// repairs and stats are deterministic for every thread/shard count.
   /// The returned per-call stats are also accumulated into sync_stats().
   sync::SyncStats ReconcileReplicas(bool record_traffic);

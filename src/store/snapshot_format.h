@@ -37,7 +37,9 @@ inline constexpr char kSnapshotMagic[4] = {'H', 'D', 'K', 'S'};
 //   1  initial format
 //   2  traffic section gained a self-describing message-kind count
 //      (the kind axis grew with the anti-entropy sync kinds)
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+//   3  ledger and fragment flag columns zero-padded to 4 bytes, so the
+//      next map's posting blobs are 4-byte aligned
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Section identifiers. Values are part of the wire format; never reuse
 /// a retired one.

@@ -31,7 +31,9 @@ class SectionCursor {
 
   Status ReadBytes(void* out, size_t n) {
     if (remaining() < n) return Truncated(n);
-    std::memcpy(out, p_, n);
+    // memcpy needs non-null pointers even for n == 0, and an empty
+    // vector's data() may be null.
+    if (n != 0) std::memcpy(out, p_, n);
     p_ += n;
     return Status::OK();
   }

@@ -126,7 +126,6 @@ uint64_t StrataEstimator::ByteSize() const {
 std::string_view SyncModeName(SyncMode mode) {
   switch (mode) {
     case SyncMode::kOff: return "off";
-    case SyncMode::kFull: return "full";
     case SyncMode::kIbf: return "ibf";
   }
   return "unknown";

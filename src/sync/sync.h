@@ -26,11 +26,10 @@ enum class SyncMode : uint8_t {
   /// Replicas are rebuilt wholesale and silently (the pre-sync behaviour,
   /// byte-identical traffic); RunAntiEntropy() still reconciles on demand.
   kOff = 0,
-  /// Every reconciliation ships the whole desired bucket (the honest
-  /// full re-replication baseline the IBF path is measured against).
-  kFull = 1,
   /// Strata-estimator + IBF set reconciliation with full-sync fallback.
-  kIbf = 2,
+  /// (Full re-replication, the baseline it is measured against, ships
+  /// (replication - 1) x TotalStoredPostings() per sweep.)
+  kIbf = 1,
 };
 
 std::string_view SyncModeName(SyncMode mode);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/fingerprint.h"
+
 namespace hdk::engine {
 namespace {
 
@@ -81,6 +83,34 @@ TEST(ExperimentContextTest, BuildEnginesAtTinyPoint) {
   // The low-DFmax engine produces at least as many multi-term keys.
   EXPECT_GE(point->hdk_low->global_index().TotalKeys(),
             point->hdk_high->global_index().TotalKeys());
+}
+
+// The golden fixture: the tiny setup's full network at DFmax low and a
+// 1000-query batch over it. The fingerprints were captured on the
+// pre-flat-map code and pin every posting, score bit and cost counter;
+// bench_micro_shard asserts the same fixture at the default scale.
+TEST(ExperimentGoldenTest, TinyFixtureFingerprintsAtOneAndFourThreads) {
+  const ExperimentSetup setup = ExperimentSetup::Tiny();
+  ExperimentContext ctx(setup);
+  const uint64_t docs = setup.MaxDocuments();
+  const corpus::DocumentStore& store = ctx.GrowTo(docs);
+  const std::vector<corpus::Query> queries = ctx.MakeQueries(docs, 1000);
+  for (size_t threads : {1u, 4u}) {
+    HdkEngineConfig config;
+    config.hdk = setup.MakeParams(setup.DfMaxLow());
+    config.overlay = setup.overlay;
+    config.overlay_seed = setup.overlay_seed;
+    config.num_threads = threads;
+    auto built = HdkSearchEngine::Build(
+        config, store, SplitEvenly(docs, setup.max_peers));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_EQ(FingerprintContents((*built)->global_index().ExportContents()),
+              9975936348412760733ULL)
+        << "threads " << threads;
+    EXPECT_EQ(FingerprintBatch((*built)->SearchBatch(queries, setup.top_k)),
+              12651378162075581717ULL)
+        << "threads " << threads;
+  }
 }
 
 }  // namespace

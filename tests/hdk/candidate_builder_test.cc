@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "text/window.h"
 
 namespace hdk::hdk {
@@ -11,7 +13,7 @@ HdkParams SmallParams(uint32_t window = 5, Freq df_max = 1) {
   HdkParams p;
   p.window = window;
   p.df_max = df_max;
-  p.s_max = 3;
+  p.s_max = std::min<uint32_t>(3, window);  // Validate: s_max <= window
   p.very_frequent_threshold = 1000000;
   return p;
 }
