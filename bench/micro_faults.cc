@@ -12,7 +12,10 @@
 //   * a dead-replica-holder scenario (replication = 2, one peer hard-
 //     killed): EVERY query must fail over instead of degrading — the
 //     bench fails if a single degraded response appears while a replica
-//     survives.
+//     survives,
+//   * batch throughput on the faulty fan-out (replication = 2, 1% loss):
+//     SearchBatch queries/s at 1 thread and at HDKP2P_THREADS threads —
+//     the bench fails unless both batches fingerprint identically.
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_THREADS.
@@ -22,7 +25,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/hash.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
 #include "net/fault.h"
@@ -68,6 +73,53 @@ SweepPoint RunBatch(hdk::engine::HdkSearchEngine& engine,
   point.p50_ms = hdk::bench::Percentile(latencies, 0.50) * 1e3;
   point.p99_ms = hdk::bench::Percentile(latencies, 0.99) * 1e3;
   return point;
+}
+
+/// SearchBatch throughput of one freshly built engine.
+struct BatchThroughput {
+  size_t threads = 0;
+  size_t queries = 0;        // per batch
+  double qps = 0.0;          // median over the passes
+  uint64_t fingerprint = 0;  // folded over the passes
+};
+
+// Each batch repeats the query set up to this many queries, so one pass
+// runs long enough (~0.1 s serially) to time at either scale.
+constexpr size_t kBatchQueries = 16384;
+constexpr size_t kBatchPasses = 7;
+
+hdk::Result<BatchThroughput> MeasureBatches(
+    hdk::engine::HdkEngineConfig config, size_t threads,
+    const hdk::corpus::DocumentStore& store, uint64_t docs, uint32_t peers,
+    const std::vector<hdk::corpus::Query>& queries, size_t top_k) {
+  config.num_threads = threads;
+  auto built = hdk::engine::HdkSearchEngine::Build(
+      config, store, hdk::engine::SplitEvenly(docs, peers));
+  if (!built.ok()) return built.status();
+  auto engine = std::move(built).value();
+  // Query-time faults, like the loss sweep.
+  hdk::net::FaultPlan plan;
+  plan.seed = 7;
+  plan.loss = 0.01;
+  HDK_RETURN_NOT_OK(engine->InstallFaultPlan(plan));
+
+  std::vector<hdk::corpus::Query> batch;
+  while (batch.size() < kBatchQueries) {
+    batch.insert(batch.end(), queries.begin(), queries.end());
+  }
+  BatchThroughput out;
+  out.threads = threads;
+  out.queries = batch.size();
+  std::vector<double> qps;
+  for (size_t pass = 0; pass < kBatchPasses; ++pass) {
+    hdk::Stopwatch watch;
+    const auto response = engine->SearchBatch(batch, top_k);
+    qps.push_back(static_cast<double>(batch.size()) / watch.ElapsedSeconds());
+    out.fingerprint = hdk::HashCombine(
+        out.fingerprint, hdk::bench::FingerprintBatch(response));
+  }
+  out.qps = hdk::bench::Percentile(qps, 0.5);
+  return out;
 }
 
 }  // namespace
@@ -158,6 +210,34 @@ int main() {
     return 1;
   }
 
+  // Batch throughput on the faulty fan-out: every query message takes
+  // the retry/failover send path, from every pool worker at once.
+  const size_t wide = setup.num_threads == 0 ? ThreadPool::HardwareThreads()
+                                             : setup.num_threads;
+  BatchThroughput batch[2];
+  for (size_t i = 0; i < 2; ++i) {
+    auto measured = MeasureBatches(replicated, i == 0 ? 1 : wide, store, docs,
+                                   peers, queries, setup.top_k);
+    if (!measured.ok()) {
+      std::fprintf(stderr, "batch throughput failed: %s\n",
+                   measured.status().ToString().c_str());
+      return 1;
+    }
+    batch[i] = *measured;
+  }
+  const bool batch_identical = batch[0].fingerprint == batch[1].fingerprint;
+  std::printf("batch throughput (replication 2, loss 1%%, %zu queries x %zu "
+              "passes): %zu thread %.0f q/s | %zu threads %.0f q/s | "
+              "speedup %.2fx | identical: %s\n",
+              batch[0].queries, kBatchPasses, batch[0].threads,
+              batch[0].qps, batch[1].threads, batch[1].qps,
+              batch[1].qps / batch[0].qps, batch_identical ? "yes" : "no");
+  if (!batch_identical) {
+    std::fprintf(stderr, "BATCH FINGERPRINT DIFFERS BETWEEN 1 AND %zu "
+                 "THREADS\n", wide);
+    return 1;
+  }
+
   const char* out_path = "BENCH_faults.json";
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
@@ -187,10 +267,18 @@ int main() {
                "  \"dead_replica\": {\"replication\": 2, "
                "\"killed_peer\": %u, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
                "\"retries\": %llu, \"failovers\": %llu, "
-               "\"degraded\": %llu, \"zero_degraded\": %s}\n}\n",
+               "\"degraded\": %llu, \"zero_degraded\": %s},\n",
                static_cast<unsigned>(killed), dead.p50_ms, dead.p99_ms,
                dead.retries, dead.failovers, dead.degraded,
                dead.degraded == 0 ? "true" : "false");
+  std::fprintf(out,
+               "  \"batch_throughput\": {\"replication\": 2, "
+               "\"loss\": 0.01, \"batch_queries\": %zu, \"passes\": %zu, "
+               "\"qps_1_thread\": %.0f, \"threads\": %zu, "
+               "\"qps_threads\": %.0f, \"speedup\": %.3f, "
+               "\"identical\": true}\n}\n",
+               batch[0].queries, kBatchPasses, batch[0].qps,
+               batch[1].threads, batch[1].qps, batch[1].qps / batch[0].qps);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

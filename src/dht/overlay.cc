@@ -7,16 +7,17 @@
 
 namespace hdk::dht {
 
-std::vector<PeerId> ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
-                                   uint32_t replication) {
-  std::vector<PeerId> holders;
+HolderSet ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
+                         uint32_t replication) {
+  HolderSet holders;
   holders.push_back(overlay.Responsible(key_hash));
   const size_t want =
       std::min<size_t>(std::max<uint32_t>(replication, 1), overlay.num_peers());
   uint64_t h = key_hash;
-  // Salted re-hash walk; the guard bounds the walk when the overlay has
-  // few peers and the hash keeps landing on holders we already have.
-  for (int guard = 0; holders.size() < want && guard < 64; ++guard) {
+  // Salted re-hash walk; the draw cap bounds the walk when the overlay
+  // has few peers and the hash keeps landing on holders we already have.
+  for (size_t draw = 0; holders.size() < want && draw < kMaxReplicaDraws;
+       ++draw) {
     h = Mix64(h ^ 0x5245504c49434133ULL);  // "REPLICA3"
     const PeerId candidate = overlay.Responsible(h);
     if (std::find(holders.begin(), holders.end(), candidate) ==

@@ -10,6 +10,8 @@
 #ifndef HDKP2P_DHT_OVERLAY_H_
 #define HDKP2P_DHT_OVERLAY_H_
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -49,14 +51,39 @@ class Overlay {
                std::vector<PeerId>* path = nullptr) const;
 };
 
+/// The salted re-hash walk of ReplicaHolders draws at most this many
+/// candidates, so a holder set never exceeds kMaxReplicaDraws + 1 peers.
+inline constexpr size_t kMaxReplicaDraws = 64;
+
+/// The fragment holders of one key, stored inline: the query path looks
+/// holders up once per fetched key, and this keeps that off the heap.
+class HolderSet {
+ public:
+  size_t size() const { return size_; }
+  PeerId operator[](size_t i) const { return ids_[i]; }
+  const PeerId* begin() const { return ids_.data(); }
+  const PeerId* end() const { return ids_.data() + size_; }
+  PeerId* begin() { return ids_.data(); }
+  PeerId* end() { return ids_.data() + size_; }
+
+  void push_back(PeerId peer) {
+    assert(size_ < ids_.size());
+    ids_[size_++] = peer;
+  }
+
+ private:
+  std::array<PeerId, kMaxReplicaDraws + 1> ids_{};
+  size_t size_ = 0;
+};
+
 /// The fragment holders of `key_hash` under `overlay`: the responsible
 /// peer first, then `replication - 1` distinct peers derived by salted
 /// re-hashing of the placement hash. Deterministic for a fixed overlay —
 /// this is THE replica placement: the global index, the anti-entropy
 /// reconciler and the snapshot inspector all derive holder sets through
 /// this one function.
-std::vector<PeerId> ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
-                                   uint32_t replication);
+HolderSet ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
+                         uint32_t replication);
 
 }  // namespace hdk::dht
 

@@ -1015,7 +1015,7 @@ Result<SnapshotDescription> DescribeEngineSnapshot(const std::string& path,
         }
         if (overlay != nullptr) {
           for (size_t pos = 0; pos < fragment.size(); ++pos) {
-            const std::vector<PeerId> holders = dht::ReplicaHolders(
+            const dht::HolderSet holders = dht::ReplicaHolders(
                 *overlay, fragment.hash_at(pos), replication);
             for (size_t i = 1; i < holders.size(); ++i) {
               ++desc.replica_keys_per_peer[holders[i]];

@@ -193,7 +193,6 @@ std::string FaultPlan::ToString() const {
 }
 
 void FaultInjector::Install(FaultPlan plan) {
-  std::lock_guard<std::mutex> lock(mu_);
   plan_ = std::move(plan);
   // Scripted "dead from message 0" peers die immediately; later deaths
   // trigger from CountMessageTo.
@@ -201,18 +200,15 @@ void FaultInjector::Install(FaultPlan plan) {
   for (const ScriptedDeath& d : plan_.deaths) {
     max_peer = std::max(max_peer, static_cast<size_t>(d.peer) + 1);
   }
-  while (dead_.size() < max_peer) {
-    dead_.push_back(std::make_unique<std::atomic<bool>>(false));
-    arrivals_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-  }
+  EnsurePeers(max_peer);
   for (const ScriptedDeath& d : plan_.deaths) {
     if (d.after_messages == 0) {
-      dead_[d.peer]->store(true, std::memory_order_release);
+      dead_.At(d.peer).store(true, std::memory_order_release);
     }
   }
   bool any_dead = false;
-  for (const auto& d : dead_) {
-    any_dead |= d->load(std::memory_order_acquire);
+  for (size_t p = 0; p < dead_.size(); ++p) {
+    any_dead |= PeerDead(static_cast<PeerId>(p));
   }
   active_.store(plan_.active() || any_dead, std::memory_order_release);
 }
@@ -247,44 +243,32 @@ uint32_t FaultInjector::LatencyTicks(MessageKind kind, PeerId src, PeerId dst,
   return static_cast<uint32_t>(h % (static_cast<uint64_t>(max) + 1));
 }
 
-bool FaultInjector::PeerDead(PeerId peer) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peer < dead_.size() && dead_[peer]->load(std::memory_order_acquire);
-}
-
 void FaultInjector::KillPeer(PeerId peer) {
   EnsurePeers(static_cast<size_t>(peer) + 1);
-  std::lock_guard<std::mutex> lock(mu_);
-  dead_[peer]->store(true, std::memory_order_release);
+  dead_.At(peer).store(true, std::memory_order_release);
   active_.store(true, std::memory_order_release);
 }
 
 void FaultInjector::RevivePeer(PeerId peer) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (peer < dead_.size()) {
-    dead_[peer]->store(false, std::memory_order_release);
+    dead_.At(peer).store(false, std::memory_order_release);
   }
 }
 
 void FaultInjector::CountMessageTo(PeerId dst) {
   if (plan_.deaths.empty()) return;
-  EnsurePeers(static_cast<size_t>(dst) + 1);
-  std::lock_guard<std::mutex> lock(mu_);
   const uint64_t arrived =
-      arrivals_[dst]->fetch_add(1, std::memory_order_acq_rel) + 1;
+      arrivals_.At(dst).fetch_add(1, std::memory_order_acq_rel) + 1;
   for (const ScriptedDeath& d : plan_.deaths) {
     if (d.peer == dst && d.after_messages > 0 && arrived >= d.after_messages) {
-      dead_[dst]->store(true, std::memory_order_release);
+      dead_.At(dst).store(true, std::memory_order_release);
     }
   }
 }
 
 void FaultInjector::OnPeerRemoved(PeerId peer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (peer < dead_.size()) {
-    dead_.erase(dead_.begin() + peer);
-    arrivals_.erase(arrivals_.begin() + peer);
-  }
+  dead_.Erase(peer);
+  arrivals_.Erase(peer);
   // Scripted deaths address pre-renumbering ids; compact them the same
   // way the overlay renumbers (drop the departed peer, shift the rest).
   std::vector<ScriptedDeath> kept;
@@ -307,57 +291,16 @@ void FaultInjector::OnPeerRemoved(PeerId peer) {
 }
 
 void FaultInjector::EnsurePeers(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (dead_.size() < n) {
-    dead_.push_back(std::make_unique<std::atomic<bool>>(false));
-    arrivals_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-  }
-}
-
-void PeerHealth::RecordSuccess(PeerId peer) {
-  EnsurePeers(static_cast<size_t>(peer) + 1);
-  strain_[peer]->store(0, std::memory_order_release);
-}
-
-void PeerHealth::RecordFailure(PeerId peer) {
-  EnsurePeers(static_cast<size_t>(peer) + 1);
-  strain_[peer]->fetch_add(1, std::memory_order_acq_rel);
-}
-
-uint32_t PeerHealth::strain(PeerId peer) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peer < strain_.size()
-             ? strain_[peer]->load(std::memory_order_acquire)
-             : 0;
-}
-
-bool PeerHealth::Suspect(PeerId peer) const {
-  return strain(peer) >= suspect_threshold_;
+  dead_.Grow(n);
+  arrivals_.Grow(n);
 }
 
 std::vector<PeerId> PeerHealth::Suspects() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<PeerId> out;
   for (size_t p = 0; p < strain_.size(); ++p) {
-    if (strain_[p]->load(std::memory_order_acquire) >= suspect_threshold_) {
-      out.push_back(static_cast<PeerId>(p));
-    }
+    if (Suspect(static_cast<PeerId>(p))) out.push_back(static_cast<PeerId>(p));
   }
   return out;
-}
-
-void PeerHealth::OnPeerRemoved(PeerId peer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (peer < strain_.size()) {
-    strain_.erase(strain_.begin() + peer);
-  }
-}
-
-void PeerHealth::EnsurePeers(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (strain_.size() < n) {
-    strain_.push_back(std::make_unique<std::atomic<uint32_t>>(0));
-  }
 }
 
 bool Channel::Attempt(PeerId src, PeerId dst, MessageKind kind,

@@ -19,6 +19,18 @@
 // messages") count arrivals with a per-peer atomic and are exact only
 // under serial execution; deterministic tests use KillPeer() directly.
 //
+// SIZING CONTRACT: the per-peer state of FaultInjector and PeerHealth
+// (dead flags, arrival counts, strains) is one flat array of atomics per
+// field. Its SIZE changes only in serial sections — EnsurePeers, Install,
+// KillPeer and OnPeerRemoved, which the engine calls between parallel
+// regions (DistributedGlobalIndex::EnsureCapacity sizes it to the overlay
+// whenever a build, join or snapshot load changes the peer count, and
+// departures compact it). Every other member — PeerDead, strain,
+// Suspect, RecordSuccess, RecordFailure, CountMessageTo — is a plain
+// atomic read or write with no lock, safe from any number of threads.
+// Writes to a peer id at or beyond the sized range are a caller bug
+// (debug-asserted); reads there see a live, unstrained peer.
+//
 // The Channel wraps a TrafficRecorder + a Resilience bundle and is the
 // single choke point the protocols send through:
 //   Send          one attempt, always recorded; reports delivery.
@@ -36,9 +48,8 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -159,6 +170,49 @@ struct RetryPolicy {
   uint32_t backoff_base_ticks = 1;
 };
 
+/// One atomic per peer. Elements are read and written from any thread;
+/// the size changes only through Grow/Erase, which reallocate and are
+/// therefore serial-section only (see SIZING CONTRACT above).
+template <typename T>
+class PeerSlots {
+ public:
+  size_t size() const { return slots_.size(); }
+
+  /// The slot of `peer`, or nullptr beyond the sized range.
+  const std::atomic<T>* Find(PeerId peer) const {
+    return peer < slots_.size() ? &slots_[peer] : nullptr;
+  }
+
+  /// The slot of `peer`, which the caller has sized for.
+  std::atomic<T>& At(PeerId peer) {
+    assert(peer < slots_.size() && "per-peer state not sized for this peer");
+    return slots_[peer];
+  }
+
+  void Grow(size_t n) {
+    if (n > slots_.size()) Reallocate(n, kInvalidPeer);
+  }
+
+  /// Drops `peer`'s slot and shifts the ids above it down by one.
+  void Erase(PeerId peer) {
+    if (peer < slots_.size()) Reallocate(slots_.size() - 1, peer);
+  }
+
+ private:
+  /// Moves every slot but `skip`, in order, into a new array of `n`.
+  void Reallocate(size_t n, PeerId skip) {
+    std::vector<std::atomic<T>> next(n);
+    for (size_t p = 0, q = 0; p < slots_.size(); ++p) {
+      if (p == skip) continue;
+      next[q++].store(slots_[p].load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+    }
+    slots_.swap(next);
+  }
+
+  std::vector<std::atomic<T>> slots_;
+};
+
 /// Deterministic, thread-safe fault decision oracle.
 class FaultInjector {
  public:
@@ -187,22 +241,30 @@ class FaultInjector {
 
   /// True when `peer` is hard-dead: killed explicitly, by script, or
   /// not yet revived. Dead peers fail every message deterministically.
-  bool PeerDead(PeerId peer) const;
+  /// Lock-free.
+  bool PeerDead(PeerId peer) const {
+    const std::atomic<bool>* dead = dead_.Find(peer);
+    return dead != nullptr && dead->load(std::memory_order_acquire);
+  }
 
-  /// Marks `peer` hard-dead / alive again. Thread-safe.
+  /// Marks `peer` hard-dead (growing the per-peer state to cover it) /
+  /// alive again. Serial sections only.
   void KillPeer(PeerId peer);
   void RevivePeer(PeerId peer);
 
   /// Counts one arrival at `dst` and applies scripted deaths. Called by
-  /// the Channel on every delivery attempt; exact only serially.
+  /// the Channel on every delivery attempt; lock-free, exact only
+  /// serially. `dst` must be within the sized range.
   void CountMessageTo(PeerId dst);
 
   /// Overlay departure: `peer` left through the membership protocol, and
   /// every id above it was renumbered down by one. Compacts the
-  /// dead-peer and arrival-count state the same way.
+  /// dead-peer and arrival-count state the same way. Serial sections
+  /// only.
   void OnPeerRemoved(PeerId peer);
 
-  /// Grows internal per-peer state to `n` peers. Thread-safe, monotone.
+  /// Grows the per-peer state to `n` peers (monotone). Serial sections
+  /// only: it reallocates what concurrent senders read.
   void EnsurePeers(size_t n);
 
  private:
@@ -211,16 +273,17 @@ class FaultInjector {
 
   FaultPlan plan_;
   std::atomic<bool> active_{false};
-  mutable std::mutex mu_;  // guards dead_ / arrivals_ resize + compaction
-  std::vector<std::unique_ptr<std::atomic<bool>>> dead_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> arrivals_;
+  PeerSlots<bool> dead_;
+  PeerSlots<uint64_t> arrivals_;
 };
 
 /// Consecutive-failure strain tracker (distft session_metadata style):
 /// every failed send to a peer bumps its strain, every success clears
 /// it. Peers whose strain crosses `suspect_threshold` are Suspect —
 /// failover orders them last, and the engine may auto-evict them
-/// through the standard departure repair.
+/// through the standard departure repair. Same sizing contract as the
+/// FaultInjector: recording and reading are lock-free, EnsurePeers and
+/// OnPeerRemoved are serial-section only.
 class PeerHealth {
  public:
   static constexpr uint32_t kDefaultSuspectThreshold = 4;
@@ -228,14 +291,28 @@ class PeerHealth {
   explicit PeerHealth(uint32_t suspect_threshold = kDefaultSuspectThreshold)
       : suspect_threshold_(suspect_threshold) {}
 
-  void RecordSuccess(PeerId peer);
-  void RecordFailure(PeerId peer);
+  /// Clears `peer`'s strain. Writes only when the strain is nonzero, so
+  /// the common all-healthy case leaves the slot's cache line shared.
+  void RecordSuccess(PeerId peer) {
+    std::atomic<uint32_t>& strain = strain_.At(peer);
+    if (strain.load(std::memory_order_relaxed) != 0) {
+      strain.store(0, std::memory_order_release);
+    }
+  }
+  void RecordFailure(PeerId peer) {
+    strain_.At(peer).fetch_add(1, std::memory_order_acq_rel);
+  }
 
   /// Current consecutive-failure count (0 for unknown peers).
-  uint32_t strain(PeerId peer) const;
+  uint32_t strain(PeerId peer) const {
+    const std::atomic<uint32_t>* strain = strain_.Find(peer);
+    return strain == nullptr ? 0 : strain->load(std::memory_order_acquire);
+  }
 
   /// strain(peer) >= suspect_threshold.
-  bool Suspect(PeerId peer) const;
+  bool Suspect(PeerId peer) const {
+    return strain(peer) >= suspect_threshold_;
+  }
 
   /// All currently suspect peers, ascending id. Serial sections only.
   std::vector<PeerId> Suspects() const;
@@ -243,14 +320,15 @@ class PeerHealth {
   uint32_t suspect_threshold() const { return suspect_threshold_; }
 
   /// Overlay departure renumbering (see FaultInjector::OnPeerRemoved).
-  void OnPeerRemoved(PeerId peer);
+  /// Serial sections only.
+  void OnPeerRemoved(PeerId peer) { strain_.Erase(peer); }
 
-  void EnsurePeers(size_t n);
+  /// Grows the strain table to `n` peers. Serial sections only.
+  void EnsurePeers(size_t n) { strain_.Grow(n); }
 
  private:
   uint32_t suspect_threshold_;
-  mutable std::mutex mu_;  // guards resize + compaction
-  std::vector<std::unique_ptr<std::atomic<uint32_t>>> strain_;
+  PeerSlots<uint32_t> strain_;
 };
 
 /// Everything a protocol needs to send resiliently, bundled so the

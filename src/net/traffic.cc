@@ -1,8 +1,8 @@
 #include "net/traffic.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <thread>
 
 namespace hdk::net {
 
@@ -11,6 +11,50 @@ namespace {
 /// The innermost active tally of the calling thread (tallies on different
 /// recorders chain through prev_).
 thread_local ScopedTally* tls_active_tally = nullptr;
+
+/// Bit i is set while some live thread holds shard slot i.
+std::atomic<uint32_t> g_claimed_slots{0};
+std::atomic<uint32_t> g_overflow_slots{0};
+
+/// A thread's shard slot: the lowest unclaimed one, released at thread
+/// exit. When every slot is taken, slots are shared round-robin.
+class ShardSlot {
+ public:
+  explicit ShardSlot(size_t num_slots) {
+    assert(num_slots < 32);
+    uint32_t claimed = g_claimed_slots.load(std::memory_order_relaxed);
+    for (;;) {
+      const uint32_t free_mask = ~claimed & ((uint32_t{1} << num_slots) - 1);
+      if (free_mask == 0) {
+        index_ = g_overflow_slots.fetch_add(1, std::memory_order_relaxed) %
+                 num_slots;
+        return;
+      }
+      const int lowest = std::countr_zero(free_mask);
+      if (g_claimed_slots.compare_exchange_weak(
+              claimed, claimed | (uint32_t{1} << lowest),
+              std::memory_order_relaxed)) {
+        index_ = static_cast<size_t>(lowest);
+        owned_ = true;
+        return;
+      }
+    }
+  }
+  ~ShardSlot() {
+    if (owned_) {
+      g_claimed_slots.fetch_and(~(uint32_t{1} << index_),
+                                std::memory_order_relaxed);
+    }
+  }
+  ShardSlot(const ShardSlot&) = delete;
+  ShardSlot& operator=(const ShardSlot&) = delete;
+
+  size_t index() const { return index_; }
+
+ private:
+  size_t index_ = 0;
+  bool owned_ = false;
+};
 
 }  // namespace
 
@@ -56,9 +100,8 @@ void TrafficRecorder::EnsurePeers(size_t n) const {
 }
 
 TrafficRecorder::Shard& TrafficRecorder::ShardForThisThread() const {
-  const size_t h =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return shards_[h % kNumShards];
+  thread_local const ShardSlot slot(kNumShards);
+  return shards_[slot.index()];
 }
 
 void TrafficRecorder::Record(PeerId src, PeerId dst, MessageKind kind,

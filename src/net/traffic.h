@@ -9,13 +9,18 @@
 //
 // THREAD SAFETY: Record() may be called concurrently from any number of
 // threads (the parallel SearchBatch fan-out records retrieval traffic from
-// every pool worker). Writes go to per-thread-sharded counters and are
-// merged on read, so the aggregate accessors (total(), ByKind(), SentBy(),
-// ReceivedBy(), Snapshot()) must only be called while no concurrent
-// Record() is in flight — i.e. from the serial sections between parallel
-// regions, which is where every bench and test reads them. Per-query
-// message/hop deltas under concurrency use ScopedTally, which counts only
-// the messages recorded by the calling thread.
+// every pool worker). Writes go to sharded counters and are merged on
+// read. A thread picks its shard once, on its first Record(): it claims
+// the lowest shard slot no other live thread holds and releases it when
+// it exits, so up to kNumShards live threads (the pool workers plus the
+// caller) each write their own cache-line-aligned shard; only threads
+// beyond that share slots. Each shard still has a mutex, uncontended
+// unless slots are shared. The aggregate accessors (total(), ByKind(),
+// SentBy(), ReceivedBy(), Snapshot()) must only be called while no
+// concurrent Record() is in flight — i.e. from the serial sections
+// between parallel regions, which is where every bench and test reads
+// them. Per-query message/hop deltas under concurrency use ScopedTally,
+// which counts only the messages recorded by the calling thread.
 #ifndef HDKP2P_NET_TRAFFIC_H_
 #define HDKP2P_NET_TRAFFIC_H_
 
@@ -163,10 +168,11 @@ class TrafficRecorder {
                std::vector<TrafficCounters> received);
 
  private:
-  /// One shard of the write side. Threads hash to a shard; every mutation
-  /// holds the shard mutex, so colliding threads stay correct and
-  /// non-colliding threads never contend.
-  struct Shard {
+  /// One shard of the write side (see the file comment for how a thread
+  /// picks one). Every mutation holds the shard mutex, so threads sharing
+  /// a slot stay correct; the alignment keeps neighbouring shards off one
+  /// cache line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     TrafficCounters total;
     std::array<TrafficCounters, kNumMessageKinds> by_kind{};

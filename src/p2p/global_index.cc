@@ -208,7 +208,7 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
   if (shard.replicas.size() < shard.fragments.size()) {
     shard.replicas.resize(shard.fragments.size());
   }
-  const std::vector<PeerId> holders = HoldersFor(key_hash);
+  const dht::HolderSet holders = HoldersFor(key_hash);
   const bool best_effort =
       res_.sync.mode != sync::SyncMode::kOff && record_traffic;
   for (size_t i = 1; i < holders.size(); ++i) {
@@ -242,8 +242,7 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
   }
 }
 
-std::vector<PeerId> DistributedGlobalIndex::HoldersFor(
-    uint64_t key_hash) const {
+dht::HolderSet DistributedGlobalIndex::HoldersFor(uint64_t key_hash) const {
   return dht::ReplicaHolders(*overlay_, key_hash, res_.replication);
 }
 
@@ -467,7 +466,7 @@ uint64_t DistributedGlobalIndex::EraseKeysContaining(TermId t) {
         // — the classic silent-divergence source the anti-entropy sweep
         // exists to heal.
         net::Channel channel(traffic_, res_);
-        const std::vector<PeerId> holders = HoldersFor(key_hash);
+        const dht::HolderSet holders = HoldersFor(key_hash);
         for (size_t h = 1; h < holders.size(); ++h) {
           const PeerId holder = holders[h];
           if (holder >= shard.replicas.size()) continue;
@@ -793,14 +792,16 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
 
   net::Channel channel(traffic_, res_);
   const PeerId primary = overlay_->Responsible(ring_key);
-  std::vector<PeerId> holders = HoldersFor(ring_key);
+  dht::HolderSet holders = HoldersFor(ring_key);
   // Health-driven failover order: suspects (strained peers) last,
   // relative order otherwise preserved — the primary leads on a healthy
-  // network.
+  // network. Partitioned in place: std::stable_partition would allocate a
+  // temporary buffer per fetched key.
   if (res_.health != nullptr && holders.size() > 1) {
-    std::stable_partition(
-        holders.begin(), holders.end(),
-        [&](PeerId p) { return !res_.health->Suspect(p); });
+    PeerId* healthy = holders.begin();
+    for (PeerId* it = holders.begin(); it != holders.end(); ++it) {
+      if (!res_.health->Suspect(*it)) std::rotate(healthy++, it, it + 1);
+    }
   }
   net::CircuitBreakerBank* breaker = res_.breaker;
   const bool breakers_on = breaker != nullptr && breaker->enabled();
@@ -968,7 +969,7 @@ void DistributedGlobalIndex::RebuildReplicasShard(Shard& shard) {
     for (size_t pos = 0; pos < fragment.size(); ++pos) {
       const auto& [key, entry] = fragment.entry(pos);
       const uint64_t key_hash = fragment.hash_at(pos);
-      const std::vector<PeerId> holders = HoldersFor(key_hash);
+      const dht::HolderSet holders = HoldersFor(key_hash);
       for (size_t i = 1; i < holders.size(); ++i) {
         shard.replicas[holders[i]]
             .try_emplace_hashed(key_hash, key)
@@ -1032,7 +1033,7 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
       for (size_t pos = 0; pos < fragment.size(); ++pos) {
         const auto& [key, entry] = fragment.entry(pos);
         const uint64_t key_hash = fragment.hash_at(pos);
-        const std::vector<PeerId> holders = HoldersFor(key_hash);
+        const dht::HolderSet holders = HoldersFor(key_hash);
         for (size_t i = 1; i < holders.size(); ++i) {
           part.desired[holders[i]].push_back(
               Rec{holders[0], key_hash, EntryDigest(key_hash, entry),
@@ -1273,7 +1274,7 @@ uint64_t DistributedGlobalIndex::CountReplicaDivergence() const {
         const uint64_t key_hash = fragment.hash_at(pos);
         const uint64_t digest =
             EntryDigest(key_hash, fragment.entry(pos).second);
-        const std::vector<PeerId> holders = HoldersFor(key_hash);
+        const dht::HolderSet holders = HoldersFor(key_hash);
         for (size_t i = 1; i < holders.size(); ++i) {
           want.emplace_back(holders[i], key_hash, digest);
         }

@@ -192,10 +192,12 @@ class DistributedGlobalIndex {
   PeerId ResponsiblePeer(const hdk::TermKey& key) const;
   PeerId ResponsiblePeerHashed(uint64_t key_hash) const;
 
-  /// Grows the per-peer fragment slots (and the traffic recorder's peer
-  /// counters) to the overlay's current size. Serial sections only; the
-  /// protocol calls it once before fanning insertions out, so that
-  /// concurrent InsertPostings never resizes.
+  /// Grows the per-peer fragment slots, the traffic recorder's peer
+  /// counters and the fault injector's and health tracker's per-peer
+  /// state (net/fault.h sizing contract) to the overlay's current size.
+  /// Serial sections only; the protocol calls it once before fanning
+  /// insertions out, so that concurrent InsertPostings and queries never
+  /// resize.
   void EnsureCapacity();
 
   /// Indexing-time insertion from peer `src`: the peer's FULL local
@@ -359,7 +361,7 @@ class DistributedGlobalIndex {
   /// responsible peer first, then `replication - 1` distinct peers
   /// derived by salted re-hashing of the placement hash. Deterministic
   /// for a fixed overlay.
-  std::vector<PeerId> HoldersFor(uint64_t key_hash) const;
+  dht::HolderSet HoldersFor(uint64_t key_hash) const;
 
   /// Re-derives every replica map from the primary fragments (no
   /// traffic). Called after bulk state adoption (snapshot load) and

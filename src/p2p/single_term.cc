@@ -12,11 +12,18 @@ SingleTermP2PEngine::SingleTermP2PEngine(const dht::Overlay* overlay,
                                          net::TrafficRecorder* traffic,
                                          net::Resilience resilience)
     : overlay_(overlay), traffic_(traffic), res_(resilience) {
-  fragments_.resize(overlay_->num_peers());
-  inserted_by_peer_.resize(overlay_->num_peers(), 0);
-  traffic_->EnsurePeers(overlay_->num_peers());
-  if (res_.injector != nullptr) res_.injector->EnsurePeers(overlay_->num_peers());
-  if (res_.health != nullptr) res_.health->EnsurePeers(overlay_->num_peers());
+  EnsureCapacity();
+}
+
+void SingleTermP2PEngine::EnsureCapacity() {
+  const size_t n = overlay_->num_peers();
+  if (fragments_.size() < n) {
+    fragments_.resize(n);
+    inserted_by_peer_.resize(n, 0);
+  }
+  traffic_->EnsurePeers(n);
+  if (res_.injector != nullptr) res_.injector->EnsurePeers(n);
+  if (res_.health != nullptr) res_.health->EnsurePeers(n);
 }
 
 SingleTermP2PEngine::LocalIndex SingleTermP2PEngine::BuildLocal(
@@ -67,11 +74,7 @@ Status SingleTermP2PEngine::IndexPeers(
       return Status::OutOfRange("IndexPeers: invalid document range");
     }
   }
-  if (fragments_.size() < overlay_->num_peers()) {
-    fragments_.resize(overlay_->num_peers());
-    inserted_by_peer_.resize(overlay_->num_peers(), 0);
-    traffic_->EnsurePeers(overlay_->num_peers());
-  }
+  EnsureCapacity();
 
   // Concurrent per-peer scans, then a serial merge in ascending peer
   // order — fragments and traffic come out identical to the serial loop.
@@ -180,11 +183,7 @@ SingleTermP2PEngine::ExportContents() const {
 }
 
 uint64_t SingleTermP2PEngine::OnOverlayGrown() {
-  if (fragments_.size() < overlay_->num_peers()) {
-    fragments_.resize(overlay_->num_peers());
-    inserted_by_peer_.resize(overlay_->num_peers(), 0);
-    traffic_->EnsurePeers(overlay_->num_peers());
-  }
+  EnsureCapacity();
   uint64_t migrated = 0;
   for (PeerId old_owner = 0; old_owner < fragments_.size(); ++old_owner) {
     auto& fragment = fragments_[old_owner];

@@ -163,6 +163,10 @@ class SingleTermP2PEngine {
   /// Serial merge of one peer's scan into the DHT fragments + traffic.
   void InsertLocal(PeerId src, LocalIndex local);
 
+  /// Sizes the fragments and the per-peer traffic, fault and health state
+  /// to the overlay. Serial sections only (net/fault.h sizing contract).
+  void EnsureCapacity();
+
   bool FaultsActive() const {
     return res_.injector != nullptr && res_.injector->active();
   }

@@ -6,7 +6,8 @@
 //     indexing losses are absorbed by the barrier redelivery queue;
 //   * with replication > 1, killing the responsible peer fails queries
 //     over to a replica holder: zero degraded responses while any holder
-//     survives, identical rankings;
+//     survives, identical rankings — and a batch against a dead holder
+//     is identical at 1 and 4 threads, per-kind traffic included;
 //   * with every holder dead the query DEGRADES instead of failing: it
 //     answers from the reachable lattice keys and flags itself;
 //   * evicting the dead peer through the standard departure repair
@@ -26,6 +27,7 @@
 #include "corpus/stats.h"
 #include "corpus/synthetic.h"
 #include "engine/engine_factory.h"
+#include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
 #include "engine/st_engine.h"
@@ -208,6 +210,57 @@ TEST(ReplicaFailoverTest, ReplicaAnswersWhenResponsiblePeerDies) {
   EXPECT_GT((*engine)->peer_health().strain(3), 0u);
 }
 
+TEST(ReplicaFailoverTest, DeadHolderBatchesAreThreadCountInvariant) {
+  corpus::DocumentStore store;
+  FaultCorpus().FillStore(240, &store);
+  constexpr PeerId kDead = 3;
+
+  uint64_t batch_fp[2] = {0, 0};
+  net::TrafficCounters by_kind[2][net::kNumMessageKinds];
+  for (size_t ti = 0; ti < 2; ++ti) {
+    const size_t threads = ti == 0 ? 1 : 4;
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    HdkEngineConfig config = FaultConfig(threads);
+    config.replication = 2;
+    config.faults = *net::FaultPlan::Parse("seed=7,loss=0.02");
+    auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    auto engine = std::move(built).value();
+    engine->fault_injector().KillPeer(kDead);
+
+    const auto queries = FaultQueries(store, engine->peer_ranges(), 60);
+    // Strain is cross-query state: until the dead holder crosses the
+    // suspect threshold, how many queries still probe it first depends on
+    // their interleaving. A serial warm-up settles that; from then on the
+    // failover order is fixed, since a dead peer's strain only grows.
+    for (size_t i = 0; !engine->peer_health().Suspect(kDead); ++i) {
+      ASSERT_LT(i, queries.size()) << "the dead holder never became suspect";
+      engine->Search(queries[i].terms, 20, /*origin=*/0);
+    }
+    const BatchResponse batch = engine->SearchBatch(queries, 20);
+    // The batch rotates origins from peer 0 over every peer, the dead one
+    // included, and a dead origin cannot receive its responses: exactly
+    // its queries degrade, every other query fails over.
+    for (size_t i = 0; i < batch.responses.size(); ++i) {
+      const bool dead_origin = i % engine->num_peers() == kDead;
+      EXPECT_EQ(batch.responses[i].degraded, dead_origin) << "query " << i;
+    }
+    EXPECT_GT(batch.total.failovers, 0u);
+    batch_fp[ti] = FingerprintBatch(batch);
+    for (size_t k = 0; k < net::kNumMessageKinds; ++k) {
+      by_kind[ti][k] =
+          engine->traffic()->ByKind(static_cast<net::MessageKind>(k));
+    }
+  }
+  // Lock-free dead-peer and strain reads under a real kill: the batch and
+  // the per-kind traffic are identical at every thread count.
+  EXPECT_EQ(batch_fp[0], batch_fp[1]);
+  for (size_t k = 0; k < net::kNumMessageKinds; ++k) {
+    EXPECT_EQ(by_kind[0][k], by_kind[1][k])
+        << net::MessageKindName(static_cast<net::MessageKind>(k));
+  }
+}
+
 TEST(GracefulDegradationTest, DeadPrimaryWithoutReplicasDegradesThenEvicts) {
   corpus::DocumentStore store;
   FaultCorpus().FillStore(240, &store);
@@ -332,6 +385,37 @@ TEST(SingleTermFaultsTest, LossRetriesAndDeadOwnerDegrades) {
     }
   }
   EXPECT_GT(degraded, 0u);
+}
+
+TEST(SingleTermFaultsTest, JoinedPeersServeUnderLoss) {
+  // The baseline's joins size the injector and health state for the new
+  // peers (the net/fault.h sizing contract): queries originating at and
+  // routed to them ride the lossy transport like any other peer's.
+  corpus::DocumentStore store;
+  FaultCorpus().FillStore(240, &store);
+  EngineConfig config;
+  config.num_threads = 1;
+  auto clean = MakeEngine("single-term", config, store, SplitEvenly(160, 4));
+  ASSERT_TRUE(clean.ok());
+  config.faults = *net::FaultPlan::Parse("seed=3,loss=0.02");
+  auto lossy = MakeEngine("single-term", config, store, SplitEvenly(160, 4));
+  ASSERT_TRUE(lossy.ok());
+
+  const std::vector<MembershipEvent> wave = {
+      MembershipEvent::Join({160, 200}), MembershipEvent::Join({200, 240})};
+  ASSERT_TRUE((*clean)->ApplyMembership(store, wave).ok());
+  ASSERT_TRUE((*lossy)->ApplyMembership(store, wave).ok());
+  ASSERT_EQ((*lossy)->num_peers(), 6u);
+
+  // The six 40-document ranges the network now holds.
+  const auto queries = FaultQueries(store, SplitEvenly(240, 6));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto origin = static_cast<PeerId>(4 + i % 2);  // a joined peer
+    auto a = (*clean)->Search(queries[i].terms, 20, origin);
+    auto b = (*lossy)->Search(queries[i].terms, 20, origin);
+    EXPECT_FALSE(b.degraded) << "query " << i;
+    ExpectSameResults(a, b);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "net/fault.h"
 #include "net/traffic.h"
 
@@ -257,6 +258,9 @@ TEST(FaultInjectorTest, OnPeerRemovedRenumbers) {
 
 TEST(PeerHealthTest, StrainAndSuspects) {
   PeerHealth health(/*suspect_threshold=*/2);
+  // Unsized peers read as healthy; recording needs the serial sizing.
+  EXPECT_EQ(health.strain(7), 0u);
+  health.EnsurePeers(8);
   EXPECT_EQ(health.strain(7), 0u);
   EXPECT_FALSE(health.Suspect(7));
 
@@ -287,6 +291,7 @@ TEST(ChannelTest, InactiveInjectorRecordsExactlyOneMessage) {
   // All three modes, with and without an (inactive) injector bundle.
   FaultInjector injector;
   PeerHealth health;
+  health.EnsurePeers(4);
   for (const Resilience& res :
        {Resilience{}, Resilience{&injector, &health, nullptr, {}, 1, {}}}) {
     TrafficRecorder fresh;
@@ -313,6 +318,8 @@ TEST(ChannelTest, SendReliableRetriesThenFailsOverOrDegrades) {
   traffic.EnsurePeers(4);
   FaultInjector injector;
   PeerHealth health;
+  injector.EnsurePeers(4);
+  health.EnsurePeers(4);
   Resilience res{&injector, &health, nullptr, RetryPolicy{4, 1}, 1, {}};
   Channel channel(&traffic, res);
 
@@ -358,6 +365,7 @@ TEST(ChannelTest, SendAssuredChargesDeadPeersOneAttempt) {
   TrafficRecorder traffic;
   traffic.EnsurePeers(4);
   FaultInjector injector;
+  injector.EnsurePeers(4);
   Resilience res{&injector, nullptr, nullptr, RetryPolicy{3, 1}, 1, {}};
   Channel channel(&traffic, res);
 
@@ -387,6 +395,70 @@ TEST(ChannelTest, SendAssuredChargesDeadPeersOneAttempt) {
     saw_exhausted |= !out.delivered;
   }
   EXPECT_TRUE(saw_exhausted);  // 0.6^3 ~ 22% of 200
+}
+
+TEST(ChannelTest, ConcurrentSendsMatchASerialRun) {
+  // Pool-width senders share one lossy injector with a killed peer, one
+  // PeerHealth and one TrafficRecorder — the query path's shape. Every
+  // decision is a pure hash, so the outcome of each send and the per-kind
+  // traffic equal a serial run's.
+  constexpr size_t kSends = 4000;
+  constexpr PeerId kPeers = 8;
+  constexpr PeerId kDead = 5;
+  struct Net {
+    TrafficRecorder traffic;
+    FaultInjector injector;
+    PeerHealth health;
+    Net() {
+      traffic.EnsurePeers(kPeers);
+      injector.EnsurePeers(kPeers);
+      health.EnsurePeers(kPeers);
+      FaultPlan plan;
+      plan.seed = 3;
+      plan.loss = 0.2;
+      plan.max_latency_ticks = 2;
+      injector.Install(plan);
+      injector.KillPeer(kDead);
+    }
+    bool Send(size_t i) {
+      const Resilience res{&injector, &health, nullptr, RetryPolicy{4, 1}, 1,
+                           {}};
+      const auto src = static_cast<PeerId>(i % kPeers);
+      const auto dst = static_cast<PeerId>((i * 3 + 1) % kPeers);
+      const MessageKind kind = i % 2 == 0 ? MessageKind::kKeyProbe
+                                          : MessageKind::kPostingsResponse;
+      return Channel(&traffic, res)
+          .SendReliable(src, dst, kind, i % 7, 1 + i % 3, /*salt=*/i)
+          .delivered;
+    }
+  };
+
+  Net serial;
+  std::vector<uint8_t> serial_delivered(kSends);
+  for (size_t i = 0; i < kSends; ++i) serial_delivered[i] = serial.Send(i);
+
+  Net shared;
+  std::vector<uint8_t> delivered(kSends);
+  ThreadPool pool(4);
+  ParallelForEach(&pool, kSends,
+                  [&](size_t i) { delivered[i] = shared.Send(i); });
+
+  EXPECT_EQ(delivered, serial_delivered);
+  for (size_t k = 0; k < kNumMessageKinds; ++k) {
+    const auto kind = static_cast<MessageKind>(k);
+    EXPECT_EQ(shared.traffic.ByKind(kind), serial.traffic.ByKind(kind))
+        << MessageKindName(kind);
+  }
+  uint64_t dead_sends = 0;
+  for (size_t i = 0; i < kSends; ++i) {
+    if ((i * 3 + 1) % kPeers == kDead) {
+      ++dead_sends;
+      EXPECT_FALSE(delivered[i]) << "send " << i;
+    }
+  }
+  // A dead peer never succeeds, so its strain counts every send to it.
+  EXPECT_EQ(shared.health.strain(kDead), dead_sends);
+  EXPECT_TRUE(shared.health.Suspect(kDead));
 }
 
 }  // namespace

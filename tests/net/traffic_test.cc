@@ -1,6 +1,11 @@
 #include "net/traffic.h"
 
+#include <array>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/thread_pool.h"
 
 namespace hdk::net {
 namespace {
@@ -80,6 +85,50 @@ TEST(TrafficRecorderTest, SnapshotSupportsDifferentialMeasurement) {
   TrafficCounters after = rec.Snapshot();
   EXPECT_EQ(after.postings - before.postings, 25u);
   EXPECT_EQ(after.messages - before.messages, 1u);
+}
+
+TEST(TrafficRecorderTest, ConcurrentRecordsAreExact) {
+  // Pool-width writers, each on its own shard slot, while the per-peer
+  // tables grow underneath them; the merged read must be exact.
+  constexpr size_t kMessages = 40000;
+  constexpr PeerId kPeers = 37;
+  auto message = [](size_t i) {
+    return std::array<uint64_t, 5>{
+        i % kPeers, (i * 7 + 3) % kPeers, i % kNumMessageKinds, i % 13,
+        i % 5};
+  };
+  TrafficCounters total;
+  std::array<TrafficCounters, kNumMessageKinds> by_kind{};
+  std::vector<TrafficCounters> sent(kPeers), received(kPeers);
+  const CostModel model;
+  for (size_t i = 0; i < kMessages; ++i) {
+    const auto [src, dst, kind, postings, hops] = message(i);
+    const TrafficCounters delta{
+        1, postings, hops,
+        model.header_bytes + postings * model.posting_bytes};
+    total.Add(delta);
+    by_kind[kind].Add(delta);
+    sent[src].Add(delta);
+    received[dst].Add(delta);
+  }
+
+  TrafficRecorder rec(model);
+  ThreadPool pool(4);
+  ParallelForEach(&pool, kMessages, [&](size_t i) {
+    const auto [src, dst, kind, postings, hops] = message(i);
+    rec.Record(static_cast<PeerId>(src), static_cast<PeerId>(dst),
+               static_cast<MessageKind>(kind), postings, hops);
+  });
+
+  EXPECT_EQ(rec.total(), total);
+  for (size_t k = 0; k < kNumMessageKinds; ++k) {
+    EXPECT_EQ(rec.ByKind(static_cast<MessageKind>(k)), by_kind[k]) << k;
+  }
+  ASSERT_EQ(rec.num_peers(), kPeers);
+  for (PeerId p = 0; p < kPeers; ++p) {
+    EXPECT_EQ(rec.SentBy(p), sent[p]) << p;
+    EXPECT_EQ(rec.ReceivedBy(p), received[p]) << p;
+  }
 }
 
 TEST(TrafficCountersTest, AddAccumulates) {
