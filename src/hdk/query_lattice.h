@@ -13,11 +13,11 @@
 #define HDKP2P_HDK_QUERY_LATTICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/types.h"
 #include "hdk/key.h"
 #include "index/bm25.h"
@@ -32,7 +32,8 @@ namespace hdk::hdk {
 uint64_t NumQueryKeys(uint32_t query_size, uint32_t s_max);
 
 /// All subsets of the (deduplicated) query terms with 1 <= size <= s_max,
-/// ordered by increasing size (then lexicographically).
+/// ordered by increasing size (then lexicographically). PlanRetrieval
+/// walks the same order without materializing it; this is its reference.
 std::vector<TermKey> EnumerateQuerySubsets(std::span<const TermId> query,
                                            uint32_t s_max);
 
@@ -42,9 +43,9 @@ struct ProbeOutcome {
 };
 
 /// Index probe: returns the key's classification if the key is stored,
-/// std::nullopt otherwise.
-using ProbeFn =
-    std::function<std::optional<ProbeOutcome>(const TermKey& key)>;
+/// std::nullopt otherwise. Non-owning: the callable must outlive the
+/// PlanRetrieval call it is passed to.
+using ProbeRef = FunctionRef<std::optional<ProbeOutcome>(const TermKey& key)>;
 
 /// The set of keys a query retrieval fetches, with probe accounting.
 struct RetrievalPlan {
@@ -56,9 +57,12 @@ struct RetrievalPlan {
   uint64_t pruned = 0;
 };
 
-/// Walks the query lattice with subsumption pruning.
+/// Walks the query lattice with subsumption pruning, probing subsets in
+/// EnumerateQuerySubsets order. The walk keeps its state in a 4 KB stack
+/// arena: besides `fetched` it allocates only for a query that outgrows
+/// it (hundreds of terms, or of absent and HDK subsets).
 RetrievalPlan PlanRetrieval(std::span<const TermId> query, uint32_t s_max,
-                            const ProbeFn& probe);
+                            ProbeRef probe);
 
 /// A fetched key with its global statistics and (possibly truncated)
 /// posting list, as returned by the global index.
@@ -74,6 +78,7 @@ struct FetchedKey {
 /// key contributions computed purely from data carried in postings
 /// (tf, doc_length) plus the key's global df — no document access needed.
 /// Multi-term keys naturally weigh more through their lower df.
+/// Accumulates in the calling thread's index::ScoreAccumulator.
 std::vector<index::ScoredDoc> RankFetchedKeys(
     std::span<const FetchedKey> fetched, uint64_t collection_size,
     double avg_doc_length, size_t k, index::Bm25Params params = {});

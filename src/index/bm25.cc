@@ -17,14 +17,4 @@ double Bm25Scorer::Idf(Freq df) const {
   return std::log((n - d + 0.5) / (d + 0.5) + 1.0);
 }
 
-double Bm25Scorer::Score(uint32_t tf, Freq df, uint32_t doc_length) const {
-  if (tf == 0 || df == 0) return 0.0;
-  const double tfd = static_cast<double>(tf);
-  const double norm =
-      params_.k1 * (1.0 - params_.b +
-                    params_.b * static_cast<double>(doc_length) /
-                        avg_doc_len_);
-  return Idf(df) * (tfd * (params_.k1 + 1.0)) / (tfd + norm);
-}
-
 }  // namespace hdk::index

@@ -31,7 +31,23 @@ class Bm25Scorer {
   /// \param tf         term frequency in the document.
   /// \param df         document frequency of the term in the collection.
   /// \param doc_length document length in tokens.
-  double Score(uint32_t tf, Freq df, uint32_t doc_length) const;
+  double Score(uint32_t tf, Freq df, uint32_t doc_length) const {
+    return df == 0 ? 0.0 : ScoreWithIdf(Idf(df), tf, doc_length);
+  }
+
+  /// Score() with the term's IDF supplied by the caller: a posting-list
+  /// scan computes Idf(df) once per list instead of once per posting.
+  /// Bit-identical to Score() for idf == Idf(df); idf == 0 (a df-0 key)
+  /// scores 0 like Score() does.
+  double ScoreWithIdf(double idf, uint32_t tf, uint32_t doc_length) const {
+    if (tf == 0) return 0.0;
+    const double tfd = static_cast<double>(tf);
+    const double norm =
+        params_.k1 * (1.0 - params_.b +
+                      params_.b * static_cast<double>(doc_length) /
+                          avg_doc_len_);
+    return idf * (tfd * (params_.k1 + 1.0)) / (tfd + norm);
+  }
 
   uint64_t num_docs() const { return num_docs_; }
   double avg_doc_len() const { return avg_doc_len_; }

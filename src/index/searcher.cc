@@ -1,7 +1,8 @@
 #include "index/searcher.h"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "index/score_accumulator.h"
 
 namespace hdk::index {
 
@@ -15,23 +16,14 @@ std::vector<ScoredDoc> Bm25Searcher::Search(std::span<const TermId> query,
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
 
-  Bm25Scorer scorer(idx_.num_documents(), idx_.average_document_length(),
-                    params_);
-
-  std::unordered_map<DocId, double> scores;
+  const Bm25Scorer scorer(idx_.num_documents(),
+                          idx_.average_document_length(), params_);
+  ScoreAccumulator& scores = ScoreAccumulator::ForThread();
   for (TermId t : terms) {
     const PostingList& pl = idx_.Postings(t);
-    const Freq df = pl.size();
-    for (const Posting& p : pl.postings()) {
-      scores[p.doc] += scorer.Score(p.tf, df, p.doc_length);
-    }
+    scores.AddPostings(pl, pl.size(), scorer);
   }
-
-  TopK topk(k);
-  for (const auto& [doc, score] : scores) {
-    topk.Offer(ScoredDoc{doc, score});
-  }
-  return topk.Take();
+  return scores.TakeTopK(k);
 }
 
 uint64_t Bm25Searcher::RetrievalPostings(

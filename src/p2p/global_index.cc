@@ -779,7 +779,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     const size_t hops = overlay_->Route(src, ring_key);
     traffic_->Record(src, dst, net::MessageKind::kKeyProbe, /*postings=*/0,
                      hops);
-    result.entry = PeekHashed(ring_key, key);
+    result.entry = PeekPrimary(dst, ring_key, key);
     // The response travels back directly (the probe carried the
     // requester's address): 1 hop, carrying the posting payload if the
     // key exists.
@@ -832,7 +832,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
       return leg;
     }
     const hdk::KeyEntry* entry = holder == primary
-                                     ? PeekHashed(ring_key, key)
+                                     ? PeekPrimary(primary, ring_key, key)
                                      : PeekReplica(holder, ring_key, key);
     const net::SendOutcome response = channel.SendReliable(
         holder, src, net::MessageKind::kPostingsResponse,
@@ -1310,12 +1310,12 @@ uint64_t DistributedGlobalIndex::CountReplicaDivergence() const {
 
 const hdk::KeyEntry* DistributedGlobalIndex::Peek(
     const hdk::TermKey& key) const {
-  return PeekHashed(key.Hash64(), key);
+  const uint64_t key_hash = key.Hash64();
+  return PeekPrimary(overlay_->Responsible(key_hash), key_hash, key);
 }
 
-const hdk::KeyEntry* DistributedGlobalIndex::PeekHashed(
-    uint64_t key_hash, const hdk::TermKey& key) const {
-  const PeerId owner = overlay_->Responsible(key_hash);
+const hdk::KeyEntry* DistributedGlobalIndex::PeekPrimary(
+    PeerId owner, uint64_t key_hash, const hdk::TermKey& key) const {
   const Shard& shard = *shards_[ShardOf(key_hash)];
   if (owner >= shard.fragments.size()) return nullptr;
   const auto& fragment = shard.fragments[owner];

@@ -413,12 +413,8 @@ class DistributedGlobalIndex {
 
   const net::Resilience& resilience() const { return res_; }
 
-  /// Traffic-free lookup (tests, diagnostics). The hashed variant takes
-  /// the key's precomputed Hash64 (the query path probes many keys and
-  /// already holds their hashes).
+  /// Traffic-free lookup (tests, diagnostics).
   const hdk::KeyEntry* Peek(const hdk::TermKey& key) const;
-  const hdk::KeyEntry* PeekHashed(uint64_t key_hash,
-                                  const hdk::TermKey& key) const;
 
   /// Stored postings on one peer's fragment / across all fragments
   /// (the paper's Figure 3 metric).
@@ -527,6 +523,11 @@ class DistributedGlobalIndex {
 
   /// RebuildReplicas over one shard (traffic-free).
   void RebuildReplicasShard(Shard& shard);
+
+  /// Primary-fragment lookup on `owner`, the key's already resolved
+  /// responsible peer (nullptr when absent).
+  const hdk::KeyEntry* PeekPrimary(PeerId owner, uint64_t key_hash,
+                                   const hdk::TermKey& key) const;
 
   /// Replica-map lookup on `holder` (nullptr when absent).
   const hdk::KeyEntry* PeekReplica(PeerId holder, uint64_t key_hash,

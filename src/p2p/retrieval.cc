@@ -30,7 +30,10 @@ index::SearchResponse HdkRetriever::Search(PeerId origin,
   fetch_options.budget = &budget;
   bool deadline_hit = false;
 
-  std::vector<hdk::FetchedKey> fetched;
+  // Reused across this thread's queries: a query's fetched keys are
+  // dead once it is ranked, so steady-state queries never regrow it.
+  thread_local std::vector<hdk::FetchedKey> fetched;
+  fetched.clear();
   hdk::RetrievalPlan plan = hdk::PlanRetrieval(
       query, params_.s_max, [&](const hdk::TermKey& key)
           -> std::optional<hdk::ProbeOutcome> {

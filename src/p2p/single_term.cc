@@ -5,6 +5,7 @@
 
 #include "common/hash.h"
 #include "index/bloom.h"
+#include "index/score_accumulator.h"
 
 namespace hdk::p2p {
 
@@ -214,8 +215,9 @@ index::SearchResponse SingleTermP2PEngine::Search(
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
 
-  index::Bm25Scorer scorer(num_documents_, average_document_length());
-  std::unordered_map<DocId, double> scores;
+  const index::Bm25Scorer scorer(num_documents_,
+                                 average_document_length());
+  index::ScoreAccumulator& scores = index::ScoreAccumulator::ForThread();
 
   net::Channel channel(traffic_, res_);
   const bool faulty = FaultsActive();
@@ -264,19 +266,9 @@ index::SearchResponse SingleTermP2PEngine::Search(
     exec.cost.postings_fetched += payload;
     if (pl != nullptr) ++exec.cost.keys_fetched;
 
-    if (pl != nullptr) {
-      const Freq df = pl->size();
-      for (const index::Posting& p : pl->postings()) {
-        scores[p.doc] += scorer.Score(p.tf, df, p.doc_length);
-      }
-    }
+    if (pl != nullptr) scores.AddPostings(*pl, pl->size(), scorer);
   }
-
-  index::TopK topk(k);
-  for (const auto& [doc, score] : scores) {
-    topk.Offer(index::ScoredDoc{doc, score});
-  }
-  exec.results = topk.Take();
+  exec.results = scores.TakeTopK(k);
 
   exec.cost.messages = tally.counters().messages;
   exec.cost.hops = tally.counters().hops;
