@@ -108,7 +108,7 @@ inline void PrintSetup(const engine::ExperimentSetup& setup) {
               static_cast<unsigned long long>(setup.DfMaxHigh()),
               static_cast<unsigned long long>(setup.DeriveFf()));
   std::printf("(paper: peers 4..28, 5000 docs/peer, DFmax {400,500}, "
-              "Ff 100000 — thresholds scaled per DESIGN.md)\n\n");
+              "Ff 100000 — thresholds scaled, see README \"Scaling\")\n\n");
 }
 
 }  // namespace hdk::bench

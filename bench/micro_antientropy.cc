@@ -133,7 +133,6 @@ int main() {
   config.overlay_seed = setup.overlay_seed;
   config.num_threads = setup.num_threads;
   config.replication = 2;
-  config.sync.mode = sync::SyncMode::kIbf;
   // The defaults trade sketch size against fallback probability: a
   // strata undershoot on a medium-sized diff under-allocates the IBF,
   // the decode fails and the pair honestly falls back to a full sync.

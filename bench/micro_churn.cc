@@ -90,13 +90,12 @@ int main() {
     const char* label;
     const char* spec;
     uint32_t replication;
-    sync::SyncMode sync_mode;
   };
   const std::vector<RunSpec> specs = {
-      {"hdk", "hdk", 1, sync::SyncMode::kOff},
-      {"single-term", "single-term", 1, sync::SyncMode::kOff},
-      {"cached(hdk)", "cached(hdk)", 1, sync::SyncMode::kOff},
-      {"hdk-r2-ibf", "hdk", 2, sync::SyncMode::kIbf},
+      {"hdk", "hdk", 1},
+      {"single-term", "single-term", 1},
+      {"cached(hdk)", "cached(hdk)", 1},
+      {"hdk-r2-ibf", "hdk", 2},
   };
   std::vector<EngineRun> runs;
 
@@ -107,7 +106,6 @@ int main() {
     config.overlay_seed = setup.overlay_seed;
     config.num_threads = setup.num_threads;
     config.replication = spec.replication;
-    config.sync.mode = spec.sync_mode;
 
     auto built = engine::MakeEngine(
         std::string_view(spec.spec), config, store,

@@ -3,12 +3,10 @@
 //
 // Scenario: replication = 2, every key probe draws a little injected
 // latency, and ONE peer is a straggler — every leg addressed to it draws
-// up to 64 simulated ticks. Four rows over identical fresh builds:
+// up to 64 simulated ticks. Two rows over identical fresh builds:
 //
 //   baseline   plain failover walk (waits out the straggler),
-//   +hedge     hedged replica reads (hedge_delay_ticks = 4),
-//   +breaker   latency-EWMA circuit breaker (trip at 16 ticks),
-//   +both      hedges over the breaker's failover order.
+//   +hedge     hedged replica reads (hedge_delay_ticks = 4).
 //
 // The row metric is the per-query SIMULATED latency (QueryCost::
 // latency_ticks) p50/p99 — injected ticks, not wall clock, so the numbers
@@ -33,7 +31,6 @@
 #include "common/search_options.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
-#include "net/breaker.h"
 #include "net/fault.h"
 
 namespace {
@@ -45,18 +42,15 @@ struct Row {
   unsigned long long latency_ticks = 0;
   unsigned long long hedges_fired = 0;
   unsigned long long hedge_wins = 0;
-  unsigned long long breaker_short_circuits = 0;
   unsigned long long failovers = 0;
   unsigned long long degraded = 0;
 };
 
-/// One row: a fresh identical build (so breaker state and the origin
-/// rotation never leak between rows), then the whole query batch one
-/// query at a time — breakers are cross-query state, so the stream is
-/// serial by construction. Origins rotate over the peers SKIPPING the
-/// straggler: a slow requester drags every response leg addressed to it,
-/// which no holder-side armor can hedge away (and would falsely charge
-/// the origin's slowness to innocent holders' latency EWMAs).
+/// One row: a fresh identical build (so the origin rotation never leaks
+/// between rows), then the whole query batch one query at a time.
+/// Origins rotate over the peers SKIPPING the straggler: a slow requester
+/// drags every response leg addressed to it, which no holder-side armor
+/// can hedge away.
 Row RunRow(const char* name, const hdk::engine::HdkEngineConfig& config,
            const hdk::corpus::DocumentStore& store, uint32_t peers,
            uint64_t docs, const std::vector<hdk::corpus::Query>& queries,
@@ -87,7 +81,6 @@ Row RunRow(const char* name, const hdk::engine::HdkEngineConfig& config,
     row.latency_ticks += response.cost.latency_ticks;
     row.hedges_fired += response.cost.hedges_fired;
     row.hedge_wins += response.cost.hedge_wins;
-    row.breaker_short_circuits += response.cost.breaker_short_circuits;
     row.failovers += response.cost.failovers;
     row.degraded += response.degraded ? 1 : 0;
   }
@@ -104,8 +97,8 @@ int main() {
   auto setup = bench::SelectSetup();
   bench::Banner(
       "micro_overload: tail latency armor against a slow replica holder",
-      "deadline budgets, hedged replica reads, circuit breakers and "
-      "admission control over the deterministic fault transport");
+      "deadline budgets, hedged replica reads and admission control "
+      "over the deterministic fault transport");
   bench::PrintSetup(setup);
 
 
@@ -138,12 +131,6 @@ int main() {
               peers, static_cast<unsigned long long>(docs), queries.size(),
               static_cast<unsigned>(slow));
 
-  engine::HdkEngineConfig breaker_config = config;
-  breaker_config.breaker.enabled = true;
-  breaker_config.breaker.latency_trip_ticks = 16.0;
-  breaker_config.breaker.failure_threshold = 2;
-  breaker_config.breaker.open_cooldown = 8;
-
   SearchOptions plain;
   SearchOptions hedged;
   hedged.hedge_delay_ticks = 4;
@@ -153,19 +140,13 @@ int main() {
                         setup.top_k, plain, slow));
   rows.push_back(RunRow("+hedge", config, store, peers, docs, queries,
                         setup.top_k, hedged, slow));
-  rows.push_back(RunRow("+breaker", breaker_config, store, peers, docs,
-                        queries, setup.top_k, plain, slow));
-  rows.push_back(RunRow("+both", breaker_config, store, peers, docs,
-                        queries, setup.top_k, hedged, slow));
 
-  std::printf("%10s %10s %10s %8s %8s %8s %9s %9s\n", "row", "p50_ticks",
-              "p99_ticks", "hedges", "wins", "shortc", "failovers",
-              "degraded");
+  std::printf("%10s %10s %10s %8s %8s %9s %9s\n", "row", "p50_ticks",
+              "p99_ticks", "hedges", "wins", "failovers", "degraded");
   for (const Row& row : rows) {
-    std::printf("%10s %10.0f %10.0f %8llu %8llu %8llu %9llu %9llu\n",
-                row.name, row.p50_ticks, row.p99_ticks, row.hedges_fired,
-                row.hedge_wins, row.breaker_short_circuits, row.failovers,
-                row.degraded);
+    std::printf("%10s %10.0f %10.0f %8llu %8llu %9llu %9llu\n", row.name,
+                row.p50_ticks, row.p99_ticks, row.hedges_fired,
+                row.hedge_wins, row.failovers, row.degraded);
   }
 
   const Row& baseline = rows[0];
@@ -255,11 +236,9 @@ int main() {
                  "    {\"row\": \"%s\", \"p50_ticks\": %.0f, "
                  "\"p99_ticks\": %.0f, \"latency_ticks\": %llu, "
                  "\"hedges_fired\": %llu, \"hedge_wins\": %llu, "
-                 "\"breaker_short_circuits\": %llu, \"failovers\": %llu, "
-                 "\"degraded\": %llu}%s\n",
+                 "\"failovers\": %llu, \"degraded\": %llu}%s\n",
                  r.name, r.p50_ticks, r.p99_ticks, r.latency_ticks,
-                 r.hedges_fired, r.hedge_wins, r.breaker_short_circuits,
-                 r.failovers, r.degraded,
+                 r.hedges_fired, r.hedge_wins, r.failovers, r.degraded,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");

@@ -3,7 +3,8 @@
 // Paper: N = 4, 8, ..., 28 peers; 5,000 documents per peer; l = 1,123,000
 // words per peer; DFmax = 400 and 500; Ff = 100,000; w = 20; smax = 3.
 // Here: the scaled equivalents actually used by the figure benches, with
-// the scaling rule applied (thresholds stay proportional, see DESIGN.md).
+// the scaling rule applied (thresholds stay proportional, see README
+// "Scaling").
 #include <cstdio>
 
 #include "bench_common.h"

@@ -1,6 +1,6 @@
 // Synthetic multi-term query workload.
 //
-// SUBSTITUTION (see DESIGN.md §3): the paper samples 3,000 queries from a
+// SUBSTITUTION (see README "Scaling"): the paper samples 3,000 queries from a
 // real Wikipedia query log (2-8 terms, average 3.02, each producing > 20
 // hits; single-term queries excluded). This generator reproduces those
 // workload properties against the synthetic collection: query terms are

@@ -1,6 +1,6 @@
 // Synthetic Wikipedia-like document collection.
 //
-// SUBSTITUTION (see DESIGN.md §3): the paper indexes a Wikipedia subset
+// SUBSTITUTION (see README "Scaling"): the paper indexes a Wikipedia subset
 // (653,546 documents, avg 225 words after preprocessing) that we cannot ship.
 // This generator reproduces the statistical properties the HDK model and all
 // reported experiments depend on:

@@ -74,6 +74,22 @@ DecoratorRegistry& Registry() {
   return *registry;
 }
 
+/// The HDK backend's slice of `config` — the one copy both the build and
+/// the snapshot-load paths use, so neither can drop a field.
+HdkEngineConfig ToHdkConfig(const EngineConfig& config) {
+  HdkEngineConfig hdk;
+  hdk.hdk = config.hdk;
+  hdk.overlay = config.overlay;
+  hdk.overlay_seed = config.overlay_seed;
+  hdk.num_threads = config.num_threads;
+  hdk.faults = config.faults;
+  hdk.retry = config.retry;
+  hdk.replication = config.replication;
+  hdk.sync = config.sync;
+  hdk.admission = config.admission;
+  return hdk;
+}
+
 }  // namespace
 
 std::string_view EngineKindName(EngineKind kind) {
@@ -177,21 +193,9 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
     std::vector<std::pair<DocId, DocId>> peer_ranges) {
   switch (kind) {
     case EngineKind::kHdk: {
-      HdkEngineConfig hdk;
-      hdk.hdk = config.hdk;
-      hdk.overlay = config.overlay;
-      hdk.overlay_seed = config.overlay_seed;
-      hdk.num_threads = config.num_threads;
-      hdk.faults = config.faults;
-      hdk.retry = config.retry;
-      hdk.replication = config.replication;
-      hdk.sync = config.sync;
-      hdk.breaker = config.breaker;
-      hdk.admission = config.admission;
-      hdk.maintenance = config.maintenance;
-      HDK_ASSIGN_OR_RETURN(
-          std::unique_ptr<HdkSearchEngine> engine,
-          HdkSearchEngine::Build(hdk, store, std::move(peer_ranges)));
+      HDK_ASSIGN_OR_RETURN(std::unique_ptr<HdkSearchEngine> engine,
+                           HdkSearchEngine::Build(ToHdkConfig(config), store,
+                                                  std::move(peer_ranges)));
       return std::unique_ptr<SearchEngine>(std::move(engine));
     }
     case EngineKind::kSingleTerm: {
@@ -268,20 +272,9 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
         "snapshots are only supported by the 'hdk' backend, not '" +
         std::string(EngineKindName(spec.kind)) + "'");
   }
-  HdkEngineConfig hdk;
-  hdk.hdk = config.hdk;
-  hdk.overlay = config.overlay;
-  hdk.overlay_seed = config.overlay_seed;
-  hdk.num_threads = config.num_threads;
-  hdk.faults = config.faults;
-  hdk.retry = config.retry;
-  hdk.replication = config.replication;
-  hdk.sync = config.sync;
-  hdk.breaker = config.breaker;
-  hdk.admission = config.admission;
-  hdk.maintenance = config.maintenance;
-  HDK_ASSIGN_OR_RETURN(std::unique_ptr<HdkSearchEngine> engine,
-                       LoadEngineSnapshot(hdk, store, snapshot.path));
+  HDK_ASSIGN_OR_RETURN(
+      std::unique_ptr<HdkSearchEngine> engine,
+      LoadEngineSnapshot(ToHdkConfig(config), store, snapshot.path));
   return ApplyEngineDecorators(spec, config,
                                std::unique_ptr<SearchEngine>(
                                    std::move(engine)));

@@ -30,7 +30,6 @@
 #include "engine/overlay_factory.h"
 #include "engine/search_engine.h"
 #include "index/bm25.h"
-#include "net/breaker.h"
 #include "net/fault.h"
 
 namespace hdk::engine {
@@ -83,18 +82,12 @@ struct EngineConfig {
   /// responsible peer is dead; the single-term baseline stays
   /// single-homed.
   uint32_t replication = 1;
-  /// Replica maintenance / anti-entropy reconciliation of the HDK
-  /// backend (see sync/sync.h; kOff default = pre-sync behaviour).
+  /// Sketch tuning of the HDK backend's anti-entropy replica
+  /// reconciliation (see sync/sync.h).
   sync::SyncConfig sync;
-  /// Per-peer circuit breakers on the HDK query fetch path (see
-  /// net/breaker.h); disabled by default.
-  net::BreakerConfig breaker;
   /// Batch admission gate / load shedding of the distributed backends
   /// (see AdmissionConfig in engine/search_engine.h); off by default.
   AdmissionConfig admission;
-  /// Event-driven anti-entropy cadence of the HDK backend (see
-  /// MaintenanceConfig); off by default — sweeps stay explicit.
-  MaintenanceConfig maintenance;
 };
 
 /// A parsed composition: the concrete backend plus the decorator stack

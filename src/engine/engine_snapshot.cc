@@ -883,8 +883,8 @@ uint64_t SnapshotConfigHash(const HdkEngineConfig& config) {
   h = HashCombine(h, config.overlay_seed);
   // num_threads is deliberately excluded: results are thread-count
   // invariant, so snapshots port across parallelism settings. The sync
-  // config is excluded like `faults`: sync modes shape repair transport,
-  // never the persisted index, so snapshots port across sync settings.
+  // config is excluded like `faults`: it shapes repair transport, never
+  // the persisted index, so snapshots port across sync settings.
   return h;
 }
 
@@ -1065,11 +1065,7 @@ Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
   // not indexed state: it is rebuilt from `config`, never persisted (and
   // deliberately excluded from SnapshotConfigHash — a snapshot ports
   // across fault plans).
-  engine->injector_.Install(config.faults);
-  engine->breaker_.Configure(config.breaker);
-  const net::Resilience resilience{&engine->injector_, &engine->health_,
-                                   &engine->breaker_, config.retry,
-                                   config.replication, config.sync};
+  const net::Resilience resilience = engine->InstallResilience();
   engine->protocol_ = std::make_unique<p2p::HdkIndexingProtocol>(
       config.hdk, store, engine->overlay_.get(), engine->traffic_.get(),
       engine->pool_.get(), resilience);

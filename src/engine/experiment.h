@@ -1,10 +1,10 @@
 // Shared experiment harness for the paper-reproduction benches.
 //
-// SCALING NOTE (see DESIGN.md §3 and EXPERIMENTS.md): the paper's testbed
-// indexes 5,000 Wikipedia documents per peer (20k..140k documents total).
-// The benches reproduce every curve's SHAPE on a laptop-friendly scale by
-// shrinking the collection and scaling the two collection-dependent
-// thresholds proportionally:
+// SCALING NOTE (see README "Scaling"): the paper's testbed indexes 5,000
+// Wikipedia documents per peer (20k..140k documents total). The benches
+// reproduce every curve's SHAPE on a laptop-friendly scale by shrinking
+// the collection and scaling the two collection-dependent thresholds
+// proportionally:
 //   * DFmax stays a constant fraction of the collection size
 //     (paper: 400/140k ~ 0.3%),
 //   * Ff stays a constant fraction of the token count

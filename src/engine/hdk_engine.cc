@@ -29,11 +29,7 @@ Result<std::unique_ptr<HdkSearchEngine>> HdkSearchEngine::Build(
   // The fault plan is live from the first indexing message: losses are
   // absorbed by the protocol's redelivery path, so the published index
   // is identical to a fault-free build whenever no peer dies for good.
-  engine->injector_.Install(config.faults);
-  engine->breaker_.Configure(config.breaker);
-  const net::Resilience resilience{&engine->injector_, &engine->health_,
-                                   &engine->breaker_, config.retry,
-                                   config.replication, config.sync};
+  const net::Resilience resilience = engine->InstallResilience();
   engine->protocol_ = std::make_unique<p2p::HdkIndexingProtocol>(
       config.hdk, store, engine->overlay_.get(), engine->traffic_.get(),
       engine->pool_.get(), resilience);
@@ -103,7 +99,6 @@ Status HdkSearchEngine::ApplyDeparture(PeerId peer) {
         // a scripted death of peer 7 now concerns peer 6).
         injector_.OnPeerRemoved(peer);
         health_.OnPeerRemoved(peer);
-        breaker_.OnPeerRemoved(peer);
         return status;
       },
       &departure));
@@ -117,16 +112,10 @@ Result<sync::SyncStats> HdkSearchEngine::RunAntiEntropy() {
   return global_->ReconcileReplicas(/*record_traffic=*/true);
 }
 
-void HdkSearchEngine::NoteMaintenanceEvents(uint64_t n) {
-  if (config_.maintenance.sweep_every_events == 0) return;
-  maintenance_events_ += n;
-  if (maintenance_events_ < config_.maintenance.sweep_every_events) return;
-  maintenance_events_ = 0;
-  // An unreplicated engine has no replica pairs to reconcile; the
-  // cadence still resets so enabling replication later starts fresh.
-  if (config_.replication <= 1) return;
-  last_maintenance_sweep_ = global_->ReconcileReplicas(/*record_traffic=*/true);
-  ++maintenance_sweeps_;
+net::Resilience HdkSearchEngine::InstallResilience() {
+  injector_.Install(config_.faults);
+  return net::Resilience{&injector_, &health_, config_.retry,
+                         config_.replication, config_.sync};
 }
 
 Result<size_t> HdkSearchEngine::EvictDeadPeers(
@@ -175,9 +164,6 @@ Status HdkSearchEngine::ApplyMembership(
       stats_->average_document_length(), traffic_.get());
   // Keep the query-origin rotation inside the live peer set.
   next_origin_.Clamp(num_peers());
-  // Membership events drive the background maintenance cadence (off by
-  // default): after N of them the engine sweeps its replica pairs.
-  NoteMaintenanceEvents(events.size());
   return Status::OK();
 }
 

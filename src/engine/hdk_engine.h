@@ -27,7 +27,6 @@
 #include "engine/overlay_factory.h"
 #include "engine/partition.h"
 #include "engine/search_engine.h"
-#include "net/breaker.h"
 #include "net/fault.h"
 #include "net/traffic.h"
 #include "p2p/global_index.h"
@@ -71,22 +70,15 @@ struct HdkEngineConfig {
   /// Key replication factor of the global index (1 = primary only);
   /// > 1 lets queries fail over when the responsible peer is dead.
   uint32_t replication = 1;
-  /// Replica maintenance / anti-entropy reconciliation (see sync/sync.h).
-  /// kOff (default) keeps the silent wholesale-rebuild behaviour —
-  /// byte-identical to the pre-sync engine; kIbf routes repair through
-  /// the recorded sketch-exchange protocol. Excluded from the
-  /// snapshot config hash for the same reason as `faults`: sync modes
-  /// perturb repair transport, never the published index.
+  /// Sketch tuning of the anti-entropy replica reconciliation (see
+  /// sync/sync.h) that repairs replicas after joins, departures and
+  /// RunAntiEntropy(). Excluded from the snapshot config hash for the
+  /// same reason as `faults`: it shapes repair transport, never the
+  /// published index.
   sync::SyncConfig sync;
-  /// Per-peer circuit breakers on the query fetch path (see
-  /// net/breaker.h); disabled by default.
-  net::BreakerConfig breaker;
   /// Batch admission gate / load shedding (see AdmissionConfig in
   /// engine/search_engine.h); off by default.
   AdmissionConfig admission;
-  /// Event-driven anti-entropy cadence (see MaintenanceConfig); off by
-  /// default — sweeps stay explicit.
-  MaintenanceConfig maintenance;
 };
 
 /// The assembled HDK P2P retrieval engine.
@@ -138,11 +130,9 @@ class HdkSearchEngine : public SearchEngine {
   }
 
   /// Installs (or replaces) the transport fault plan on the engine's
-  /// own injector — the "faulty:..." spec decorator routes here. Counts
-  /// as one maintenance event for the background sweep cadence.
+  /// own injector — the "faulty:..." spec decorator routes here.
   Status InstallFaultPlan(const net::FaultPlan& plan) override {
     injector_.Install(plan);
-    NoteMaintenanceEvents(1);
     return Status::OK();
   }
 
@@ -154,8 +144,7 @@ class HdkSearchEngine : public SearchEngine {
 
   /// One anti-entropy sweep over the replica pairs (all-zero stats when
   /// replication == 1). Delegates to
-  /// DistributedGlobalIndex::ReconcileReplicas with recorded traffic; on
-  /// a SyncMode::kOff engine the sweep reconciles via the kIbf protocol.
+  /// DistributedGlobalIndex::ReconcileReplicas with recorded traffic.
   Result<sync::SyncStats> RunAntiEntropy() override;
 
   /// The configured batch admission gate (see AdmissionConfig).
@@ -213,18 +202,6 @@ class HdkSearchEngine : public SearchEngine {
   const net::FaultInjector& fault_injector() const { return injector_; }
   const net::PeerHealth& peer_health() const { return health_; }
 
-  /// The per-peer circuit breaker bank (configured from
-  /// HdkEngineConfig::breaker; tests/benches inspect states here).
-  net::CircuitBreakerBank& circuit_breakers() { return breaker_; }
-  const net::CircuitBreakerBank& circuit_breakers() const { return breaker_; }
-
-  /// Background maintenance observability: sweeps the event cadence has
-  /// triggered so far, and what the latest one found/shipped.
-  uint64_t maintenance_sweeps() const { return maintenance_sweeps_; }
-  const sync::SyncStats& last_maintenance_sweep() const {
-    return last_maintenance_sweep_;
-  }
-
   /// Converts every hard-failed peer (the injector reports it dead)
   /// into a standard departure: evicted through ApplyMembership Leave
   /// events in descending peer-id order (so earlier removals don't
@@ -262,10 +239,10 @@ class HdkSearchEngine : public SearchEngine {
   Status ApplyJoinWave(const std::vector<DocRange>& new_ranges);
   Status ApplyDeparture(PeerId peer);
 
-  /// Counts `n` membership/fault events toward the maintenance cadence
-  /// and runs one anti-entropy sweep when the threshold is reached.
-  /// Serial sections only (same contract as RunAntiEntropy).
-  void NoteMaintenanceEvents(uint64_t n);
+  /// Installs config_.faults on the engine's injector and returns the
+  /// transport bundle the protocol and the global index send through
+  /// (shared by Build and LoadEngineSnapshot).
+  net::Resilience InstallResilience();
 
   HdkEngineConfig config_;
   /// Transport fault state, owned by the engine and handed to the
@@ -273,11 +250,6 @@ class HdkSearchEngine : public SearchEngine {
   /// a plan is installed.
   net::FaultInjector injector_;
   net::PeerHealth health_;
-  net::CircuitBreakerBank breaker_;
-  /// Maintenance cadence state: events since the last triggered sweep.
-  uint64_t maintenance_events_ = 0;
-  uint64_t maintenance_sweeps_ = 0;
-  sync::SyncStats last_maintenance_sweep_;
   /// Set only on snapshot-restored engines: keeps the snapshot's mmap
   /// alive, because restored posting lists and published-doc lists
   /// borrow their elements straight from the mapped file until first

@@ -78,16 +78,6 @@ struct AdmissionConfig {
   bool operator==(const AdmissionConfig&) const = default;
 };
 
-/// Event-driven background maintenance cadence: after every
-/// `sweep_every_events` membership / fault-plan events the engine runs
-/// one RunAntiEntropy() sweep on its own, so replica divergence heals
-/// without explicit calls. 0 = off (sweeps stay explicit, the default).
-struct MaintenanceConfig {
-  uint32_t sweep_every_events = 0;
-
-  bool operator==(const MaintenanceConfig&) const = default;
-};
-
 /// The query-origin rotation shared by the distributed backends. Atomic,
 /// so concurrent batches over a shared engine stay race-free (each batch
 /// still pre-assigns origins in query order); the stored value is kept

@@ -21,8 +21,7 @@ Result<std::unique_ptr<SingleTermEngine>> SingleTermEngine::Build(
   engine->config_admission_ = config.admission;
   engine->engine_ = std::make_unique<p2p::SingleTermP2PEngine>(
       engine->overlay_.get(), engine->traffic_.get(),
-      net::Resilience{&engine->injector_, &engine->health_,
-                      /*breaker=*/nullptr, config.retry,
+      net::Resilience{&engine->injector_, &engine->health_, config.retry,
                       /*replication=*/1, /*sync=*/{}});
   HDK_RETURN_NOT_OK(engine->engine_->IndexPeers(
       /*first_peer=*/0, store, peer_ranges, engine->pool_.get()));

@@ -62,8 +62,6 @@
 
 namespace hdk::net {
 
-class CircuitBreakerBank;  // net/breaker.h
-
 /// "peer `peer` dies unannounced after receiving `after_messages`
 /// messages." after_messages == 0 means dead from the start.
 struct ScriptedDeath {
@@ -337,15 +335,12 @@ class PeerHealth {
 struct Resilience {
   FaultInjector* injector = nullptr;
   PeerHealth* health = nullptr;
-  /// Per-peer circuit breakers consulted by the query fetch path (see
-  /// net/breaker.h); null or disabled = never short-circuit.
-  CircuitBreakerBank* breaker = nullptr;
   RetryPolicy retry;
   /// Number of fragment holders per key (primary + replication-1
   /// salted replicas). 1 = no replication (default).
   uint32_t replication = 1;
-  /// How replica divergence is repaired (see sync/sync.h). kOff keeps
-  /// the silent wholesale-rebuild behaviour.
+  /// Sketch tuning of the anti-entropy replica reconciliation (see
+  /// sync/sync.h).
   sync::SyncConfig sync;
 };
 

@@ -49,7 +49,7 @@ enum class MessageKind : uint8_t {
                                 // this peer contributed is discriminative
                                 // again after churn (forget + retract)
   kReplicaPush = 9,     // primary -> replica holder: replicate a fragment
-                        // entry (best-effort under sync modes; lossable)
+                        // entry (best-effort; lossable)
   kReplicaForget = 10,  // primary -> replica holder: drop a retracted key
                         // (best-effort; a lost notice leaves the replica
                         // stale until anti-entropy heals it)

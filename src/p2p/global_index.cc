@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "common/hash.h"
-#include "net/breaker.h"
 #include "sync/reconcile.h"
 #include "sync/sketch.h"
 
@@ -209,31 +208,18 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
     shard.replicas.resize(shard.fragments.size());
   }
   const dht::HolderSet holders = HoldersFor(key_hash);
-  const bool best_effort =
-      res_.sync.mode != sync::SyncMode::kOff && record_traffic;
+  const net::Channel channel(traffic_, res_);
   for (size_t i = 1; i < holders.size(); ++i) {
     const PeerId holder = holders[i];
-    if (!best_effort) {
-      shard.replicas[holder].try_emplace_hashed(key_hash, key).first->second =
-          entry;
-      if (record_traffic) {
-        // Primary pushes the fresh entry to its replica holder directly (it
-        // knows the holder from the salted placement): 1 hop. The push is
-        // barrier-maintained like the publishes themselves, so it is not
-        // subject to injected loss.
-        traffic_->Record(holders[0], holder, net::MessageKind::kMaintenance,
-                         entry.postings.size(), /*hops=*/1);
-      }
-      continue;
-    }
-    // Sync modes: the push is one best-effort direct message. A lost push
-    // leaves the holder stale — exactly the divergence the anti-entropy
-    // sweep detects and heals — instead of being barrier-maintained.
-    net::Channel channel(traffic_, res_);
-    const net::SendOutcome sent =
-        channel.Send(holders[0], holder, net::MessageKind::kReplicaPush,
-                     entry.postings.size(), /*hops=*/1, key_hash);
-    if (!sent.delivered) {
+    // The primary pushes the fresh entry to its replica holder directly
+    // (it knows the holder from the salted placement): one best-effort
+    // 1-hop message. A lost push leaves the holder stale — exactly the
+    // divergence the anti-entropy sweep detects and heals.
+    if (record_traffic &&
+        !channel
+             .Send(holders[0], holder, net::MessageKind::kReplicaPush,
+                   entry.postings.size(), /*hops=*/1, key_hash)
+             .delivered) {
       missed_replica_pushes_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -459,34 +445,24 @@ uint64_t DistributedGlobalIndex::EraseKeysContaining(TermId t) {
         auto it = fragment.find_hashed(key_hash, key);
         if (it != fragment.end()) fragment.erase(it);
       }
-      if (res_.replication > 1 &&
-          res_.sync.mode != sync::SyncMode::kOff) {
-        // Sync modes: dropping a replica copy takes one best-effort
-        // forget notice per holder. A LOST notice leaves the copy stale
-        // — the classic silent-divergence source the anti-entropy sweep
-        // exists to heal.
-        net::Channel channel(traffic_, res_);
-        const dht::HolderSet holders = HoldersFor(key_hash);
-        for (size_t h = 1; h < holders.size(); ++h) {
-          const PeerId holder = holders[h];
-          if (holder >= shard.replicas.size()) continue;
-          const net::SendOutcome sent =
-              channel.Send(owner, holder, net::MessageKind::kReplicaForget,
-                           /*postings=*/0, /*hops=*/1, key_hash);
-          if (!sent.delivered) {
-            missed_replica_forgets_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          auto& replica = shard.replicas[holder];
-          auto it = replica.find_hashed(key_hash, key);
-          if (it != replica.end()) replica.erase(it);
+      // Dropping a replica copy takes one best-effort forget notice per
+      // holder. A LOST notice leaves the copy stale — the classic
+      // silent-divergence source the anti-entropy sweep exists to heal.
+      const net::Channel channel(traffic_, res_);
+      const dht::HolderSet holders = HoldersFor(key_hash);
+      for (size_t h = 1; h < holders.size(); ++h) {
+        const PeerId holder = holders[h];
+        if (holder >= shard.replicas.size()) continue;
+        if (!channel
+                 .Send(owner, holder, net::MessageKind::kReplicaForget,
+                       /*postings=*/0, /*hops=*/1, key_hash)
+                 .delivered) {
+          missed_replica_forgets_.fetch_add(1, std::memory_order_relaxed);
+          continue;
         }
-      } else {
-        // Replica copies of the erased key disappear with it.
-        for (auto& replica : shard.replicas) {
-          auto it = replica.find_hashed(key_hash, key);
-          if (it != replica.end()) replica.erase(it);
-        }
+        auto& replica = shard.replicas[holder];
+        auto it = replica.find_hashed(key_hash, key);
+        if (it != replica.end()) replica.erase(it);
       }
       // Swap-remove: the entry moved into `pos` is examined next.
       shard.ledger.erase(shard.ledger.begin() + pos);
@@ -516,8 +492,6 @@ void DistributedGlobalIndex::Retruncate(const HdkParams& params,
 
 uint64_t DistributedGlobalIndex::OnOverlayGrown() {
   EnsureCapacity();
-  const bool sync_mode =
-      res_.replication > 1 && res_.sync.mode != sync::SyncMode::kOff;
   // Re-placement moves keys between PEER slots but never between shards
   // (the shard is derived from the key's placement hash, not the peer),
   // so each shard migrates independently.
@@ -548,15 +522,11 @@ uint64_t DistributedGlobalIndex::OnOverlayGrown() {
         ++migrated[s];
       }
     }
-    // The salted replica placement changed with the overlay: under kOff
-    // re-derive this shard's copies from the migrated primaries
-    // (placement bookkeeping, no extra traffic beyond the handovers
-    // above); under sync modes the stale copies are left in place and
-    // the recorded reconciliation below repairs exactly the keys whose
-    // holders changed.
-    if (!sync_mode) RebuildReplicasShard(shard);
   });
-  if (sync_mode) ReconcileReplicas(/*record_traffic=*/true);
+  // The salted replica placement changed with the overlay: the stale
+  // copies stay in place and the recorded reconciliation repairs exactly
+  // the keys whose holders changed.
+  ReconcileReplicas(/*record_traffic=*/true);
   uint64_t total = 0;
   for (uint64_t m : migrated) total += m;
   return total;
@@ -568,13 +538,11 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
   baseline.departed = departing;
   assert(overlay_->num_peers() >= 2);
   assert(departing < overlay_->num_peers());
-  // Sync modes: the surviving holders keep their replica state through
-  // the replay (the replay's publishes defer replica pushes), so
-  // FinishDeparture can RECONCILE the kept copies against the rebuilt
-  // fragments — shipping only what the departure actually changed —
-  // instead of re-deriving every copy.
-  replica_defer_ =
-      res_.replication > 1 && res_.sync.mode != sync::SyncMode::kOff;
+  // The surviving holders keep their replica state through the replay
+  // (the replay's publishes defer replica pushes), so FinishDeparture can
+  // RECONCILE the kept copies against the rebuilt fragments — shipping
+  // only what the departure actually changed.
+  replica_defer_ = res_.replication > 1;
 
   // The departed peer's ledger share vanishes with it (in the real
   // network its data simply stops being re-served); surviving
@@ -612,15 +580,11 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
       }
     }
     shard.fragments.clear();
-    if (replica_defer_) {
-      // Drop the departed holder's slot; ids above it renumber down by
-      // one, mirroring the overlay's renumbering. Entries stay attached
-      // to their physical peers.
-      if (departing < shard.replicas.size()) {
-        shard.replicas.erase(shard.replicas.begin() + departing);
-      }
-    } else {
-      shard.replicas.clear();  // replay publishes re-derive the copies
+    // Drop the departed holder's replica slot; ids above it renumber down
+    // by one, mirroring the overlay's renumbering. Entries stay attached
+    // to their physical peers.
+    if (departing < shard.replicas.size()) {
+      shard.replicas.erase(shard.replicas.begin() + departing);
     }
     part.buckets.resize(survivors * s_max);
     for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
@@ -803,8 +767,6 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
       if (!res_.health->Suspect(*it)) std::rotate(healthy++, it, it + 1);
     }
   }
-  net::CircuitBreakerBank* breaker = res_.breaker;
-  const bool breakers_on = breaker != nullptr && breaker->enabled();
 
   // One probe + response round trip against `holder`. The outcome's
   // ticks are the round trip's simulated completion time; `budget` (when
@@ -827,10 +789,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     result.retries += probe.retries;
     leg.ticks += probe.latency_ticks;
     leg.deadline_exhausted |= probe.deadline_exhausted;
-    if (!probe.delivered) {
-      if (breakers_on && !probe.deadline_exhausted) breaker->OnFailure(holder);
-      return leg;
-    }
+    if (!probe.delivered) return leg;
     const hdk::KeyEntry* entry = holder == primary
                                      ? PeekPrimary(primary, ring_key, key)
                                      : PeekReplica(holder, ring_key, key);
@@ -841,13 +800,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     result.retries += response.retries;
     leg.ticks += response.latency_ticks;
     leg.deadline_exhausted |= response.deadline_exhausted;
-    if (!response.delivered) {
-      if (breakers_on && !response.deadline_exhausted) {
-        breaker->OnFailure(holder);
-      }
-      return leg;
-    }
-    if (breakers_on) breaker->OnSuccess(holder, leg.ticks);
+    if (!response.delivered) return leg;
     // A delivered round trip is an authoritative answer — nullptr means
     // the key is ABSENT, not unreachable.
     leg.delivered = true;
@@ -856,7 +809,6 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
   };
 
   const uint32_t hedge_delay = options.hedge_delay_ticks;
-  bool attempted_any = false;
   size_t i = 0;
   while (i < holders.size()) {
     if (options.budget != nullptr && options.budget->exhausted()) {
@@ -864,15 +816,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
       break;
     }
     const PeerId holder = holders[i];
-    if (breakers_on && breaker->ShouldShortCircuit(holder)) {
-      // Open breaker: skip the leg entirely (no message, no ticks) and
-      // go straight to the next holder in failover order.
-      ++result.breaker_short_circuits;
-      ++i;
-      continue;
-    }
-    if (attempted_any) ++result.failovers;
-    attempted_any = true;
+    if (i > 0) ++result.failovers;
 
     if (hedge_delay == 0) {
       // Plain sequential failover: the leg charges the budget directly.
@@ -900,14 +844,8 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
       result.entry = primary_leg.entry;
       return result;
     }
-    // Hedge target: the next holder in failover order whose breaker
-    // admits a leg.
-    size_t j = i + 1;
-    while (j < holders.size() && breakers_on &&
-           breaker->ShouldShortCircuit(holders[j])) {
-      ++result.breaker_short_circuits;
-      ++j;
-    }
+    // Hedge target: the next holder in failover order.
+    const size_t j = i + 1;
     if (j >= holders.size()) {
       // No replica left to hedge against: the primary leg stands alone.
       result.latency_ticks += primary_leg.ticks;
@@ -916,8 +854,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
         result.entry = primary_leg.entry;
         return result;
       }
-      i = j;
-      continue;
+      break;
     }
     ++result.hedges_fired;
     const Leg hedge_leg = round_trip(holders[j], nullptr);
@@ -960,30 +897,26 @@ const hdk::KeyEntry* DistributedGlobalIndex::PeekReplica(
   return it == replica.end() ? nullptr : &it->second;
 }
 
-void DistributedGlobalIndex::RebuildReplicasShard(Shard& shard) {
-  if (res_.replication <= 1) return;
-  shard.replicas.clear();
-  shard.replicas.resize(shard.fragments.size());
-  for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-    const auto& fragment = shard.fragments[owner];
-    for (size_t pos = 0; pos < fragment.size(); ++pos) {
-      const auto& [key, entry] = fragment.entry(pos);
-      const uint64_t key_hash = fragment.hash_at(pos);
-      const dht::HolderSet holders = HoldersFor(key_hash);
-      for (size_t i = 1; i < holders.size(); ++i) {
-        shard.replicas[holders[i]]
-            .try_emplace_hashed(key_hash, key)
-            .first->second = entry;
-      }
-    }
-  }
-}
-
 void DistributedGlobalIndex::RebuildReplicas() {
   if (res_.replication <= 1) return;
   EnsureCapacity();
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
-    RebuildReplicasShard(*shards_[i]);
+    Shard& shard = *shards_[i];
+    shard.replicas.clear();
+    shard.replicas.resize(shard.fragments.size());
+    for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
+      const auto& fragment = shard.fragments[owner];
+      for (size_t pos = 0; pos < fragment.size(); ++pos) {
+        const auto& [key, entry] = fragment.entry(pos);
+        const uint64_t key_hash = fragment.hash_at(pos);
+        const dht::HolderSet holders = HoldersFor(key_hash);
+        for (size_t h = 1; h < holders.size(); ++h) {
+          shard.replicas[holders[h]]
+              .try_emplace_hashed(key_hash, key)
+              .first->second = entry;
+        }
+      }
+    }
   });
 }
 
@@ -993,8 +926,6 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
   if (res_.replication <= 1 || overlay_->num_peers() < 2) return stats;
   EnsureCapacity();
   ++sync_epoch_;
-  // Every sweep runs the sketch protocol, also an explicit one on a kOff
-  // engine (this is what RunAntiEntropy on a default engine does).
   const sync::SyncConfig& cfg = res_.sync;
 
   const size_t num_peers = overlay_->num_peers();

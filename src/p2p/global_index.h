@@ -152,9 +152,8 @@ class DistributedGlobalIndex {
     uint64_t repaired_keys = 0;
     /// Postings carried by the recorded churn messages.
     uint64_t moved_postings = 0;
-    /// What the post-repair replica reconciliation shipped (sync modes
-    /// only; empty under SyncMode::kOff, where replicas are re-derived
-    /// silently by the replay publishes).
+    /// What the post-repair replica reconciliation shipped (empty when
+    /// replication == 1).
     sync::SyncStats replica_sync;
   };
 
@@ -314,13 +313,11 @@ class DistributedGlobalIndex {
     uint32_t retries = 0;
     uint32_t failovers = 0;
     uint64_t latency_ticks = 0;
-    /// Tail-latency armor accounting (see common/search_options.h and
-    /// net/breaker.h): hedged reads fired / won, holders skipped by an
-    /// open circuit breaker, and whether the deadline budget ran out
+    /// Tail-latency armor accounting (see common/search_options.h):
+    /// hedged reads fired / won, and whether the deadline budget ran out
     /// mid-fetch (the caller degrades the query).
     uint32_t hedges_fired = 0;
     uint32_t hedge_wins = 0;
-    uint32_t breaker_short_circuits = 0;
     bool deadline_exhausted = false;
   };
 
@@ -342,8 +339,6 @@ class DistributedGlobalIndex {
   /// `options` entirely (zero simulated time passes).
   ///
   /// Overload armor (all off by default; see FetchOptions):
-  ///   * circuit breakers (Resilience::breaker): holders whose breaker
-  ///     is open are skipped without any message — straight to failover;
   ///   * hedged reads: when the primary leg's simulated completion time
   ///     exceeds hedge_delay_ticks, the same probe also runs against the
   ///     next available holder and the earlier (simulated-time) answer
@@ -364,8 +359,8 @@ class DistributedGlobalIndex {
   dht::HolderSet HoldersFor(uint64_t key_hash) const;
 
   /// Re-derives every replica map from the primary fragments (no
-  /// traffic). Called after bulk state adoption (snapshot load) and
-  /// overlay restructuring; a no-op when replication == 1.
+  /// traffic). Called after bulk state adoption (snapshot load); a no-op
+  /// when replication == 1.
   void RebuildReplicas();
 
   // -- anti-entropy replica sync (sync/) --------------------------------
@@ -373,13 +368,13 @@ class DistributedGlobalIndex {
   /// Reconciles every (primary, holder) replica pair against the primary
   /// fragments: each pair exchanges a strata estimator + invertible Bloom
   /// filter and ships only the decoded difference, falling back to a full
-  /// bucket re-send when the sketch fails to decode. This holds in every
-  /// sync mode, also for an explicit sweep (e.g. RunAntiEntropy) on an
-  /// otherwise silent kOff engine. Pairs whose primary or holder is
-  /// hard-dead, or whose exchange loses a leg after retries, are skipped
-  /// whole — a pair is repaired atomically or not at all, so
-  /// reconciliation can degrade but never diverge. Runs holder-parallel on the pool; traffic,
-  /// repairs and stats are deterministic for every thread/shard count.
+  /// bucket re-send when the sketch fails to decode. Joins and departures
+  /// run it after their repair; RunAntiEntropy runs it on demand. Pairs
+  /// whose primary or holder is hard-dead, or whose exchange loses a leg
+  /// after retries, are skipped whole — a pair is repaired atomically or
+  /// not at all, so reconciliation can degrade but never diverge. Runs
+  /// holder-parallel on the pool; traffic, repairs and stats are
+  /// deterministic for every thread/shard count.
   /// The returned per-call stats are also accumulated into sync_stats().
   sync::SyncStats ReconcileReplicas(bool record_traffic);
 
@@ -392,8 +387,8 @@ class DistributedGlobalIndex {
   const sync::SyncStats& sync_stats() const { return sync_stats_; }
 
   /// Best-effort replica maintenance messages that were lost in flight
-  /// (sync modes under an active fault plan): the divergence
-  /// RunAntiEntropy is there to detect and heal.
+  /// (under an active fault plan): the divergence RunAntiEntropy is
+  /// there to detect and heal.
   uint64_t missed_replica_pushes() const {
     return missed_replica_pushes_.load(std::memory_order_relaxed);
   }
@@ -515,14 +510,12 @@ class DistributedGlobalIndex {
   void DrainRedelivery(Shard& shard, bool record_traffic);
 
   /// Copies the freshly published `entry` of `key` to its replica
-  /// holders (no-op when replication == 1). Each copy is recorded as one
-  /// direct kMaintenance push from the owner when `record_traffic`.
+  /// holders (no-op when replication == 1). With `record_traffic` each
+  /// copy is one best-effort kReplicaPush from the owner, and a lost push
+  /// leaves the holder stale; without it the copies are written silently.
   void PublishReplicas(Shard& shard, const hdk::TermKey& key,
                        uint64_t key_hash, const hdk::KeyEntry& entry,
                        bool record_traffic);
-
-  /// RebuildReplicas over one shard (traffic-free).
-  void RebuildReplicasShard(Shard& shard);
 
   /// Primary-fragment lookup on `owner`, the key's already resolved
   /// responsible peer (nullptr when absent).
@@ -561,7 +554,7 @@ class DistributedGlobalIndex {
   std::atomic<uint64_t> lost_notifications_{0};
   std::atomic<uint64_t> missed_replica_pushes_{0};
   std::atomic<uint64_t> missed_replica_forgets_{0};
-  /// Set by BeginDeparture under sync modes: the replay's publishes leave
+  /// Set by BeginDeparture on a replicated index: the replay's publishes leave
   /// the surviving replica maps untouched so FinishDeparture can
   /// RECONCILE them against the rebuilt fragments instead of re-shipping
   /// everything. Serial sections only.

@@ -135,8 +135,8 @@ struct DepartureStats {
   uint64_t repair_postings = 0;
   /// Survivors that ran targeted delta scans (re-admission only).
   uint64_t rescanned_peers = 0;
-  /// What the post-repair anti-entropy reconciliation shipped (sync
-  /// modes only — see sync/sync.h; all-zero under SyncMode::kOff).
+  /// What the post-repair anti-entropy reconciliation shipped (see
+  /// sync/sync.h; all-zero when replication == 1).
   sync::SyncStats replica_sync;
 };
 

@@ -52,7 +52,6 @@ index::SearchResponse HdkRetriever::Search(PeerId origin,
         exec.cost.latency_ticks += fetch.latency_ticks;
         exec.cost.hedges_fired += fetch.hedges_fired;
         exec.cost.hedge_wins += fetch.hedge_wins;
-        exec.cost.breaker_short_circuits += fetch.breaker_short_circuits;
         if (fetch.deadline_exhausted) deadline_hit = true;
         if (fetch.unreachable) {
           // Every holder of the key failed: degrade — the query answers

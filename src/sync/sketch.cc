@@ -123,12 +123,4 @@ uint64_t StrataEstimator::ByteSize() const {
   return bytes;
 }
 
-std::string_view SyncModeName(SyncMode mode) {
-  switch (mode) {
-    case SyncMode::kOff: return "off";
-    case SyncMode::kIbf: return "ibf";
-  }
-  return "unknown";
-}
-
 }  // namespace hdk::sync

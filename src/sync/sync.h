@@ -17,28 +17,21 @@
 #define HDKP2P_SYNC_SYNC_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace hdk::sync {
 
-/// How replica maintenance repairs divergence.
-enum class SyncMode : uint8_t {
-  /// Replicas are rebuilt wholesale and silently (the pre-sync behaviour,
-  /// byte-identical traffic); RunAntiEntropy() still reconciles on demand.
-  kOff = 0,
-  /// Strata-estimator + IBF set reconciliation with full-sync fallback.
-  /// (Full re-replication, the baseline it is measured against, ships
-  /// (replication - 1) x TotalStoredPostings() per sweep.)
-  kIbf = 1,
-};
-
-std::string_view SyncModeName(SyncMode mode);
+/// How replica maintenance repairs divergence. There is one way:
+/// strata-estimator + IBF set reconciliation with a full-sync fallback.
+/// (Full re-replication, the baseline it is measured against, ships
+/// (replication - 1) x TotalStoredPostings() per sweep.) The enum and
+/// SyncConfig::mode stay for source compatibility; nothing reads them.
+enum class SyncMode : uint8_t { kIbf = 1 };
 
 /// Tuning of the sketch exchange. Defaults follow the Eppstein et al.
 /// "What's the difference?" sizing: ~1.6 IBF cells per expected
 /// difference element decodes with high probability at 3 hash functions.
 struct SyncConfig {
-  SyncMode mode = SyncMode::kOff;
+  SyncMode mode = SyncMode::kIbf;
   /// Strata-estimator depth: stratum i samples ~2^-(i+1) of the key
   /// space, so 16 levels size differences up to ~2^17 elements.
   uint32_t strata_levels = 16;

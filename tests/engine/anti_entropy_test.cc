@@ -10,8 +10,10 @@
 //     next sweep after it revives;
 //   * an undersized IBF budget provably degrades to the full-sync
 //     fallback and still heals — never a wrong decode;
-//   * sweeps are deterministic across thread counts and overlays, and
-//     the kOff default engine remains divergence-free by construction;
+//   * churn under lossy pushes, swept after every membership batch, ends
+//     with zero divergence and the same primaries as an unswept engine;
+//   * sweeps are deterministic across thread counts and overlays, and a
+//     lossless replicated build is divergence-free by construction;
 //   * the interface contract: decorators forward, unreplicated engines
 //     no-op, backends without a replicated index return Unimplemented,
 //     and a snapshot round-trip restores reconciled replicas.
@@ -25,6 +27,7 @@
 #include "engine/engine_factory.h"
 #include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
+#include "engine/membership.h"
 #include "engine/partition.h"
 #include "net/fault.h"
 #include "sync/sync.h"
@@ -43,8 +46,7 @@ corpus::SyntheticCorpus SyncCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig SyncConfig(OverlayKind overlay, size_t num_threads,
-                           sync::SyncMode mode) {
+HdkEngineConfig SyncConfig(OverlayKind overlay, size_t num_threads) {
   HdkEngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 450;
@@ -53,7 +55,6 @@ HdkEngineConfig SyncConfig(OverlayKind overlay, size_t num_threads,
   config.overlay = overlay;
   config.num_threads = num_threads;
   config.replication = 2;
-  config.sync.mode = mode;
   return config;
 }
 
@@ -77,8 +78,7 @@ TEST_P(AntiEntropyTest, LostReplicaPushesAreDetectedAndHealed) {
   for (size_t ti = 0; ti < 2; ++ti) {
     const size_t threads = ti == 0 ? 1 : 4;
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    HdkEngineConfig config =
-        SyncConfig(GetParam(), threads, sync::SyncMode::kIbf);
+    HdkEngineConfig config = SyncConfig(GetParam(), threads);
     config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
     auto built =
         HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
@@ -110,8 +110,7 @@ TEST_P(AntiEntropyTest, LostReplicaPushesAreDetectedAndHealed) {
 
     // Replica divergence never touches the published primaries: contents
     // are identical to a fault-free build.
-    HdkEngineConfig clean =
-        SyncConfig(GetParam(), threads, sync::SyncMode::kOff);
+    HdkEngineConfig clean = SyncConfig(GetParam(), threads);
     auto reference =
         HdkSearchEngine::Build(clean, store, SplitEvenly(240, 8));
     ASSERT_TRUE(reference.ok());
@@ -130,7 +129,7 @@ TEST_P(AntiEntropyTest, LostForgetNoticesLeaveStaleCopiesSweepDropsThem) {
   corpus::DocumentStore store;
   corpus.FillStore(320, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1, sync::SyncMode::kIbf);
+  HdkEngineConfig config = SyncConfig(GetParam(), 1);
   // Forget notices travel when a term crosses the very-frequent cutoff
   // during growth and its keys are purged; lose nearly all of them, so
   // purged keys linger in the replica maps as stale copies.
@@ -163,7 +162,7 @@ TEST_P(AntiEntropyTest, DeadHolderIsSkippedAndHealedAfterRevival) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1, sync::SyncMode::kIbf);
+  HdkEngineConfig config = SyncConfig(GetParam(), 1);
   config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -188,7 +187,7 @@ TEST_P(AntiEntropyTest, UndersizedIbfFallsBackToFullSyncAndStillHeals) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1, sync::SyncMode::kIbf);
+  HdkEngineConfig config = SyncConfig(GetParam(), 1);
   // An 8-cell clamp cannot sketch the heavy divergence a 90% push loss
   // creates; every diverged pair must degrade to the full-sync path.
   config.sync.max_cells = 8;
@@ -210,7 +209,7 @@ TEST_P(AntiEntropyTest, FullModeHealsButShipsMoreThanIbf) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1, sync::SyncMode::kIbf);
+  HdkEngineConfig config = SyncConfig(GetParam(), 1);
   config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.2");
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok());
@@ -226,15 +225,58 @@ TEST_P(AntiEntropyTest, FullModeHealsButShipsMoreThanIbf) {
   EXPECT_LT(sweep->ShippedPostings(), full_postings);
 }
 
-TEST_P(AntiEntropyTest, OffModeEngineIsDivergenceFreeAndSweepConfirmsIt) {
+// Join/leave/join churn under lossy replica pushes; `sweep` runs after
+// every membership batch.
+Status Churn(HdkSearchEngine& engine, const corpus::DocumentStore& store,
+             bool sweep) {
+  const std::vector<std::vector<MembershipEvent>> batches = {
+      JoinWave(240, 2, 40), {MembershipEvent::Leave(1)},
+      JoinWave(320, 2, 40)};
+  for (const auto& batch : batches) {
+    HDK_RETURN_NOT_OK(engine.ApplyMembership(store, batch));
+    if (sweep) HDK_RETURN_NOT_OK(engine.RunAntiEntropy().status());
+  }
+  return Status::OK();
+}
+
+TEST_P(AntiEntropyTest, ChurnSweptAfterEveryBatchEndsDivergenceFree) {
+  corpus::SyntheticCorpus corpus = SyncCorpus();
+  corpus::DocumentStore store;
+  corpus.FillStore(400, &store);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    HdkEngineConfig config = SyncConfig(GetParam(), threads);
+    config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
+
+    // Control: nobody sweeps, so the lost pushes of the churn's
+    // publishes and repairs leave divergence behind.
+    auto control = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
+    ASSERT_TRUE(control.ok()) << control.status().ToString();
+    ASSERT_TRUE(Churn(**control, store, /*sweep=*/false).ok());
+    EXPECT_GT((*control)->global_index().CountReplicaDivergence(), 0u);
+
+    auto swept = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    ASSERT_TRUE(Churn(**swept, store, /*sweep=*/true).ok());
+    EXPECT_EQ((*swept)->global_index().CountReplicaDivergence(), 0u);
+
+    // Sweeps only heal replicas: the published primaries are identical
+    // to the unswept engine's, posting for posting.
+    EXPECT_EQ(
+        FingerprintContents((*swept)->global_index().ExportContents()),
+        FingerprintContents((*control)->global_index().ExportContents()));
+  }
+}
+
+TEST_P(AntiEntropyTest, LosslessReplicatedBuildIsDivergenceFree) {
   corpus::SyntheticCorpus corpus = SyncCorpus();
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  // The kOff default maintains replicas silently and losslessly; an
-  // explicit sweep (which reconciles via the sketch protocol) must find
-  // every pair already in sync.
-  HdkEngineConfig config = SyncConfig(GetParam(), 1, sync::SyncMode::kOff);
+  // Without injected loss every best-effort replica push is delivered;
+  // an explicit sweep must find every pair already in sync.
+  HdkEngineConfig config = SyncConfig(GetParam(), 1);
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok());
   EXPECT_EQ((*built)->global_index().CountReplicaDivergence(), 0u);
@@ -250,8 +292,7 @@ TEST(AntiEntropyInterfaceTest, UnreplicatedEngineSweepIsANoop) {
   corpus::DocumentStore store;
   corpus.FillStore(120, &store);
 
-  HdkEngineConfig config =
-      SyncConfig(OverlayKind::kPGrid, 1, sync::SyncMode::kIbf);
+  HdkEngineConfig config = SyncConfig(OverlayKind::kPGrid, 1);
   config.replication = 1;
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(120, 4));
   ASSERT_TRUE(built.ok());
@@ -272,7 +313,6 @@ TEST(AntiEntropyInterfaceTest, DecoratorForwardsOtherBackendsDecline) {
   config.hdk.s_max = 3;
   config.num_threads = 1;
   config.replication = 2;
-  config.sync.mode = sync::SyncMode::kIbf;
 
   auto cached = MakeEngine("cached(hdk)", config, store,
                            SplitEvenly(120, 4));
@@ -292,8 +332,7 @@ TEST(AntiEntropySnapshotTest, RoundTripRestoresReconciledReplicas) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config =
-      SyncConfig(OverlayKind::kPGrid, 1, sync::SyncMode::kIbf);
+  HdkEngineConfig config = SyncConfig(OverlayKind::kPGrid, 1);
   config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok());

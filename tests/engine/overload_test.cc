@@ -1,6 +1,5 @@
 // Tail-latency armor end to end (deadline budgets, hedged replica reads,
-// per-peer circuit breakers, admission control — common/search_options.h,
-// net/breaker.h, and the engine wiring):
+// admission control — common/search_options.h and the engine wiring):
 //
 //   * with every knob at its default the engine is BYTE-IDENTICAL to the
 //     pre-overload engine: the golden build fingerprints still hold with
@@ -13,9 +12,6 @@
 //     partial, explicitly-degraded top-k with deadline_exceeded set — and
 //     a deadline wide enough to never bind is byte-identical to no
 //     deadline at all;
-//   * circuit breakers trip on a dead holder and short-circuit its legs
-//     straight to failover — fewer recorded messages, identical results,
-//     zero degraded responses;
 //   * the admission gate sheds the lowest-priority queries of an
 //     over-bound batch, explicitly flagged, never silently dropped.
 #include <cstdint>
@@ -33,7 +29,6 @@
 #include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
-#include "net/breaker.h"
 #include "net/fault.h"
 #include "net/traffic.h"
 
@@ -136,9 +131,7 @@ TEST_P(OverloadDefaultsTest, ExplicitDefaultsMatchPreOverloadGoldens) {
   config.overlay = overlay;
   config.num_threads = threads;
   // Every overload knob, spelled out at its default.
-  config.breaker = net::BreakerConfig{};
   config.admission = AdmissionConfig{};
-  config.maintenance = MaintenanceConfig{};
 
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(160, 4));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -150,8 +143,6 @@ TEST_P(OverloadDefaultsTest, ExplicitDefaultsMatchPreOverloadGoldens) {
   EXPECT_EQ(FingerprintContents(engine->global_index().ExportContents()),
             golden.contents_fp);
   EXPECT_EQ(FingerprintTraffic(*engine->traffic()), golden.traffic_fp);
-  EXPECT_FALSE(engine->circuit_breakers().enabled());
-  EXPECT_EQ(engine->maintenance_sweeps(), 0u);
 }
 
 TEST_P(OverloadDefaultsTest, DefaultOptionsCarryZeroArmorCounters) {
@@ -177,7 +168,6 @@ TEST_P(OverloadDefaultsTest, DefaultOptionsCarryZeroArmorCounters) {
 
   EXPECT_EQ(plain.total.hedges_fired, 0u);
   EXPECT_EQ(plain.total.hedge_wins, 0u);
-  EXPECT_EQ(plain.total.breaker_short_circuits, 0u);
   EXPECT_EQ(plain.total.deadline_exceeded, 0u);
   EXPECT_EQ(plain.total.shed, 0u);
   for (const SearchResponse& response : plain.responses) {
@@ -350,59 +340,6 @@ TEST(DeadlineTest, BoundedBatchesAreThreadCountInvariant) {
   EXPECT_EQ(fp[0], fp[1]);
   EXPECT_GT(exceeded[0], 0u);
   EXPECT_EQ(exceeded[0], exceeded[1]);
-}
-
-// ---------------------------------------------------------------------
-// Circuit breakers.
-
-TEST(BreakerEngineTest, OpenBreakerShortCircuitsDeadHolderLegs) {
-  corpus::DocumentStore store;
-  OverloadCorpus().FillStore(240, &store);
-
-  HdkEngineConfig config = OverloadConfig(OverlayKind::kPGrid, 1);
-  config.replication = 2;
-  auto baseline_built =
-      HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
-  ASSERT_TRUE(baseline_built.ok());
-  auto baseline = std::move(baseline_built).value();
-
-  HdkEngineConfig armored = config;
-  armored.breaker.enabled = true;
-  armored.breaker.failure_threshold = 2;
-  armored.breaker.open_cooldown = 64;
-  auto armored_built =
-      HdkSearchEngine::Build(armored, store, SplitEvenly(240, 6));
-  ASSERT_TRUE(armored_built.ok());
-  auto engine = std::move(armored_built).value();
-
-  // Identical builds; an unannounced hard failure of peer 3 in both.
-  baseline->fault_injector().KillPeer(3);
-  engine->fault_injector().KillPeer(3);
-
-  const auto queries = OverloadQueries(store, engine->peer_ranges(), 40);
-  const uint64_t baseline_before = baseline->traffic()->total().messages;
-  const uint64_t armored_before = engine->traffic()->total().messages;
-  uint64_t short_circuits = 0;
-  // Serial query stream (breakers are cross-query state; see breaker.h).
-  for (const auto& q : queries) {
-    SearchResponse without = baseline->Search(q.terms, 20, /*origin=*/0);
-    SearchResponse with = engine->Search(q.terms, 20, /*origin=*/0);
-    EXPECT_FALSE(with.degraded);
-    ASSERT_EQ(without.results.size(), with.results.size());
-    for (size_t j = 0; j < with.results.size(); ++j) {
-      EXPECT_EQ(without.results[j].doc, with.results[j].doc);
-    }
-    short_circuits += with.cost.breaker_short_circuits;
-  }
-
-  // Two failed round trips tripped the dead peer's breaker; every later
-  // leg to it was skipped without a message.
-  EXPECT_EQ(engine->circuit_breakers().state(3),
-            net::CircuitBreakerBank::State::kOpen);
-  EXPECT_GT(short_circuits, 0u);
-  EXPECT_EQ(engine->circuit_breakers().short_circuits(), short_circuits);
-  EXPECT_LT(engine->traffic()->total().messages - armored_before,
-            baseline->traffic()->total().messages - baseline_before);
 }
 
 // ---------------------------------------------------------------------

@@ -293,7 +293,7 @@ TEST(ChannelTest, InactiveInjectorRecordsExactlyOneMessage) {
   PeerHealth health;
   health.EnsurePeers(4);
   for (const Resilience& res :
-       {Resilience{}, Resilience{&injector, &health, nullptr, {}, 1, {}}}) {
+       {Resilience{}, Resilience{&injector, &health, {}, 1, {}}}) {
     TrafficRecorder fresh;
     fresh.EnsurePeers(4);
     Channel channel(&fresh, res);
@@ -320,7 +320,7 @@ TEST(ChannelTest, SendReliableRetriesThenFailsOverOrDegrades) {
   PeerHealth health;
   injector.EnsurePeers(4);
   health.EnsurePeers(4);
-  Resilience res{&injector, &health, nullptr, RetryPolicy{4, 1}, 1, {}};
+  Resilience res{&injector, &health, RetryPolicy{4, 1}, 1, {}};
   Channel channel(&traffic, res);
 
   // A hard-dead destination: the first attempt is recorded (bandwidth is
@@ -366,7 +366,7 @@ TEST(ChannelTest, SendAssuredChargesDeadPeersOneAttempt) {
   traffic.EnsurePeers(4);
   FaultInjector injector;
   injector.EnsurePeers(4);
-  Resilience res{&injector, nullptr, nullptr, RetryPolicy{3, 1}, 1, {}};
+  Resilience res{&injector, nullptr, RetryPolicy{3, 1}, 1, {}};
   Channel channel(&traffic, res);
 
   injector.KillPeer(1);
@@ -421,8 +421,7 @@ TEST(ChannelTest, ConcurrentSendsMatchASerialRun) {
       injector.KillPeer(kDead);
     }
     bool Send(size_t i) {
-      const Resilience res{&injector, &health, nullptr, RetryPolicy{4, 1}, 1,
-                           {}};
+      const Resilience res{&injector, &health, RetryPolicy{4, 1}, 1, {}};
       const auto src = static_cast<PeerId>(i % kPeers);
       const auto dst = static_cast<PeerId>((i * 3 + 1) % kPeers);
       const MessageKind kind = i % 2 == 0 ? MessageKind::kKeyProbe
