@@ -19,7 +19,6 @@ namespace hdk::bench {
 // The determinism-asserting fingerprints (shared with the test suite).
 using engine::FingerprintBatch;
 using engine::FingerprintContents;
-using engine::FingerprintTraffic;
 
 /// True when HDKP2P_BENCH_SCALE=tiny selects the smoke-test scale.
 inline bool TinyScale() {

@@ -30,7 +30,7 @@ int main() {
               "growth step (HDK low)");
 
   for (uint32_t peers : setup.PeerSweep()) {
-    auto point = engine::BuildEnginesAtPoint(ctx, peers);
+    auto point = ctx.EnginesAt(peers);
     if (!point.ok()) {
       std::fprintf(stderr, "%s\n", point.status().ToString().c_str());
       return 1;

@@ -22,7 +22,7 @@ int main() {
   setup.docs_per_peer = 250;
 
   engine::ExperimentContext ctx(setup);
-  auto point = engine::BuildEnginesAtPoint(ctx, 8);
+  auto point = ctx.EnginesAt(8);
   if (!point.ok()) {
     std::fprintf(stderr, "%s\n", point.status().ToString().c_str());
     return 1;

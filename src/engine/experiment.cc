@@ -168,9 +168,4 @@ Result<EnginesAtPoint> ExperimentContext::EnginesAt(uint32_t num_peers) {
   return point;
 }
 
-Result<EnginesAtPoint> BuildEnginesAtPoint(ExperimentContext& ctx,
-                                           uint32_t num_peers) {
-  return ctx.EnginesAt(num_peers);
-}
-
 }  // namespace hdk::engine

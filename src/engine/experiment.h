@@ -144,11 +144,6 @@ class ExperimentContext {
   uint32_t built_peers_ = 0;
 };
 
-/// Engines for a sweep point (forwards to ctx.EnginesAt — kept as the
-/// entry point the benches read naturally).
-Result<EnginesAtPoint> BuildEnginesAtPoint(ExperimentContext& ctx,
-                                           uint32_t num_peers);
-
 }  // namespace hdk::engine
 
 #endif  // HDKP2P_ENGINE_EXPERIMENT_H_

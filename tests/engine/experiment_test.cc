@@ -71,7 +71,7 @@ TEST(ExperimentContextTest, QueriesMatchWorkloadShape) {
 TEST(ExperimentContextTest, BuildEnginesAtTinyPoint) {
   ExperimentSetup setup = ExperimentSetup::Tiny();
   ExperimentContext ctx(setup);
-  auto point = BuildEnginesAtPoint(ctx, setup.initial_peers);
+  auto point = ctx.EnginesAt(setup.initial_peers);
   ASSERT_TRUE(point.ok()) << point.status().ToString();
   EXPECT_EQ(point->num_peers, setup.initial_peers);
   EXPECT_EQ(point->num_docs,

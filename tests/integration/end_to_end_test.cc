@@ -24,7 +24,7 @@ class EndToEndTest : public ::testing::Test {
   static void SetUpTestSuite() {
     setup_ = new ExperimentSetup(ExperimentSetup::Tiny());
     ctx_ = new ExperimentContext(*setup_);
-    auto point = BuildEnginesAtPoint(*ctx_, setup_->max_peers);
+    auto point = ctx_->EnginesAt(setup_->max_peers);
     ASSERT_TRUE(point.ok()) << point.status().ToString();
     point_ = new EnginesAtPoint(std::move(point).value());
     queries_ = new std::vector<corpus::Query>(
