@@ -212,6 +212,9 @@ class HdkSearchEngine : public SearchEngine {
 
   net::TrafficRecorder& mutable_traffic() { return *traffic_; }
   const p2p::DistributedGlobalIndex& global_index() const { return *global_; }
+  /// The indexing protocol, with every peer's local knowledge (tests
+  /// compare it against a from-scratch build).
+  const p2p::HdkIndexingProtocol& protocol() const { return *protocol_; }
   const corpus::CollectionStats& collection_stats() const { return *stats_; }
   const HdkEngineConfig& config() const { return config_; }
 
