@@ -5,6 +5,9 @@
 // stack), the wall time and network cost of alternating join and
 // departure waves — messages and postings moved per membership event —
 // and the result-cache hit rate of a repeated query batch between waves.
+// For the HDK engines a departure wave's time is split into the in-place
+// repair, the handover/repair billing and the replica reconciliation
+// (p2p::PhaseTimings).
 // Emits BENCH_churn.json. (Plain main(), no Google Benchmark dependency,
 // like micro_parallel.)
 //
@@ -17,6 +20,7 @@
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "engine/engine_factory.h"
+#include "engine/hdk_engine.h"
 #include "engine/membership.h"
 #include "engine/partition.h"
 #include "engine/result_cache.h"
@@ -33,6 +37,11 @@ struct WavePoint {
   double seconds = 0;
   uint64_t messages = 0;
   uint64_t postings_moved = 0;
+  /// The departure phase split; only HDK engines report it.
+  bool has_phases = false;
+  double repair_s = 0;
+  double diff_s = 0;
+  double reconcile_s = 0;
 };
 
 struct EngineRun {
@@ -120,9 +129,17 @@ int main() {
     EngineRun run;
     run.spec = spec.label;
 
-    std::printf("%-14s %-6s %7s %10s %12s %14s %16s\n", spec.label,
-                "wave", "events", "peers", "seconds", "messages",
-                "postings_moved");
+    std::printf("%-14s %-6s %7s %10s %12s %14s %16s %10s %10s %12s\n",
+                spec.label, "wave", "events", "peers", "seconds", "messages",
+                "postings_moved", "repair_s", "diff_s", "reconcile_s");
+    // Decorated stacks hide the HDK engine; their phase columns stay
+    // empty.
+    const auto* hdk_engine =
+        dynamic_cast<const engine::HdkSearchEngine*>(&engine);
+    auto phases = [hdk_engine] {
+      return hdk_engine != nullptr ? hdk_engine->phase_timings()
+                                   : p2p::PhaseTimings{};
+    };
 
     DocId frontier =
         static_cast<DocId>(initial_peers) * setup.docs_per_peer;
@@ -131,6 +148,7 @@ int main() {
       const net::TrafficCounters before =
           engine.traffic() != nullptr ? engine.traffic()->Snapshot()
                                       : net::TrafficCounters{};
+      const p2p::PhaseTimings phases_before = phases();
       Stopwatch watch;
       Status st = engine.ApplyMembership(store, events);
       const double seconds = watch.ElapsedSeconds();
@@ -150,11 +168,25 @@ int main() {
       point.seconds = seconds;
       point.messages = delta.messages;
       point.postings_moved = delta.postings;
+      const p2p::PhaseTimings phases_after = phases();
+      point.has_phases = hdk_engine != nullptr;
+      point.repair_s = phases_after.departure_repair_seconds -
+                       phases_before.departure_repair_seconds;
+      point.diff_s = phases_after.departure_diff_seconds -
+                     phases_before.departure_diff_seconds;
+      point.reconcile_s = phases_after.departure_reconcile_seconds -
+                          phases_before.departure_reconcile_seconds;
       run.waves.push_back(point);
-      std::printf("%-14s %-6s %7zu %10zu %12.4f %14llu %16llu\n", "",
-                  kind, point.events, point.peers_after, point.seconds,
+      std::printf("%-14s %-6s %7zu %10zu %12.4f %14llu %16llu", "", kind,
+                  point.events, point.peers_after, point.seconds,
                   static_cast<unsigned long long>(point.messages),
                   static_cast<unsigned long long>(point.postings_moved));
+      if (point.has_phases) {
+        std::printf(" %10.4f %10.4f %12.4f\n", point.repair_s,
+                    point.diff_s, point.reconcile_s);
+      } else {
+        std::printf(" %10s %10s %12s\n", "-", "-", "-");
+      }
       return true;
     };
 
@@ -234,12 +266,18 @@ int main() {
                    "\"peers_after\": %zu, \"seconds\": %.6f, "
                    "\"messages\": %llu, \"postings_moved\": %llu, "
                    "\"postings_per_event\": %.1f, "
-                   "\"messages_per_event\": %.1f}%s\n",
+                   "\"messages_per_event\": %.1f",
                    p.kind.c_str(), p.events, p.peers_after, p.seconds,
                    static_cast<unsigned long long>(p.messages),
                    static_cast<unsigned long long>(p.postings_moved),
-                   postings_per_event, messages_per_event,
-                   i + 1 < run.waves.size() ? "," : "");
+                   postings_per_event, messages_per_event);
+      if (p.has_phases) {
+        std::fprintf(out,
+                     ", \"repair_s\": %.6f, \"diff_s\": %.6f, "
+                     "\"reconcile_s\": %.6f",
+                     p.repair_s, p.diff_s, p.reconcile_s);
+      }
+      std::fprintf(out, "}%s\n", i + 1 < run.waves.size() ? "," : "");
     }
     std::fprintf(out,
                  "    ], \"batch_cold_s\": %.6f, \"batch_warm_s\": %.6f, "

@@ -40,6 +40,19 @@ class CollectionStats {
         df_(std::move(df)),
         rank_freq_(std::move(rank_freq)) {}
 
+  /// Folds the documents of the given disjoint [first, last) ranges in
+  /// (a join) or out (a departure; they must be part of the collection).
+  /// Only those documents are scanned, and the result equals the ranges
+  /// constructor over the new range set, array for array.
+  void AddRanges(const DocumentStore& store,
+                 std::span<const std::pair<DocId, DocId>> ranges) {
+    Apply(store, ranges, +1);
+  }
+  void RemoveRanges(const DocumentStore& store,
+                    std::span<const std::pair<DocId, DocId>> ranges) {
+    Apply(store, ranges, -1);
+  }
+
   /// Number of documents M.
   uint64_t num_documents() const { return num_documents_; }
 
@@ -83,8 +96,11 @@ class CollectionStats {
   uint64_t NumHapax() const;
 
  private:
-  void Init(const DocumentStore& store,
-            std::span<const std::pair<DocId, DocId>> ranges);
+  /// Adds (`sign` +1) or subtracts (-1) the ranges' documents, then
+  /// re-derives the arrays' length, the vocabulary size and the rank list
+  /// from `cf_`.
+  void Apply(const DocumentStore& store,
+             std::span<const std::pair<DocId, DocId>> ranges, int sign);
 
   uint64_t num_documents_ = 0;
   uint64_t total_tokens_ = 0;

@@ -68,11 +68,12 @@ Status HdkSearchEngine::ApplyJoinWave(
   growth.migrated_keys = global_->OnOverlayGrown();
 
   // 2. Collection statistics over the grown ranges (very-frequent cutoff,
-  //    average document length) — ranges-based, because departures may
-  //    have punched holes into the indexed prefix.
-  std::vector<DocRange> all_ranges = protocol_->peer_ranges();
-  all_ranges.insert(all_ranges.end(), new_ranges.begin(), new_ranges.end());
-  stats_ = std::make_unique<corpus::CollectionStats>(*store_, all_ranges);
+  //    average document length): the current ones plus the joining
+  //    documents — departures may have punched holes into the indexed
+  //    prefix, so they are never a prefix rescan.
+  auto stats = std::make_unique<corpus::CollectionStats>(*stats_);
+  stats->AddRanges(*store_, new_ranges);
+  stats_ = std::move(stats);
 
   // 3. Delta indexing run.
   HDK_RETURN_NOT_OK(protocol_->Grow(new_ranges, *stats_, &growth));
@@ -81,10 +82,11 @@ Status HdkSearchEngine::ApplyJoinWave(
 }
 
 Status HdkSearchEngine::ApplyDeparture(PeerId peer) {
-  // Collection statistics over the survivors only.
-  std::vector<DocRange> ranges = protocol_->peer_ranges();
-  ranges.erase(ranges.begin() + peer);
-  auto stats = std::make_unique<corpus::CollectionStats>(*store_, ranges);
+  // Collection statistics over the survivors only: the current ones
+  // minus the departed range.
+  const DocRange departed = protocol_->peer_ranges()[peer];
+  auto stats = std::make_unique<corpus::CollectionStats>(*stats_);
+  stats->RemoveRanges(*store_, {&departed, 1});
 
   p2p::DepartureStats departure;
   HDK_RETURN_NOT_OK(protocol_->Depart(
@@ -93,10 +95,10 @@ Status HdkSearchEngine::ApplyDeparture(PeerId peer) {
         Status status = overlay_->RemovePeer(peer);
         // The overlay just renumbered ids above `peer` down by one; the
         // fault state must follow in the same instant, BEFORE the repair
-        // replay that Depart runs next — otherwise the survivor that
-        // inherited a dead peer's id would swallow the re-homed
-        // contributions (evicting a dead peer must clear its death, and
-        // a scripted death of peer 7 now concerns peer 6).
+        // that Depart runs next — otherwise the survivor that inherited
+        // a dead peer's id would swallow the re-admitted contributions
+        // (evicting a dead peer must clear its death, and a scripted
+        // death of peer 7 now concerns peer 6).
         injector_.OnPeerRemoved(peer);
         health_.OnPeerRemoved(peer);
         return status;

@@ -3,8 +3,8 @@
 // global highly-discriminative-key index and answer multi-term queries
 // with bounded retrieval traffic. Supports the full membership lifecycle:
 // joins index only the document delta (paper's evolution experiment) and
-// departures run a ledger-driven repair (contribution purge, reverse
-// DFmax-reclassification, fragment re-replication, Ff re-admission) — in
+// departures repair the index in place (contribution purge, retraction,
+// reverse DFmax-reclassification, fragment handover, Ff re-admission) — in
 // both directions the index stays posting-for-posting identical to a
 // from-scratch build over the current document ranges.
 //
@@ -106,8 +106,8 @@ class HdkSearchEngine : public SearchEngine {
 
   /// Joins run the delta indexing protocol (new documents indexed,
   /// key-space handover, Ff purge, DFmax reclassification); departures
-  /// run the ledger-driven repair (contribution purge, retraction,
-  /// reverse reclassification, fragment re-replication, Ff re-admission)
+  /// repair the index in place (contribution purge, retraction, reverse
+  /// reclassification, fragment handover, Ff re-admission)
   /// — see p2p/indexing_protocol.h. `store` must be the same store the
   /// engine was built on, grown in place.
   Status ApplyMembership(const corpus::DocumentStore& store,
@@ -205,7 +205,7 @@ class HdkSearchEngine : public SearchEngine {
   /// Converts every hard-failed peer (the injector reports it dead)
   /// into a standard departure: evicted through ApplyMembership Leave
   /// events in descending peer-id order (so earlier removals don't
-  /// renumber later ones), which runs the ledger-driven repair and
+  /// renumber later ones), which runs the in-place departure repair and
   /// leaves an index posting-for-posting identical to a fault-free
   /// build over the survivors. Returns the number of evicted peers.
   Result<size_t> EvictDeadPeers(const corpus::DocumentStore& store);

@@ -82,6 +82,12 @@ class SetNdkOracle : public NdkOracle {
     return changed;
   }
 
+  /// Forgets one fact (a size-1 key is an expandable term). Returns true
+  /// if the oracle held it.
+  bool Forget(const TermKey& k) {
+    return k.size() == 1 ? terms_.erase(k.term(0)) > 0 : ndks_.erase(k) > 0;
+  }
+
   bool IsExpandableTerm(TermId t) const override {
     return terms_.count(t) > 0;
   }
@@ -90,9 +96,7 @@ class SetNdkOracle : public NdkOracle {
   size_t num_expandable_terms() const { return terms_.size(); }
   size_t num_ndks() const { return ndks_.size(); }
 
-  /// Fact iteration — the churn repair diffs a peer's pre-departure
-  /// knowledge against the replayed knowledge to find the facts that must
-  /// be forgotten (reverse reclassification notices).
+  /// Fact iteration (the snapshot writer and the tests read the facts).
   const TermIdSet& expandable_terms() const { return terms_; }
   const KeySet& ndks() const { return ndks_; }
 

@@ -60,6 +60,16 @@ class TermKey {
   /// True if `t` is one of the key's terms.
   bool Contains(TermId t) const;
 
+  /// True if one of the key's terms is in `terms` (any set type with
+  /// count()).
+  template <typename TermSet>
+  bool ContainsAny(const TermSet& terms) const {
+    for (TermId t : this->terms()) {
+      if (terms.count(t) > 0) return true;
+    }
+    return false;
+  }
+
   /// True if every term of `other` is contained in this key.
   bool ContainsAll(const TermKey& other) const;
 

@@ -29,6 +29,52 @@ uint64_t EntryDigest(uint64_t key_hash, const hdk::KeyEntry& entry) {
   return Mix64(h);
 }
 
+/// Folds one contribution into the ledger entry's merge cache, with the
+/// sender-side truncation re-applied exactly as InsertPostings
+/// transmitted it.
+void FoldIntoCache(DistributedGlobalIndex::LedgerEntry& ledger,
+                   const index::PostingList& full, const HdkParams& params,
+                   double avg_doc_length) {
+  ledger.global_df += full.size();
+  if (full.size() <= params.df_max) {
+    ledger.merged_locals.Merge(full);
+    return;
+  }
+  index::PostingList truncated = full;
+  truncated.TruncateTopBy(params.EffectiveNdkTruncation(),
+                          [avg_doc_length](const index::Posting& p) {
+                            return hdk::TruncationScore(p, avg_doc_length);
+                          });
+  ledger.merged_locals.MergeFrom(std::move(truncated));
+}
+
+/// Key-space handover within one shard: moves every fragment entry whose
+/// responsible peer changed to its new owner's slot, calling
+/// `moved(from, to, key, key_hash, entry)` before each move.
+template <typename Moved>
+void HandOver(const dht::Overlay& overlay,
+              std::vector<hdk::KeyMap<hdk::KeyEntry>>& fragments,
+              Moved&& moved) {
+  for (PeerId from = 0; from < fragments.size(); ++from) {
+    auto& fragment = fragments[from];
+    size_t pos = 0;
+    while (pos < fragment.size()) {
+      const uint64_t key_hash = fragment.hash_at(pos);
+      const PeerId to = overlay.Responsible(key_hash);
+      if (to == from) {
+        ++pos;
+        continue;
+      }
+      auto& [key, entry] = fragment.entry(pos);
+      moved(from, to, key, key_hash, entry);
+      fragments[to].try_emplace_hashed(key_hash, key).first->second =
+          std::move(entry);
+      // Swap-remove: the entry moved into `pos` is examined next.
+      fragment.erase(fragment.begin() + pos);
+    }
+  }
+}
+
 }  // namespace
 
 DistributedGlobalIndex::DistributedGlobalIndex(const dht::Overlay* overlay,
@@ -91,8 +137,7 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
                                                 uint64_t key_hash,
                                                 index::PostingList full_local,
                                                 const HdkParams& params,
-                                                double avg_doc_length,
-                                                bool record_traffic) {
+                                                double avg_doc_length) {
   // Sender-side truncation: a locally non-discriminative key is certainly
   // globally non-discriminative (paper Section 3: local NDK => global NDK),
   // so the peer only transmits its local top-DFmax postings for it.
@@ -101,35 +146,33 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
     payload = std::min<uint64_t>(payload, params.EffectiveNdkTruncation());
   }
 
-  if (record_traffic) {
-    // key_hash IS the key's ring id: one hash drives routing, the
-    // destination lookup, the shard choice and the pending-buffer probe.
-    const PeerId dst = overlay_->Responsible(key_hash);
-    const size_t hops = overlay_->Route(src, key_hash);
-    if (!FaultsActive()) {
-      traffic_->Record(src, dst, net::MessageKind::kInsertPostings, payload,
-                       hops);
-    } else {
-      net::Channel channel(traffic_, res_);
-      const net::SendOutcome sent = channel.SendAssured(
-          src, dst, net::MessageKind::kInsertPostings, payload, hops,
-          key_hash);
-      if (!sent.delivered) {
-        if (channel.PeerDead(dst)) {
-          // The responsible peer died unannounced: the contribution is
-          // gone until eviction + departure repair replays the ledger.
-          lost_contributions_.fetch_add(1, std::memory_order_relaxed);
-          return payload;
-        }
-        // Retry budget exhausted against a live peer: park the
-        // contribution for the level barrier, whose redelivery records
-        // the final (delivered) message.
-        Shard& shard = *shards_[ShardOf(key_hash)];
-        std::lock_guard<std::mutex> lock(shard.insert_mu);
-        shard.redelivery.push_back(Shard::Redelivery{
-            src, key, key_hash, std::move(full_local), payload});
+  // key_hash IS the key's ring id: one hash drives routing, the
+  // destination lookup, the shard choice and the pending-buffer probe.
+  const PeerId dst = overlay_->Responsible(key_hash);
+  const size_t hops = overlay_->Route(src, key_hash);
+  if (!FaultsActive()) {
+    traffic_->Record(src, dst, net::MessageKind::kInsertPostings, payload,
+                     hops);
+  } else {
+    net::Channel channel(traffic_, res_);
+    const net::SendOutcome sent = channel.SendAssured(
+        src, dst, net::MessageKind::kInsertPostings, payload, hops,
+        key_hash);
+    if (!sent.delivered) {
+      if (channel.PeerDead(dst)) {
+        // The responsible peer died unannounced: the contribution never
+        // reaches the ledger and is lost for good.
+        lost_contributions_.fetch_add(1, std::memory_order_relaxed);
         return payload;
       }
+      // Retry budget exhausted against a live peer: park the
+      // contribution for the level barrier, whose redelivery records
+      // the final (delivered) message.
+      Shard& shard = *shards_[ShardOf(key_hash)];
+      std::lock_guard<std::mutex> lock(shard.insert_mu);
+      shard.redelivery.push_back(Shard::Redelivery{
+          src, key, key_hash, std::move(full_local), payload});
+      return payload;
     }
   }
 
@@ -143,32 +186,11 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
   return payload;
 }
 
-void DistributedGlobalIndex::RebuildCache(LedgerEntry& ledger,
-                                          const HdkParams& params,
-                                          double avg_doc_length) const {
-  const Freq trunc_limit = params.EffectiveNdkTruncation();
-  auto score = [avg_doc_length](const index::Posting& p) {
-    return hdk::TruncationScore(p, avg_doc_length);
-  };
-  ledger.global_df = 0;
-  ledger.merged_locals = index::PostingList();
-  for (const Contribution& c : ledger.contributions) {
-    ledger.global_df += c.full.size();
-    if (c.full.size() > params.df_max) {
-      index::PostingList truncated = c.full;
-      truncated.TruncateTopBy(trunc_limit, score);
-      ledger.merged_locals.MergeFrom(std::move(truncated));
-    } else {
-      ledger.merged_locals.Merge(c.full);
-    }
-  }
-}
-
 bool DistributedGlobalIndex::Publish(Shard& shard, const hdk::TermKey& key,
                                      uint64_t key_hash, LedgerEntry& ledger,
                                      const HdkParams& params,
                                      double avg_doc_length,
-                                     bool record_traffic) {
+                                     bool record_traffic, bool* changed) {
   const Freq trunc_limit = params.EffectiveNdkTruncation();
 
   hdk::KeyEntry entry;
@@ -190,10 +212,39 @@ bool DistributedGlobalIndex::Publish(Shard& shard, const hdk::TermKey& key,
 
   const bool is_ndk = !entry.is_hdk;
   auto& fragment = shard.fragments[overlay_->Responsible(key_hash)];
-  hdk::KeyEntry& stored =
-      fragment.try_emplace_hashed(key_hash, key).first->second;
+  auto [it, inserted] = fragment.try_emplace_hashed(key_hash, key);
+  hdk::KeyEntry& stored = it->second;
+  if (changed != nullptr) {
+    *changed = inserted || stored.global_df != entry.global_df ||
+               stored.is_hdk != entry.is_hdk ||
+               stored.postings != entry.postings;
+  }
   stored = std::move(entry);
   PublishReplicas(shard, key, key_hash, stored, record_traffic);
+  return is_ndk;
+}
+
+bool DistributedGlobalIndex::Rederive(
+    Shard& shard, size_t pos, const HdkParams& params, double avg_doc_length,
+    hdk::KeyMap<DepartureBaseline::Change>* changes) {
+  auto& [key, ledger] = shard.ledger.entry(pos);
+  const uint64_t key_hash = shard.ledger.hash_at(pos);
+  const bool was_ndk = ledger.published_ndk;
+  ledger.global_df = 0;
+  ledger.merged_locals = index::PostingList();
+  for (const Contribution& c : ledger.contributions) {
+    FoldIntoCache(ledger, c.full, params, avg_doc_length);
+  }
+  bool changed = false;
+  const bool is_ndk =
+      Publish(shard, key, key_hash, ledger, params, avg_doc_length,
+              /*record_traffic=*/false, changes != nullptr ? &changed : nullptr);
+  if (changed) {
+    DepartureBaseline::Change& change =
+        changes->try_emplace_hashed(key_hash, key).first->second;
+    change.changed = true;
+    change.was_ndk = was_ndk;
+  }
   return is_ndk;
 }
 
@@ -203,7 +254,7 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
                                              const hdk::KeyEntry& entry,
                                              bool record_traffic) {
   if (res_.replication <= 1) return;
-  if (replica_defer_) return;  // departure replay: FinishDeparture reconciles
+  if (replica_defer_) return;  // departure repair: reconciled afterwards
   if (shard.replicas.size() < shard.fragments.size()) {
     shard.replicas.resize(shard.fragments.size());
   }
@@ -271,11 +322,6 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
   DrainRedelivery(shard, record_traffic);
   if (shard.pending.empty()) return outcome;
 
-  const Freq trunc_limit = params.EffectiveNdkTruncation();
-  auto score = [avg_doc_length](const index::Posting& p) {
-    return hdk::TruncationScore(p, avg_doc_length);
-  };
-
   // Ascending-key order: shard- and thread-count independent, so the
   // reduced outcome is deterministic everywhere. The pending table's
   // cached hashes ride along — every downstream probe (ledger, fragment,
@@ -303,16 +349,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
     new_contributors.reserve(contributions.size());
     for (Contribution& c : contributions) {
       new_contributors.push_back(c.peer);
-      // Fold the new contribution into the merge cache (sender-side
-      // truncation re-applied exactly as InsertPostings transmitted it).
-      ledger.global_df += c.full.size();
-      if (c.full.size() > params.df_max) {
-        index::PostingList truncated = c.full;
-        truncated.TruncateTopBy(trunc_limit, score);
-        ledger.merged_locals.MergeFrom(std::move(truncated));
-      } else {
-        ledger.merged_locals.Merge(c.full);
-      }
+      FoldIntoCache(ledger, c.full, params, avg_doc_length);
       ledger.contributions.push_back(std::move(c));
     }
     std::sort(ledger.contributions.begin(), ledger.contributions.end(),
@@ -365,7 +402,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
         // Faulty transport: notifications are barrier-assured — a lost
         // burst against a live contributor is redelivered right here
         // (we ARE at the barrier), only a hard-dead contributor misses
-        // its expansion (repaired by eviction + departure replay).
+        // its expansion (it leaves the network when it is evicted).
         net::Channel channel(traffic_, res_);
         std::vector<PeerId> reached;
         reached.reserve(recipients.size());
@@ -427,14 +464,14 @@ LevelOutcome DistributedGlobalIndex::EndLevel(const HdkParams& params,
   return outcome;
 }
 
-uint64_t DistributedGlobalIndex::EraseKeysContaining(TermId t) {
+uint64_t DistributedGlobalIndex::EraseKeysContaining(const TermIdSet& terms) {
   std::vector<uint64_t> erased(shards_.size(), 0);
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     size_t pos = 0;
     while (pos < shard.ledger.size()) {
       const hdk::TermKey& key = shard.ledger.entry(pos).first;
-      if (!key.Contains(t)) {
+      if (!key.ContainsAny(terms)) {
         ++pos;
         continue;
       }
@@ -480,11 +517,8 @@ void DistributedGlobalIndex::Retruncate(const HdkParams& params,
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
-      auto& [key, ledger] = shard.ledger.entry(pos);
-      if (ledger.truncation_sensitive) {
-        RebuildCache(ledger, params, avg_doc_length);
-        Publish(shard, key, shard.ledger.hash_at(pos), ledger, params,
-                avg_doc_length);
+      if (shard.ledger.entry(pos).second.truncation_sensitive) {
+        Rederive(shard, pos, params, avg_doc_length, nullptr);
       }
     }
   });
@@ -497,31 +531,15 @@ uint64_t DistributedGlobalIndex::OnOverlayGrown() {
   // so each shard migrates independently.
   std::vector<uint64_t> migrated(shards_.size(), 0);
   ParallelForEach(pool_, shards_.size(), [&](size_t s) {
-    Shard& shard = *shards_[s];
-    for (PeerId old_owner = 0; old_owner < shard.fragments.size();
-         ++old_owner) {
-      auto& fragment = shard.fragments[old_owner];
-      size_t pos = 0;
-      while (pos < fragment.size()) {
-        const uint64_t key_hash = fragment.hash_at(pos);
-        const PeerId new_owner = overlay_->Responsible(key_hash);
-        if (new_owner == old_owner) {
-          ++pos;
-          continue;
-        }
-        // Key-space handover to the joining (or re-responsible) peer: one
-        // direct message carrying the published postings.
-        auto& [key, entry] = fragment.entry(pos);
-        traffic_->Record(old_owner, new_owner, net::MessageKind::kMaintenance,
-                         entry.postings.size(), /*hops=*/1);
-        shard.fragments[new_owner]
-            .try_emplace_hashed(key_hash, key)
-            .first->second = std::move(entry);
-        // Swap-remove: the entry moved into `pos` is examined next.
-        fragment.erase(fragment.begin() + pos);
-        ++migrated[s];
-      }
-    }
+    HandOver(*overlay_, shards_[s]->fragments,
+             [&](PeerId from, PeerId to, const hdk::TermKey&, uint64_t,
+                 const hdk::KeyEntry& entry) {
+               // Handover to the joining (or re-responsible) peer: one
+               // direct message carrying the published postings.
+               traffic_->Record(from, to, net::MessageKind::kMaintenance,
+                                entry.postings.size(), /*hops=*/1);
+               ++migrated[s];
+             });
   });
   // The salted replica placement changed with the overlay: the stale
   // copies stay in place and the recorded reconciliation repairs exactly
@@ -533,195 +551,214 @@ uint64_t DistributedGlobalIndex::OnOverlayGrown() {
 }
 
 DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
-    BeginDeparture(PeerId departing, uint32_t s_max) {
+    BeginDeparture(PeerId departing, DepartureStats* stats) {
   DepartureBaseline baseline;
-  baseline.departed = departing;
-  assert(overlay_->num_peers() >= 2);
-  assert(departing < overlay_->num_peers());
-  // The surviving holders keep their replica state through the replay
-  // (the replay's publishes defer replica pushes), so FinishDeparture can
-  // RECONCILE the kept copies against the rebuilt fragments — shipping
-  // only what the departure actually changed.
+  baseline.shards.resize(shards_.size());
+  // The surviving holders keep their replica state through the repair
+  // (its publishes defer replica pushes), so the reconciliation after
+  // FinishDeparture ships only what the departure actually changed.
   replica_defer_ = res_.replication > 1;
 
-  // The departed peer's ledger share vanishes with it (in the real
-  // network its data simply stops being re-served); surviving
-  // contributions — renumbered past the freed id — become the replay's
-  // scan-free candidate source.
-  const size_t survivors = overlay_->num_peers() - 1;
-
-  // Shard-parallel drain. Each shard moves its published entries straight
-  // into its own slice of the baseline (keys never change shard) and
-  // buckets its surviving contributions by (survivor, level); everything
-  // carries the table's cached hash, so nothing re-hashes a term array.
-  struct Part {
-    /// buckets[p * s_max + s - 1]: survivor p's size-s contributions.
-    std::vector<std::vector<KeyedContribution>> buckets;
-    uint64_t removed_contributions = 0;
-    uint64_t removed_postings = 0;
-  };
-  std::vector<Part> parts(shards_.size());
-  baseline.published.resize(shards_.size());
+  std::vector<uint64_t> removed_contributions(shards_.size(), 0);
+  std::vector<uint64_t> removed_postings(shards_.size(), 0);
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
-    Part& part = parts[i];
-    hdk::KeyMap<PublishedSlot>& published = baseline.published[i];
-    size_t published_keys = 0;
-    for (const auto& fragment : shard.fragments) {
-      published_keys += fragment.size();
+    DepartureBaseline::ShardRepair& repair = baseline.shards[i];
+
+    // The departed peer's ledger share vanishes with it (in the real
+    // network its data simply stops being re-served); the survivors
+    // renumber past the freed id, mirroring the overlay.
+    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
+      auto& [key, ledger] = shard.ledger.entry(pos);
+      std::vector<Contribution>& contributions = ledger.contributions;
+      const size_t before = contributions.size();
+      std::erase_if(contributions, [&](Contribution& c) {
+        if (c.peer == departing) {
+          ++removed_contributions[i];
+          removed_postings[i] += c.full.size();
+          return true;
+        }
+        if (c.peer > departing) --c.peer;
+        return false;
+      });
+      if (contributions.size() == before) continue;
+      if (repair.dirty.size() < key.size()) repair.dirty.resize(key.size());
+      repair.dirty[key.size() - 1].push_back(static_cast<uint32_t>(pos));
     }
-    published.reserve(published_keys);
-    for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      auto& fragment = shard.fragments[owner];
-      for (size_t pos = 0; pos < fragment.size(); ++pos) {
-        auto& [key, entry] = fragment.entry(pos);
-        published.try_emplace_hashed(fragment.hash_at(pos), key,
-                                     PublishedSlot{owner, std::move(entry)});
-      }
-    }
-    shard.fragments.clear();
-    // Drop the departed holder's replica slot; ids above it renumber down
-    // by one, mirroring the overlay's renumbering. Entries stay attached
-    // to their physical peers.
+
+    // The departed slot goes; ids above it renumber down by one. Replica
+    // entries stay attached to their physical holders. The departed
+    // fragment rotates past the survivors' slots, so the owner scan hands
+    // all of it over, and every handover is billed by FinishDeparture
+    // with the repaired entry.
+    assert(shard.fragments.size() == overlay_->num_peers() + 1);
+    const size_t survivors = shard.fragments.size() - 1;
+    std::rotate(shard.fragments.begin() + departing,
+                shard.fragments.begin() + departing + 1,
+                shard.fragments.end());
     if (departing < shard.replicas.size()) {
       shard.replicas.erase(shard.replicas.begin() + departing);
     }
-    part.buckets.resize(survivors * s_max);
-    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
-      auto& [key, ledger] = shard.ledger.entry(pos);
-      assert(key.size() >= 1 && key.size() <= s_max);
-      const uint64_t key_hash = shard.ledger.hash_at(pos);
-      for (Contribution& c : ledger.contributions) {
-        if (c.peer == departing) {
-          ++part.removed_contributions;
-          part.removed_postings += c.full.size();
-          continue;
-        }
-        const PeerId new_id = c.peer > departing ? c.peer - 1 : c.peer;
-        part.buckets[new_id * s_max + key.size() - 1].push_back(
-            KeyedContribution{key, key_hash, std::move(c.full)});
-      }
-    }
-    shard.ledger.clear();
-    shard.pending.clear();
+    HandOver(*overlay_, shard.fragments,
+             [&](PeerId from, PeerId, const hdk::TermKey& key,
+                 uint64_t key_hash, const hdk::KeyEntry&) {
+               DepartureBaseline::Change& change =
+                   repair.changes.try_emplace_hashed(key_hash, key)
+                       .first->second;
+               change.migrated = true;
+               change.from = from < survivors ? from : kInvalidPeer;
+             });
+    shard.fragments.pop_back();
   });
-
-  // Survivor-parallel assembly: each survivor concatenates its buckets in
-  // shard order — a fixed order, so the replay sees the same sequence on
-  // every run. Every bucket belongs to exactly one survivor.
-  baseline.contributions.resize(survivors);
-  ParallelForEach(pool_, survivors, [&](size_t p) {
-    auto& per_level = baseline.contributions[p];
-    per_level.resize(s_max);
-    for (uint32_t level = 0; level < s_max; ++level) {
-      size_t total = 0;
-      for (const Part& part : parts) {
-        total += part.buckets[p * s_max + level].size();
-      }
-      std::vector<KeyedContribution>& out = per_level[level];
-      out.reserve(total);
-      for (Part& part : parts) {
-        auto& bucket = part.buckets[p * s_max + level];
-        std::move(bucket.begin(), bucket.end(), std::back_inserter(out));
-      }
-    }
-  });
-  for (const Part& part : parts) {
-    baseline.removed_contributions += part.removed_contributions;
-    baseline.removed_postings += part.removed_postings;
+  stats->departed = departing;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    stats->removed_contributions += removed_contributions[i];
+    stats->removed_postings += removed_postings[i];
   }
   return baseline;
 }
 
-DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
-    FinishDeparture(DepartureBaseline baseline) {
-  const PeerId departed = baseline.departed;
-  assert(baseline.published.size() == shards_.size());
-
-  std::vector<DepartureOutcome> parts(shards_.size());
+DistributedGlobalIndex::LevelRepair DistributedGlobalIndex::RepairLevel(
+    DepartureBaseline& baseline, uint32_t level, const HdkParams& params,
+    double avg_doc_length, bool facts,
+    const std::function<bool(const hdk::TermKey&)>& suspect,
+    const std::function<bool(PeerId, const hdk::TermKey&)>& keeps) {
+  std::vector<LevelRepair> parts(shards_.size());
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
-    // The shard's baseline slice dies with this task, so releasing the
-    // old published entries runs shard-parallel as well.
-    const hdk::KeyMap<PublishedSlot> published =
-        std::move(baseline.published[i]);
-    DepartureOutcome& part = parts[i];
-    // The lowest-id surviving contributor of a replayed key: the peer the
-    // new owner re-pulls a changed entry from.
-    auto first_contributor = [&shard](uint64_t key_hash,
-                                      const hdk::TermKey& key) {
-      auto it = shard.ledger.find_hashed(key_hash, key);
-      assert(it != shard.ledger.end());
-      assert(!it->second.contributions.empty());
-      return it->second.contributions.front().peer;
-    };
-    uint64_t republished = 0;
-    for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      const auto& fragment = shard.fragments[owner];
-      for (size_t pos = 0; pos < fragment.size(); ++pos) {
-        const auto& [key, entry] = fragment.entry(pos);
-        const uint64_t key_hash = fragment.hash_at(pos);
-        auto old_it = published.find_hashed(key_hash, key);
-        if (old_it == published.end()) {
-          // A key born from Ff re-admission — its insertion traffic was
-          // already recorded by the replay.
-          continue;
-        }
-        ++republished;
-        const auto& [old_owner, old_entry] = old_it->second;
-        if (!old_entry.is_hdk && entry.is_hdk) ++part.reverse_reclassified;
+    DepartureBaseline::ShardRepair& repair = baseline.shards[i];
+    LevelRepair& part = parts[i];
 
-        const bool was_on_departed = old_owner == departed;
-        const PeerId old_owner_now =
-            old_owner > departed ? old_owner - 1 : old_owner;
-        if (was_on_departed || old_owner_now != owner) {
-          // Fragment handover: the new owner receives the published entry —
-          // from the old owner when it survives, re-pulled from the
-          // lowest-id surviving contributor when the departed peer hosted
-          // it (the contributors' data stays available, exactly what the
-          // contribution ledger models).
-          const PeerId src = was_on_departed
-                                 ? first_contributor(key_hash, key)
-                                 : old_owner_now;
-          traffic_->Record(src, owner, net::MessageKind::kMaintenance,
-                           entry.postings.size(), /*hops=*/1);
-          part.moved_postings += entry.postings.size();
-          ++part.migrated_keys;
-        } else if (entry.postings != old_entry.postings ||
-                   entry.global_df != old_entry.global_df ||
-                   entry.is_hdk != old_entry.is_hdk) {
-          // Re-derived in place: the owner re-pulls the changed entry from
-          // a surviving contributor (un-truncation restores postings the
-          // published fragment no longer carried).
-          traffic_->Record(first_contributor(key_hash, key), owner,
-                           net::MessageKind::kMaintenance,
-                           entry.postings.size(), /*hops=*/1);
-          part.moved_postings += entry.postings.size();
-          ++part.repaired_keys;
+    auto repair_key = [&](size_t pos) {
+      auto& [key, ledger] = shard.ledger.entry(pos);
+      const uint64_t key_hash = shard.ledger.hash_at(pos);
+      const bool was_ndk = ledger.published_ndk;
+      // Retraction: a survivor keeps only the keys it still generates.
+      if (suspect && suspect(key)) {
+        std::erase_if(ledger.contributions, [&](const Contribution& c) {
+          if (keeps(c.peer, key)) return false;
+          part.retracted.emplace_back(c.peer, key);
+          if (facts && was_ndk) part.lost.emplace_back(c.peer, key);
+          return true;
+        });
+      }
+      if (ledger.contributions.empty()) {
+        // Nobody contributes any more: the key ceases to exist, and its
+        // owner drops the fragment entry without traffic.
+        auto& fragment = shard.fragments[overlay_->Responsible(key_hash)];
+        auto it = fragment.find_hashed(key_hash, key);
+        if (it != fragment.end()) fragment.erase(it);
+        ++repair.erased_keys;
+        return;
+      }
+      // Reverse reclassification: the key is discriminative again, so
+      // every surviving contributor loses it as expansion material.
+      if (!Rederive(shard, pos, params, avg_doc_length, &repair.changes) &&
+          facts && was_ndk) {
+        for (const Contribution& c : ledger.contributions) {
+          part.lost.emplace_back(c.peer, key);
         }
       }
+    };
+
+    if (level <= repair.dirty.size()) {
+      for (uint32_t pos : repair.dirty[level - 1]) repair_key(pos);
     }
-    // Keys nobody re-contributed simply cease to exist: their fragments
-    // are dropped by the (old) owners without traffic. A replayed key sits
-    // on exactly one fragment, so the old keys not met above are those.
-    assert(republished <= published.size());
-    part.erased_keys = published.size() - republished;
+    if (!suspect) return;
+    // The keys holding a contribution its peer no longer generates. A
+    // dirty key repaired above keeps only generable contributions, and an
+    // erased one none, so neither comes up again.
+    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
+      const auto& [key, ledger] = shard.ledger.entry(pos);
+      if (key.size() != level || !suspect(key)) continue;
+      if (std::any_of(ledger.contributions.begin(),
+                      ledger.contributions.end(),
+                      [&](const Contribution& c) {
+                        return !keeps(c.peer, key);
+                      })) {
+        repair_key(pos);
+      }
+    }
   });
 
-  DepartureOutcome outcome;
-  for (const DepartureOutcome& part : parts) {
-    outcome.erased_keys += part.erased_keys;
-    outcome.reverse_reclassified += part.reverse_reclassified;
-    outcome.migrated_keys += part.migrated_keys;
-    outcome.repaired_keys += part.repaired_keys;
-    outcome.moved_postings += part.moved_postings;
+  LevelRepair out;
+  for (LevelRepair& part : parts) {
+    std::move(part.retracted.begin(), part.retracted.end(),
+              std::back_inserter(out.retracted));
+    std::move(part.lost.begin(), part.lost.end(),
+              std::back_inserter(out.lost));
   }
+  return out;
+}
 
-  if (replica_defer_) {
-    replica_defer_ = false;
-    outcome.replica_sync = ReconcileReplicas(/*record_traffic=*/true);
+void DistributedGlobalIndex::FinishDeparture(DepartureBaseline baseline,
+                                             const HdkParams& params,
+                                             double avg_doc_length,
+                                             DepartureStats* stats) {
+  assert(baseline.shards.size() == shards_.size());
+  std::vector<DepartureStats> parts(shards_.size());
+  ParallelForEach(pool_, shards_.size(), [&](size_t i) {
+    Shard& shard = *shards_[i];
+    // The shard's slice dies with this task, so releasing it runs
+    // shard-parallel as well.
+    DepartureBaseline::ShardRepair repair = std::move(baseline.shards[i]);
+    DepartureStats& part = parts[i];
+    part.erased_keys = repair.erased_keys;
+
+    // Emptied entries leave the ledger (swap-remove: the entry moved
+    // into `pos` is examined next).
+    for (size_t pos = 0; pos < shard.ledger.size();) {
+      if (shard.ledger.entry(pos).second.contributions.empty()) {
+        shard.ledger.erase(shard.ledger.begin() + pos);
+      } else {
+        ++pos;
+      }
+    }
+    // The average document length shifted: re-derive every entry whose
+    // truncation depends on it, as Retruncate does on growth (a no-op for
+    // the entries the level repair already re-derived).
+    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
+      if (shard.ledger.entry(pos).second.truncation_sensitive) {
+        Rederive(shard, pos, params, avg_doc_length, &repair.changes);
+      }
+    }
+
+    // Bill every handover and in-place change with the repaired entry.
+    for (size_t c = 0; c < repair.changes.size(); ++c) {
+      const auto& [key, change] = repair.changes.entry(c);
+      const uint64_t key_hash = repair.changes.hash_at(c);
+      const PeerId owner = overlay_->Responsible(key_hash);
+      const hdk::KeyEntry* entry = PeekPrimary(owner, key_hash, key);
+      if (entry == nullptr) continue;  // erased: counted above
+      if (change.changed && change.was_ndk && entry->is_hdk) {
+        ++part.reverse_reclassified;
+      }
+      // The new owner receives the entry from the old owner when it
+      // survives; otherwise — and for an in-place re-derivation — it
+      // re-pulls it from the lowest-id surviving contributor (the
+      // contributors' data stays available, exactly what the ledger
+      // models).
+      PeerId src = change.from;
+      if (src == kInvalidPeer) {
+        src = shard.ledger.find_hashed(key_hash, key)
+                  ->second.contributions.front()
+                  .peer;
+      }
+      ++(change.migrated ? part.migrated_keys : part.repaired_keys);
+      traffic_->Record(src, owner, net::MessageKind::kMaintenance,
+                       entry->postings.size(), /*hops=*/1);
+      part.moved_postings += entry->postings.size();
+    }
+  });
+
+  for (const DepartureStats& part : parts) {
+    stats->erased_keys += part.erased_keys;
+    stats->reverse_reclassified += part.reverse_reclassified;
+    stats->migrated_keys += part.migrated_keys;
+    stats->repaired_keys += part.repaired_keys;
+    stats->moved_postings += part.moved_postings;
   }
-  return outcome;
+  replica_defer_ = false;
 }
 
 const hdk::KeyEntry* DistributedGlobalIndex::FetchFrom(

@@ -34,8 +34,8 @@
 // contribution to its shard under a per-shard mutex (the protocol's
 // parallel per-peer scan waves insert concurrently without a global
 // lock), and the heavy merge paths — EndLevel, Retruncate,
-// OnOverlayGrown, EraseKeysContaining and the departure snapshot/
-// reconcile — fan out shard-wise on the thread pool with zero cross-shard
+// OnOverlayGrown, EraseKeysContaining and the in-place departure repair
+// — fan out shard-wise on the thread pool with zero cross-shard
 // contention. Every shard processes its keys in ascending-key order and
 // the per-shard partial outcomes are reduced in deterministic (ascending
 // key, then ascending peer) order, so published postings, notifications,
@@ -47,6 +47,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -80,6 +81,39 @@ struct LevelOutcome {
   uint64_t reclassified = 0;
 };
 
+/// What one departure repair did (observability for benches and tests).
+struct DepartureStats {
+  PeerId departed = kInvalidPeer;
+  /// The departed peer's dropped ledger share.
+  uint64_t removed_contributions = 0;
+  uint64_t removed_postings = 0;
+  /// Keys that ceased to exist (no surviving contributor).
+  uint64_t erased_keys = 0;
+  /// Survivor contributions retracted because the knowledge that
+  /// generated them is gone (a sub-key flipped back to HDK).
+  uint64_t retracted_keys = 0;
+  /// NDK -> HDK reverse reclassifications (df fell back under DFmax).
+  uint64_t reverse_reclassified = 0;
+  /// Keys whose published entry was re-derived in place (un-truncation,
+  /// avgdl shift) / whose fragment moved to a new responsible peer.
+  uint64_t repaired_keys = 0;
+  uint64_t migrated_keys = 0;
+  /// Postings carried by the recorded churn messages.
+  uint64_t moved_postings = 0;
+  /// Terms that dropped back under Ff and re-entered the key vocabulary.
+  uint64_t readmitted_terms = 0;
+  /// Reverse notices: facts surviving contributors had to forget.
+  uint64_t forget_notifications = 0;
+  /// Genuinely new insertions the repair transmitted (re-admission keys).
+  uint64_t repair_insertions = 0;
+  uint64_t repair_postings = 0;
+  /// Survivors that ran targeted delta scans (re-admission only).
+  uint64_t rescanned_peers = 0;
+  /// What the post-repair anti-entropy reconciliation shipped (see
+  /// sync/sync.h; all-zero when replication == 1).
+  sync::SyncStats replica_sync;
+};
+
 /// The DHT-distributed global index.
 class DistributedGlobalIndex {
  public:
@@ -105,56 +139,47 @@ class DistributedGlobalIndex {
     bool truncation_sensitive = false;
   };
 
-  /// One surviving ledger contribution as the departure replay consumes
-  /// it: the key, its cached Hash64 (so the replay never re-hashes the
-  /// term array) and the contributor's full local posting list.
-  struct KeyedContribution {
-    hdk::TermKey key;
-    uint64_t key_hash = 0;
-    index::PostingList full;
-  };
-
-  /// A pre-departure published entry and its owner (old peer id).
-  struct PublishedSlot {
-    PeerId owner = kInvalidPeer;
-    hdk::KeyEntry entry;
-  };
-
-  /// Snapshot taken when a departure repair begins (see BeginDeparture):
-  /// the pre-departure published state plus the surviving contribution
-  /// history, reorganized for the protocol's ledger-driven replay.
+  /// An in-place departure repair from BeginDeparture to FinishDeparture.
+  /// The ledger and the fragments stay where they are; the baseline only
+  /// remembers what the repair still has to revisit (the keys the
+  /// departed peer contributed to) and to bill (fragment handovers and
+  /// entries whose published content changed).
   struct DepartureBaseline {
-    PeerId departed = kInvalidPeer;
-    /// published[i]: shard i's pre-departure published entries. A key
-    /// never changes shard across overlay changes, so FinishDeparture
-    /// reads its old entry shard-locally.
-    std::vector<hdk::KeyMap<PublishedSlot>> published;
-    /// contributions[p][s - 1]: surviving peer p's (renumbered id) size-s
-    /// contributions, one per key, in shard order.
-    std::vector<std::vector<std::vector<KeyedContribution>>> contributions;
-    /// The departed peer's dropped ledger share.
-    uint64_t removed_contributions = 0;
-    uint64_t removed_postings = 0;
+    /// A published key the departure moved or re-derived, billed by
+    /// FinishDeparture.
+    struct Change {
+      /// The fragment moved; `from` is the surviving old owner, or
+      /// kInvalidPeer when the departed peer hosted it.
+      bool migrated = false;
+      PeerId from = kInvalidPeer;
+      /// The published content changed; `was_ndk` is the classification
+      /// before the departure.
+      bool changed = false;
+      bool was_ndk = false;
+    };
+    /// One shard's slice. Ledger positions are stable through the
+    /// repair: emptied entries are only erased by FinishDeparture, and
+    /// re-admission keys are appended.
+    struct ShardRepair {
+      /// dirty[s - 1]: ledger positions of the size-s keys the departed
+      /// peer contributed to.
+      std::vector<std::vector<uint32_t>> dirty;
+      hdk::KeyMap<Change> changes;
+      /// Keys left without a surviving contributor.
+      uint64_t erased_keys = 0;
+    };
+    std::vector<ShardRepair> shards;
   };
 
-  /// What reconciling the replayed index against the baseline found/sent
-  /// (see FinishDeparture).
-  struct DepartureOutcome {
-    /// Keys published before that no surviving peer re-contributes.
-    uint64_t erased_keys = 0;
-    /// NDK -> HDK flips: the key's df fell back under DFmax, full postings
-    /// were restored from the surviving contributors.
-    uint64_t reverse_reclassified = 0;
-    /// Keys whose fragment moved to a different responsible peer (overlay
-    /// restructuring or the departed peer's fragment).
-    uint64_t migrated_keys = 0;
-    /// Keys re-derived in place because their published content changed.
-    uint64_t repaired_keys = 0;
-    /// Postings carried by the recorded churn messages.
-    uint64_t moved_postings = 0;
-    /// What the post-repair replica reconciliation shipped (empty when
-    /// replication == 1).
-    sync::SyncStats replica_sync;
+  /// What one level of the in-place departure repair changed for the
+  /// surviving peers (see RepairLevel), as (peer, key) pairs.
+  struct LevelRepair {
+    /// Surviving contributions dropped because the peer can no longer
+    /// generate the key.
+    std::vector<std::pair<PeerId, hdk::TermKey>> retracted;
+    /// Facts a surviving contributor loses: the key is no longer a
+    /// non-discriminative key it contributes to.
+    std::vector<std::pair<PeerId, hdk::TermKey>> lost;
   };
 
   /// \param overlay    peer placement/routing; must outlive the index.
@@ -206,9 +231,7 @@ class DistributedGlobalIndex {
   /// recorded InsertPostings message carries only the truncated list,
   /// exactly as in the paper's protocol. The full list is retained in the
   /// contribution ledger (see the file comment). Returns the number of
-  /// postings actually transmitted. The departure replay re-feeds ledger
-  /// contributions that are already hosted in the network through this
-  /// path with `record_traffic = false` — nothing travels for them.
+  /// postings actually transmitted.
   ///
   /// THREAD SAFETY: may be called concurrently (the parallel scan waves
   /// do) once EnsureCapacity() has run for the current overlay size; the
@@ -220,14 +243,12 @@ class DistributedGlobalIndex {
   /// hash computation. The convenience overload hashes the key itself.
   uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
                           uint64_t key_hash, index::PostingList full_local,
-                          const HdkParams& params, double avg_doc_length,
-                          bool record_traffic = true);
+                          const HdkParams& params, double avg_doc_length);
   uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
                           index::PostingList full_local,
-                          const HdkParams& params, double avg_doc_length,
-                          bool record_traffic = true) {
+                          const HdkParams& params, double avg_doc_length) {
     return InsertPostings(src, key, key.Hash64(), std::move(full_local),
-                          params, avg_doc_length, record_traffic);
+                          params, avg_doc_length);
   }
 
   /// Classifies all keys that received contributions since the last
@@ -240,8 +261,8 @@ class DistributedGlobalIndex {
   /// key that is born non-discriminative) notifies ALL contributors.
   /// Notifications are pointless at the last level (size filtering stops
   /// expansion), so the protocol disables them there. The departure
-  /// replay passes `record_traffic = false` and accounts the genuinely
-  /// travelling notifications itself (most facts are already known).
+  /// repair passes `record_traffic = false` and accounts the genuinely
+  /// travelling notifications itself.
   /// Runs shard-parallel on the pool; see the file comment for the
   /// determinism contract.
   LevelOutcome EndLevel(const HdkParams& params, double avg_doc_length,
@@ -250,34 +271,58 @@ class DistributedGlobalIndex {
 
   // -- departure (churn) support ---------------------------------------
 
-  /// Begins a departure repair: snapshots the published state, removes
-  /// peer `departing` from every ledger entry (renumbering surviving
-  /// contributor ids down past it) and resets the index to empty so the
-  /// protocol can replay the level-wise build from the surviving
-  /// contribution history. Must be called while the overlay still
-  /// contains the departing peer (owners are captured under the old
-  /// placement); the caller then shrinks the overlay and replays.
-  /// The snapshot scan runs shard-parallel and fills each shard's slice
-  /// of the published baseline in place; the per-survivor contribution
-  /// lists are then assembled survivor-parallel from per-shard buckets.
-  DepartureBaseline BeginDeparture(PeerId departing, uint32_t s_max);
+  /// Begins an in-place departure repair. Must be called AFTER the
+  /// overlay dropped peer `departing` (and renumbered the ids above it
+  /// down by one). One shard-parallel pass:
+  ///   * removes the departed peer's contributions from the ledger,
+  ///     renumbers the surviving contributors past it and notes every
+  ///     key it touched as dirty at that key's level;
+  ///   * drops the departed peer's fragment and replica slots and hands
+  ///     every fragment entry whose responsible peer changed to its new
+  ///     owner (the departed peer's whole fragment included), noting the
+  ///     handovers for FinishDeparture to bill.
+  /// On a replicated index the replica copies stay as they were until
+  /// FinishDeparture, so the following reconciliation ships only what
+  /// the departure changed.
+  /// Fills `stats`' departed peer and its dropped ledger share.
+  DepartureBaseline BeginDeparture(PeerId departing, DepartureStats* stats);
 
-  /// Reconciles the replayed index against the pre-departure `baseline`
-  /// and records the churn traffic: one kMaintenance message per key
-  /// whose fragment moved (carrying the published postings, re-pulled
-  /// from a surviving contributor when the departed peer hosted it) or
-  /// whose published content changed in place (reverse reclassification,
-  /// avgdl re-truncation). The reconcile scan — erased-key count
-  /// included — runs shard-parallel and releases the baseline.
-  DepartureOutcome FinishDeparture(DepartureBaseline baseline);
+  /// Repairs the size-`level` keys in place. A key is dirty when the
+  /// departed peer contributed to it, or — when `suspect` is set — when
+  /// `suspect(key)` holds and some contributor no longer `keeps(peer,
+  /// key)` (it lost a fact the key's generation needs). For each dirty
+  /// key the contributions `keeps` rejects are retracted, and the entry
+  /// is re-derived under `avg_doc_length` and republished, or erased when
+  /// no contributor is left. `facts` says whether the contributors of a
+  /// non-discriminative key at this level hold it as a fact (every level
+  /// below s_max). Nothing is recorded on the wire; `keeps` and `suspect`
+  /// are called concurrently and must only read. Runs shard-parallel.
+  LevelRepair RepairLevel(
+      DepartureBaseline& baseline, uint32_t level, const HdkParams& params,
+      double avg_doc_length, bool facts,
+      const std::function<bool(const hdk::TermKey&)>& suspect,
+      const std::function<bool(PeerId, const hdk::TermKey&)>& keeps);
 
-  /// Removes every key containing term `t` from the ledger and the
-  /// fragments — used when a term crosses the very-frequent threshold Ff
-  /// as the collection grows (a from-scratch build over the grown
-  /// collection excludes it from the key vocabulary). Like the Ff cutoff
-  /// itself, this is treated as global preprocessing outside the paper's
-  /// traffic accounting. Returns the number of erased keys.
-  uint64_t EraseKeysContaining(TermId t);
+  /// Ends the repair: re-derives every remaining avgdl-dependent entry
+  /// under `avg_doc_length`, erases the emptied ledger entries and bills
+  /// the churn traffic — one kMaintenance message per key whose fragment
+  /// moved (from the old owner, or from the lowest-id surviving
+  /// contributor when the departed peer hosted it) or whose published
+  /// content changed in place (from that contributor), carrying the
+  /// repaired entry's postings. Replica copies are live again afterwards;
+  /// the caller reconciles them (ReconcileReplicas). Runs shard-parallel
+  /// and fills `stats`' erased, reverse-reclassified, migrated, repaired
+  /// and moved-postings counters.
+  void FinishDeparture(DepartureBaseline baseline, const HdkParams& params,
+                       double avg_doc_length, DepartureStats* stats);
+
+  /// Removes every key containing one of `terms` from the ledger and the
+  /// fragments in one pass — used when terms cross the very-frequent
+  /// threshold Ff as the collection grows (a from-scratch build over the
+  /// grown collection excludes them from the key vocabulary). Like the Ff
+  /// cutoff itself, this is treated as global preprocessing outside the
+  /// paper's traffic accounting. Returns the number of erased keys.
+  uint64_t EraseKeysContaining(const TermIdSet& terms);
 
   /// Re-derives every published entry whose truncation depends on the
   /// average document length (local or global posting-list truncation
@@ -531,20 +576,25 @@ class DistributedGlobalIndex {
                              double avg_doc_length, bool notify_contributors,
                              bool record_traffic);
 
-  /// Recomputes `merged_locals` / `global_df` from the full contribution
-  /// history under (params, avg_doc_length) — needed when avgdl drift may
-  /// have changed the local truncation choices.
-  void RebuildCache(LedgerEntry& ledger, const HdkParams& params,
-                    double avg_doc_length) const;
+  /// Recomputes the merge cache of the ledger entry at `pos` of `shard`
+  /// from its whole contribution history under `avg_doc_length` and
+  /// publishes it. With `changes` set, an entry whose published content
+  /// changed is noted there with its previous classification. Returns
+  /// whether the entry is an NDK.
+  bool Rederive(Shard& shard, size_t pos, const HdkParams& params,
+                double avg_doc_length,
+                hdk::KeyMap<DepartureBaseline::Change>* changes);
 
   /// Derives the published KeyEntry of `key` from the ledger cache —
   /// bit-identical to what a from-scratch build would publish — and
   /// stores it on the responsible fragment slot of `shard` (which must be
   /// the key's shard). `key_hash` = key.Hash64(), carried by the caller.
-  /// Returns whether the published entry is an NDK.
+  /// Returns whether the published entry is an NDK; `changed`, when set,
+  /// receives whether the stored entry's content differs from before.
   bool Publish(Shard& shard, const hdk::TermKey& key, uint64_t key_hash,
                LedgerEntry& ledger, const HdkParams& params,
-               double avg_doc_length, bool record_traffic = false);
+               double avg_doc_length, bool record_traffic = false,
+               bool* changed = nullptr);
 
   const dht::Overlay* overlay_;
   net::TrafficRecorder* traffic_;
@@ -554,10 +604,10 @@ class DistributedGlobalIndex {
   std::atomic<uint64_t> lost_notifications_{0};
   std::atomic<uint64_t> missed_replica_pushes_{0};
   std::atomic<uint64_t> missed_replica_forgets_{0};
-  /// Set by BeginDeparture on a replicated index: the replay's publishes leave
-  /// the surviving replica maps untouched so FinishDeparture can
-  /// RECONCILE them against the rebuilt fragments instead of re-shipping
-  /// everything. Serial sections only.
+  /// Set by BeginDeparture on a replicated index: the repair's publishes
+  /// leave the surviving replica maps untouched so the reconciliation
+  /// after FinishDeparture ships only what the departure changed instead
+  /// of re-shipping everything. Serial sections only.
   bool replica_defer_ = false;
   /// Bumped per ReconcileReplicas call; salts the sync message fault
   /// decisions so successive sweeps draw independent loss outcomes.

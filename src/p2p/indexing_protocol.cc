@@ -26,17 +26,22 @@ HdkIndexingProtocol::HdkIndexingProtocol(const HdkParams& params,
       pool_(pool),
       resilience_(resilience) {}
 
-std::vector<TermId> HdkIndexingProtocol::RefreshVeryFrequent(
-    const corpus::CollectionStats& stats) {
+TermIdSet HdkIndexingProtocol::RefreshVeryFrequent(
+    const corpus::CollectionStats& stats, TermIdSet* dropped) {
   // The very-frequent cutoff uses global collection statistics. The real
   // deployment aggregates these while peers join (cheap term-count
   // gossip); the paper applies it as global preprocessing, and so do we —
   // this traffic is not part of the paper's accounting.
-  std::vector<TermId> fresh;
+  TermIdSet fresh, now;
   for (TermId t :
        stats.VeryFrequentTerms(params_.very_frequent_threshold)) {
-    if (very_frequent_.insert(t).second) fresh.push_back(t);
+    now.insert(t);
+    if (very_frequent_.count(t) == 0) fresh.insert(t);
   }
+  for (TermId t : very_frequent_) {
+    if (now.count(t) == 0 && dropped != nullptr) dropped->insert(t);
+  }
+  very_frequent_ = std::move(now);
   report_.excluded_very_frequent_terms = very_frequent_.size();
   return fresh;
 }
@@ -118,11 +123,12 @@ Status HdkIndexingProtocol::Grow(
   // 1. Terms that crossed Ff leave the key vocabulary: erase their keys
   //    from the global index and from every peer's local knowledge —
   //    a from-scratch build over the grown collection never creates them.
-  const std::vector<TermId> fresh_vf = RefreshVeryFrequent(stats);
+  const TermIdSet fresh_vf = RefreshVeryFrequent(stats);
   uint64_t purged = 0;
-  for (TermId t : fresh_vf) {
-    purged += global_->EraseKeysContaining(t);
-    for (Peer& peer : peers_) peer.PurgeTerm(t);
+  if (!fresh_vf.empty()) {
+    purged = global_->EraseKeysContaining(fresh_vf);
+    ParallelForEach(pool_, peers_.size(),
+                    [&](size_t i) { peers_[i].PurgeTerms(fresh_vf); });
   }
   if (growth != nullptr) {
     growth->new_very_frequent_terms = fresh_vf.size();
@@ -189,127 +195,132 @@ Status HdkIndexingProtocol::Depart(
         "Depart: cannot remove the last peer");
   }
 
-  DepartureStats stats_out;
-  stats_out.departed = departing;
-
-  // 1. Snapshot the published state and the surviving contribution
-  //    history under the pre-departure placement, then shrink the overlay.
-  DistributedGlobalIndex::DepartureBaseline baseline =
-      global_->BeginDeparture(departing, params_.s_max);
-  stats_out.removed_contributions = baseline.removed_contributions;
-  stats_out.removed_postings = baseline.removed_postings;
   HDK_RETURN_NOT_OK(shrink_overlay());
 
-  // 2. The survivors' pre-departure knowledge (their oracles) moves aside:
-  //    the replay rebuilds each peer's knowledge from the surviving
-  //    classifications, and the pre/post diff tells which facts genuinely
-  //    travel (fresh) or must be forgotten (reverse notices).
-  std::vector<Peer> prior = std::move(peers_);
-  peers_.clear();
-  peers_.reserve(prior.size() - 1);
-  for (const Peer& old_peer : prior) {
-    if (old_peer.id() == departing) continue;
-    peers_.emplace_back(static_cast<PeerId>(peers_.size()),
-                        old_peer.first_doc(), old_peer.last_doc(), params_);
+  // 1. The departed peer leaves the ledger, the fragments and the peer
+  //    set; everything else stays where it is. Survivors above it
+  //    renumber down by one, as the overlay did.
+  Stopwatch repair_watch;
+  DepartureStats stats_out;
+  DistributedGlobalIndex::DepartureBaseline baseline =
+      global_->BeginDeparture(departing, &stats_out);
+  peers_.erase(peers_.begin() + departing);
+  for (size_t i = departing; i < peers_.size(); ++i) {
+    peers_[i].set_id(static_cast<PeerId>(i));
   }
-  auto prior_of = [&](PeerId new_id) -> const Peer& {
-    return prior[new_id < departing ? new_id : new_id + 1];
-  };
-  auto prior_knows = [&](PeerId new_id, const hdk::TermKey& key) {
-    const hdk::SetNdkOracle& oracle = prior_of(new_id).oracle();
-    return key.size() == 1 ? oracle.IsExpandableTerm(key.term(0))
-                           : oracle.IsNdk(key);
-  };
   report_.inserted_postings_per_peer.erase(
       report_.inserted_postings_per_peer.begin() + departing);
 
-  // 3. The very-frequent set is recomputed from the surviving collection —
+  // 2. The very-frequent set is recomputed from the surviving collection —
   //    collection frequencies only shrank, so terms can only drop OUT of
   //    it and re-enter the key vocabulary (the mirror image of the growth
   //    path's purge).
   TermIdSet readmitted;
-  {
-    TermIdSet vf_now;
-    for (TermId t :
-         stats.VeryFrequentTerms(params_.very_frequent_threshold)) {
-      vf_now.insert(t);
-    }
-    for (TermId t : very_frequent_) {
-      if (vf_now.count(t) == 0) readmitted.insert(t);
-    }
-    very_frequent_ = std::move(vf_now);
-    report_.excluded_very_frequent_terms = very_frequent_.size();
-    stats_out.readmitted_terms = readmitted.size();
-  }
+  RefreshVeryFrequent(stats, &readmitted);
+  stats_out.readmitted_terms = readmitted.size();
 
-  // 4. Level-wise replay against the surviving ledger. A peer's level-s
-  //    candidate set is its surviving level-s contributions filtered by
-  //    generability under its REPLAYED knowledge (retraction of keys whose
-  //    basis left with the departed data), plus — only when terms were
-  //    re-admitted — the targeted delta scan over the freshly generable
-  //    candidates. Nothing already hosted in the network travels again;
-  //    only re-admission keys record insert traffic.
+  // 3. Level-wise in-place repair. A key is dirty at level s when the
+  //    departed peer contributed to it, or when it holds a survivor's
+  //    contribution that survivor can no longer generate — the key
+  //    contains a fact the survivor lost at a level below s. Dirty keys
+  //    are re-derived in place; the facts their survivors lose leave the
+  //    oracles with one reverse notice each. Re-admitted terms are
+  //    scanned back in, and only those keys travel as insertions.
   const double avgdl = stats.average_document_length();
   std::vector<bool> rescan_counted(peers_.size(), false);
+  // Facts some survivor lost so far: a key containing none of them keeps
+  // every contribution, so only keys containing one are checked.
+  TermIdSet lost_terms;
+  hdk::KeySet lost_keys;
+  auto suspect = [&](const hdk::TermKey& key) {
+    for (TermId t : key.terms()) {
+      if (lost_terms.count(t) > 0) return true;
+    }
+    if (key.size() < 3 || lost_keys.empty()) return false;
+    for (uint32_t i = 0; i < key.size(); ++i) {
+      if (lost_keys.count(key.DropTerm(i)) > 0) return true;
+    }
+    return false;
+  };
+  auto keeps = [this](PeerId peer, const hdk::TermKey& key) {
+    return hdk::GenerableUnder(key, peers_[peer].oracle());
+  };
   // The overlay already shrank; concurrent InsertPostings must find the
   // fragment/traffic capacity in place (see RunLevels).
   global_->EnsureCapacity();
   for (uint32_t s = 1; s <= params_.s_max; ++s) {
     ProtocolLevelStats& level_stats = report_.levels[s - 1];
+    const bool facts = s < params_.s_max;
 
-    // Parallel replay, the shape of RunLevels' scan wave: a peer's
-    // candidates depend only on its own knowledge at level entry, each
-    // task owns its peer and keeps its own counters, and the insertions
-    // are per-key commutative. With no pool this is the serial replay in
-    // ascending peer order.
-    struct ReplayTask {
+    DistributedGlobalIndex::LevelRepair repair = global_->RepairLevel(
+        baseline, s, params_, avgdl, facts,
+        lost_terms.empty() && lost_keys.empty()
+            ? std::function<bool(const hdk::TermKey&)>()
+            : suspect,
+        keeps);
+    // The survivors apply their share in parallel: retracted keys leave
+    // the published bookkeeping, lost facts leave the oracle with one
+    // reverse notice from the key's owner each.
+    using PeerKey = std::pair<PeerId, hdk::TermKey>;
+    std::vector<std::vector<const hdk::TermKey*>> retracted(peers_.size());
+    std::vector<std::vector<const hdk::TermKey*>> lost(peers_.size());
+    for (const PeerKey& r : repair.retracted) {
+      retracted[r.first].push_back(&r.second);
+    }
+    for (const PeerKey& l : repair.lost) lost[l.first].push_back(&l.second);
+    ParallelForEach(pool_, peers_.size(), [&](size_t i) {
+      Peer& peer = peers_[i];
+      for (const hdk::TermKey* key : retracted[i]) peer.Unpublish(s, *key);
+      std::erase_if(lost[i], [&](const hdk::TermKey* key) {
+        if (!peer.ForgetNdk(*key)) return true;
+        traffic_->Record(global_->ResponsiblePeer(*key), peer.id(),
+                         net::MessageKind::kReclassifyNotification,
+                         /*postings=*/0, /*hops=*/1);
+        return false;
+      });
+    });
+    stats_out.retracted_keys += repair.retracted.size();
+    for (const auto& forgotten : lost) {
+      stats_out.forget_notifications += forgotten.size();
+      for (const hdk::TermKey* key : forgotten) {
+        if (key->size() == 1) {
+          lost_terms.insert(key->term(0));
+        } else {
+          lost_keys.insert(*key);
+        }
+      }
+    }
+
+    // Re-admission, the shape of RunLevels' scan wave: level 1 rescans
+    // every survivor for the re-admitted terms, higher levels re-scan the
+    // delta of fresh knowledge. Each task owns its peer and counters,
+    // reduced in ascending peer order.
+    struct ScanTask {
       hdk::CandidateBuildStats generation;
       bool rescanned = false;
-      uint64_t retracted_keys = 0;
-      /// Re-admission insertions — the only ones that travel.
       uint64_t keys_inserted = 0;
       uint64_t postings_inserted = 0;
     };
-    std::vector<ReplayTask> tasks(peers_.size());
+    std::vector<ScanTask> tasks(peers_.size());
     ParallelForEach(pool_, peers_.size(), [&](size_t i) {
       Peer& peer = peers_[i];
-      ReplayTask& task = tasks[i];
-      // Level-1 candidates only depend on the vocabulary, which never
-      // shrank for the survivors — everything is kept and re-admitted
-      // terms are scanned back in. Higher levels re-scan only the delta
-      // of fresh knowledge.
-      hdk::KeyMap<index::PostingList> scanned;
-      if (s == 1 ? !readmitted.empty() : peer.HasFreshKnowledge()) {
-        scanned = s == 1 ? peer.BuildLevel1(store_, very_frequent_,
-                                            &task.generation)
-                         : peer.BuildLevelDelta(s, store_, &task.generation);
-        task.rescanned = true;
-      }
-      std::vector<DistributedGlobalIndex::KeyedContribution> kept =
-          std::move(baseline.contributions[i][s - 1]);
-      for (auto& c : kept) {
-        if (s > 1 && !hdk::GenerableUnder(c.key, peer.oracle())) {
-          ++task.retracted_keys;
-          continue;
-        }
-        InsertCandidate(peer, s, c.key, c.key_hash, std::move(c.full), avgdl,
-                        /*record_traffic=*/false);
-      }
+      ScanTask& task = tasks[i];
+      if (s == 1 ? readmitted.empty() : !peer.HasFreshKnowledge()) return;
+      task.rescanned = true;
+      hdk::KeyMap<index::PostingList> scanned =
+          s == 1 ? peer.BuildLevel1(store_, very_frequent_, &task.generation)
+                 : peer.BuildLevelDelta(s, store_, &task.generation);
       for (size_t ci = 0; ci < scanned.size(); ++ci) {
         auto& [key, pl] = scanned.entry(ci);
         if (s == 1 && readmitted.count(key.term(0)) == 0) continue;
         ++task.keys_inserted;
-        task.postings_inserted +=
-            InsertCandidate(peer, s, key, scanned.hash_at(ci), std::move(pl),
-                            avgdl, /*record_traffic=*/true);
+        task.postings_inserted += InsertCandidate(
+            peer, s, key, scanned.hash_at(ci), std::move(pl), avgdl);
       }
     });
-
-    // Serial reduce in ascending peer order.
     for (size_t i = 0; i < tasks.size(); ++i) {
-      const ReplayTask& task = tasks[i];
+      const ScanTask& task = tasks[i];
       level_stats.generation += task.generation;
-      stats_out.retracted_keys += task.retracted_keys;
       if (task.rescanned && !rescan_counted[i]) {
         rescan_counted[i] = true;
         ++stats_out.rescanned_peers;
@@ -321,73 +332,40 @@ Status HdkIndexingProtocol::Depart(
       stats_out.repair_postings += task.postings_inserted;
     }
 
+    // Only re-admission keys are pending. Their contributors learn the
+    // new facts; a fact a contributor already holds does not travel.
     LevelOutcome outcome =
-        global_->EndLevel(params_, avgdl, /*notify_contributors=*/
-                          s < params_.s_max, /*record_traffic=*/false);
-    if (s < params_.s_max) {
-      for (const auto& [key, contributors] : outcome.notifications) {
-        PeerId owner = kInvalidPeer;  // routed only when a fact travels
-        for (PeerId contributor : contributors) {
-          if (prior_knows(contributor, key)) {
-            // Old news: the fact survives the churn; adopting it silently
-            // keeps the replay free of spurious delta scans and traffic.
-            peers_[contributor].AdoptNdk(key);
-          } else {
-            peers_[contributor].OnNdkNotification(key);
-            if (owner == kInvalidPeer) owner = global_->ResponsiblePeer(key);
-            traffic_->Record(owner, contributor,
-                             net::MessageKind::kNdkNotification,
-                             /*postings=*/0, /*hops=*/1);
-            ++level_stats.notifications;
-          }
-        }
+        global_->EndLevel(params_, avgdl, /*notify_contributors=*/facts,
+                          /*record_traffic=*/false);
+    for (const auto& [key, contributors] : outcome.notifications) {
+      PeerId owner = kInvalidPeer;  // routed only when a fact travels
+      for (PeerId contributor : contributors) {
+        if (!peers_[contributor].OnNdkNotification(key)) continue;
+        if (owner == kInvalidPeer) owner = global_->ResponsiblePeer(key);
+        traffic_->Record(owner, contributor,
+                         net::MessageKind::kNdkNotification,
+                         /*postings=*/0, /*hops=*/1);
+        ++level_stats.notifications;
       }
     }
   }
   for (Peer& peer : peers_) peer.ClearFreshKnowledge();
+  phase_timings_.departure_repair_seconds += repair_watch.ElapsedSeconds();
 
-  // 5. Reverse notices: every fact a survivor held that the replay did
-  //    not reproduce (its key flipped back to discriminative or vanished)
-  //    is explicitly forgotten — one message from the key's owner. The
-  //    check runs survivor-parallel, and each task releases its peer's
-  //    pre-departure state, which nothing reads afterwards.
-  std::vector<uint64_t> forgets(peers_.size(), 0);
-  ParallelForEach(pool_, peers_.size(), [&](size_t i) {
-    const Peer before_peer = std::move(prior[i < departing ? i : i + 1]);
-    const hdk::SetNdkOracle& before = before_peer.oracle();
-    const hdk::SetNdkOracle& after = peers_[i].oracle();
-    auto forget = [&](const hdk::TermKey& key) {
-      traffic_->Record(global_->ResponsiblePeer(key), static_cast<PeerId>(i),
-                       net::MessageKind::kReclassifyNotification,
-                       /*postings=*/0, /*hops=*/1);
-      ++forgets[i];
-    };
-    for (TermId t : before.expandable_terms()) {
-      if (!after.IsExpandableTerm(t)) forget(hdk::TermKey{t});
-    }
-    for (const hdk::TermKey& key : before.ndks()) {
-      if (!after.IsNdk(key)) forget(key);
-    }
-  });
-  for (uint64_t f : forgets) stats_out.forget_notifications += f;
+  // 4. Re-derive what the average document length shifted and bill every
+  //    fragment handover and in-place change.
+  Stopwatch diff_watch;
+  global_->FinishDeparture(std::move(baseline), params_, avgdl, &stats_out);
+  phase_timings_.departure_diff_seconds += diff_watch.ElapsedSeconds();
 
-  // 6. Reconcile against the pre-departure published state: fragment
-  //    handovers, in-place repairs and reverse reclassifications record
-  //    their churn traffic here.
-  DistributedGlobalIndex::DepartureOutcome outcome =
-      global_->FinishDeparture(std::move(baseline));
-  stats_out.erased_keys = outcome.erased_keys;
-  stats_out.reverse_reclassified = outcome.reverse_reclassified;
-  stats_out.migrated_keys = outcome.migrated_keys;
-  stats_out.repaired_keys = outcome.repaired_keys;
-  stats_out.moved_postings = outcome.moved_postings;
-  stats_out.replica_sync = outcome.replica_sync;
+  // 5. The replica copies were left as they were: reconcile them against
+  //    the repaired fragments (a no-op without replication).
+  Stopwatch reconcile_watch;
+  stats_out.replica_sync = global_->ReconcileReplicas(/*record_traffic=*/true);
+  phase_timings_.departure_reconcile_seconds +=
+      reconcile_watch.ElapsedSeconds();
 
-  // Keep the published classification counts exact.
-  for (uint32_t s = 1; s <= params_.s_max; ++s) {
-    global_->CountKeys(s, &report_.levels[s - 1].hdks,
-                       &report_.levels[s - 1].ndks);
-  }
+  CountPublishedKeys();
   if (departure != nullptr) *departure = stats_out;
   return Status::OK();
 }
@@ -396,15 +374,13 @@ uint64_t HdkIndexingProtocol::InsertCandidate(Peer& peer, uint32_t s,
                                               const hdk::TermKey& key,
                                               uint64_t key_hash,
                                               index::PostingList full,
-                                              double avgdl,
-                                              bool record_traffic) {
+                                              double avgdl) {
   // Keys below the top level can become expansion material later;
   // remember which local documents carry them (delta-scan targets).
   std::vector<DocId> key_docs;
   if (s < params_.s_max) key_docs = full.Documents();
-  const uint64_t payload =
-      global_->InsertPostings(peer.id(), key, key_hash, std::move(full),
-                              params_, avgdl, record_traffic);
+  const uint64_t payload = global_->InsertPostings(
+      peer.id(), key, key_hash, std::move(full), params_, avgdl);
   peer.MarkPublished(s, key, key_hash, std::move(key_docs));
   return payload;
 }
@@ -489,9 +465,8 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
         const uint64_t key_hash = candidates.hash_at(ci);
         if (!task.is_new && peer.HasPublished(s, key, key_hash)) continue;
         ++task.keys_inserted;
-        task.postings_inserted += InsertCandidate(
-            peer, s, key, key_hash, std::move(pl), avgdl,
-            /*record_traffic=*/true);
+        task.postings_inserted +=
+            InsertCandidate(peer, s, key, key_hash, std::move(pl), avgdl);
       }
     });
     phase_timings_.scan_seconds += scan_watch.ElapsedSeconds();
@@ -538,8 +513,10 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
   // EndLevel and only matter for levels > k, all of which just ran.
   for (Peer& peer : peers_) peer.ClearFreshKnowledge();
 
-  // Keep the published classification counts exact (a growth step may
-  // reclassify keys inserted long ago).
+  CountPublishedKeys();
+}
+
+void HdkIndexingProtocol::CountPublishedKeys() {
   for (uint32_t s = 1; s <= params_.s_max; ++s) {
     global_->CountKeys(s, &report_.levels[s - 1].hdks,
                        &report_.levels[s - 1].ndks);

@@ -96,48 +96,21 @@ struct GrowthStats {
   uint64_t rescanned_peers = 0;
 };
 
-/// Cumulative wall-clock split of the protocol's two build phases
-/// (observability for the shard bench; never feeds results, so timing
-/// noise cannot perturb determinism):
+/// Cumulative wall-clock split of the protocol's phases (observability
+/// for the benches; never feeds results, so timing noise cannot perturb
+/// determinism; snapshots keep only scan and merge):
 ///   * scan  — the parallel per-peer candidate scans including their
 ///             shard-buffered insertions,
-///   * merge — the shard-parallel EndLevel classification/publication.
+///   * merge — the shard-parallel EndLevel classification/publication,
+///   * departure repair / diff / reconcile — a departure's in-place level
+///             repair, its avgdl re-truncation plus handover and change
+///             billing, and the replica reconciliation after it.
 struct PhaseTimings {
   double scan_seconds = 0;
   double merge_seconds = 0;
-};
-
-/// What one departure repair did (observability for benches and tests).
-struct DepartureStats {
-  PeerId departed = kInvalidPeer;
-  /// The departed peer's dropped ledger share.
-  uint64_t removed_contributions = 0;
-  uint64_t removed_postings = 0;
-  /// Keys that ceased to exist (no surviving contributor).
-  uint64_t erased_keys = 0;
-  /// Survivor contributions retracted because the knowledge that
-  /// generated them is gone (a sub-key flipped back to HDK).
-  uint64_t retracted_keys = 0;
-  /// NDK -> HDK reverse reclassifications (df fell back under DFmax).
-  uint64_t reverse_reclassified = 0;
-  /// Keys whose published entry was re-derived in place (un-truncation,
-  /// avgdl shift) / whose fragment moved to a new responsible peer.
-  uint64_t repaired_keys = 0;
-  uint64_t migrated_keys = 0;
-  /// Postings carried by the recorded churn messages.
-  uint64_t moved_postings = 0;
-  /// Terms that dropped back under Ff and re-entered the key vocabulary.
-  uint64_t readmitted_terms = 0;
-  /// Reverse notices: facts surviving contributors had to forget.
-  uint64_t forget_notifications = 0;
-  /// Genuinely new insertions the repair transmitted (re-admission keys).
-  uint64_t repair_insertions = 0;
-  uint64_t repair_postings = 0;
-  /// Survivors that ran targeted delta scans (re-admission only).
-  uint64_t rescanned_peers = 0;
-  /// What the post-repair anti-entropy reconciliation shipped (see
-  /// sync/sync.h; all-zero when replication == 1).
-  sync::SyncStats replica_sync;
+  double departure_repair_seconds = 0;
+  double departure_diff_seconds = 0;
+  double departure_reconcile_seconds = 0;
 };
 
 /// Runs the indexing protocol over a growing set of peers.
@@ -149,11 +122,10 @@ class HdkIndexingProtocol {
   /// \param overlay DHT overlay (outlives the protocol; grown by the
   ///                caller before Grow is invoked).
   /// \param traffic traffic sink (outlives the protocol).
-  /// \param pool    thread pool the per-peer candidate scans and
-  ///                departure replays (with their shard-buffered
-  ///                insertions) and the sharded global index's merge
-  ///                paths fan out on (outlives the protocol); nullptr
-  ///                runs the exact serial path.
+  /// \param pool    thread pool the per-peer candidate scans (with their
+  ///                shard-buffered insertions) and the sharded global
+  ///                index's merge and repair paths fan out on (outlives
+  ///                the protocol); nullptr runs the exact serial path.
   ///                Contributions land in per-key shard buffers and every
   ///                level is classified in ascending-key order, so
   ///                parallel builds are posting-for-posting identical to
@@ -188,29 +160,27 @@ class HdkIndexingProtocol {
               GrowthStats* growth = nullptr);
 
   /// Departure (churn): peer `departing` leaves with its documents. The
-  /// repair is ledger-driven: the departed peer's contributions are
-  /// dropped, every surviving peer's candidate sets are re-derived level
-  /// by level FROM THE CONTRIBUTION LEDGER (no document re-scans — a
-  /// surviving peer's kept posting lists are bit-identical because every
-  /// fact their window events consume concerns the key's own
-  /// sub-structure), keys whose knowledge basis vanished are retracted,
-  /// keys whose df fell back under DFmax are reverse-reclassified to full
-  /// HDK postings, and terms that dropped back under Ff re-enter the key
-  /// vocabulary via targeted delta scans. The result is posting-for-
-  /// posting identical to a from-scratch build over the surviving
-  /// document ranges (asserted by the membership-churn tests).
-  ///
-  /// Each level's replay fans the surviving peers out on the pool like
-  /// Run/Grow's scan waves: every task owns one peer and its counters,
-  /// which are reduced in ascending peer order, so the repaired index,
-  /// the traffic and every DepartureStats counter are identical at any
-  /// thread and shard count.
+  /// repair works in place — the ledger, the fragments and the surviving
+  /// peers stay where they are. One pass drops the departed peer's
+  /// contributions and fragment and renumbers the peers above it; then,
+  /// level by level, only the dirty keys are re-derived: the keys the
+  /// departed peer contributed to, and the keys holding a contribution
+  /// its survivor can no longer generate because it lost a fact below
+  /// this level (a sub-key flipped back to HDK, or its contribution was
+  /// retracted). Retracted keys leave the survivor's published
+  /// bookkeeping, lost facts leave its oracle with one reverse notice
+  /// each, and terms that dropped back under Ff re-enter the key
+  /// vocabulary via targeted delta scans (the only insertions that
+  /// travel). The result is posting-for-posting identical to a
+  /// from-scratch build over the surviving document ranges (asserted by
+  /// the membership-churn tests), and the repaired index, the traffic and
+  /// every DepartureStats counter are identical at any thread and shard
+  /// count.
   ///
   /// `stats` must describe the SURVIVING collection (ranges-based).
-  /// `shrink_overlay` is invoked exactly once, after the pre-departure
-  /// placement has been snapshotted — the caller owns the overlay, so it
-  /// performs the actual RemovePeer there. Fills `departure` when
-  /// non-null.
+  /// `shrink_overlay` is invoked exactly once, before the repair starts —
+  /// the caller owns the overlay, so it performs the actual RemovePeer
+  /// there. Fills `departure` when non-null.
   Status Depart(PeerId departing, const corpus::CollectionStats& stats,
                 const std::function<Status()>& shrink_overlay,
                 DepartureStats* departure = nullptr);
@@ -218,7 +188,8 @@ class HdkIndexingProtocol {
   /// Cumulative report, current after every Run/Grow/Depart.
   const IndexingReport& report() const { return report_; }
 
-  /// Cumulative scan/merge wall-clock split across Run and every Grow.
+  /// Cumulative wall-clock phase split across Run, every Grow and every
+  /// Depart.
   const PhaseTimings& phase_timings() const { return phase_timings_; }
 
   size_t num_peers() const { return peers_.size(); }
@@ -250,8 +221,15 @@ class HdkIndexingProtocol {
 
  private:
   /// Refreshes the very-frequent term set from `stats`; returns the terms
-  /// that newly crossed Ff.
-  std::vector<TermId> RefreshVeryFrequent(const corpus::CollectionStats& stats);
+  /// that newly crossed Ff and adds those that fell back under it to
+  /// `dropped` when set.
+  TermIdSet RefreshVeryFrequent(const corpus::CollectionStats& stats,
+                                TermIdSet* dropped = nullptr);
+
+  /// Refreshes the report's per-level HDK/NDK counts from the published
+  /// index (a growth step or departure may reclassify keys inserted long
+  /// ago).
+  void CountPublishedKeys();
 
   /// The shared level loop. Peers with id >= `first_new_peer` run a full
   /// build; older peers participate only at levels >= 2 and only while
@@ -261,13 +239,13 @@ class HdkIndexingProtocol {
                  GrowthStats* growth);
 
   /// The per-candidate insert step shared by RunLevels and the departure
-  /// replay: ships `peer`'s full local list for the size-`s` key to the
-  /// global index and records the key in the peer's published
+  /// re-admission: ships `peer`'s full local list for the size-`s` key to
+  /// the global index and records the key in the peer's published
   /// bookkeeping. Safe to call concurrently for distinct peers once
   /// EnsureCapacity() ran. Returns the postings transmitted.
   uint64_t InsertCandidate(Peer& peer, uint32_t s, const hdk::TermKey& key,
                            uint64_t key_hash, index::PostingList full,
-                           double avgdl, bool record_traffic);
+                           double avgdl);
 
   const HdkParams params_;
   const corpus::DocumentStore& store_;

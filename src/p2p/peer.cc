@@ -1,6 +1,7 @@
 #include "p2p/peer.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace hdk::p2p {
 
@@ -52,6 +53,22 @@ hdk::KeyMap<index::PostingList> Peer::BuildLevelDelta(
 
   return builder_.BuildLevelDelta(s, store, first_, last_, docs, oracle_,
                                   delta_, stats);
+}
+
+void Peer::PurgeTerms(const TermIdSet& terms) {
+  for (TermId t : terms) {
+    delta_.PurgeTerm(t);
+    oracle_.PurgeTerm(t);
+  }
+  for (hdk::KeySet& level : published_) {
+    for (auto it = level.begin(); it != level.end();) {
+      it = it->ContainsAny(terms) ? level.erase(it) : std::next(it);
+    }
+  }
+  for (auto it = published_docs_.begin(); it != published_docs_.end();) {
+    it = it->first.ContainsAny(terms) ? published_docs_.erase(it)
+                                      : std::next(it);
+  }
 }
 
 bool Peer::OnNdkNotification(const hdk::TermKey& key) {

@@ -31,6 +31,8 @@ class Peer {
   Peer(PeerId id, DocId first, DocId last, const HdkParams& params);
 
   PeerId id() const { return id_; }
+  /// A departure renumbered the peers above the departed id down by one.
+  void set_id(PeerId id) { id_ = id; }
   DocId first_doc() const { return first_; }
   DocId last_doc() const { return last_; }
   uint64_t num_documents() const { return last_ - first_; }
@@ -65,24 +67,15 @@ class Peer {
   /// peer's higher-level candidates only in that case).
   bool OnNdkNotification(const hdk::TermKey& key);
 
-  /// Adopts a fact the peer is known to have held before a departure
-  /// repair reset it: it enters the oracle WITHOUT becoming fresh
-  /// knowledge, so the replay does not trigger delta re-scans for facts
-  /// whose candidates the contribution ledger already carries.
-  void AdoptNdk(const hdk::TermKey& key) {
-    if (key.size() == 1) {
-      oracle_.AddExpandableTerm(key.term(0));
-    } else {
-      oracle_.AddNdk(key);
-    }
-  }
+  /// Forgets a fact a departure took away (the key flipped back to
+  /// discriminative, or the peer no longer contributes to it). Returns
+  /// true if the peer held it.
+  bool ForgetNdk(const hdk::TermKey& key) { return oracle_.Forget(key); }
 
-  /// Forgets a term that became very frequent as the collection grew (and
-  /// every known NDK containing it). Returns true if the oracle changed.
-  bool PurgeTerm(TermId t) {
-    delta_.PurgeTerm(t);
-    return oracle_.PurgeTerm(t);
-  }
+  /// Forgets terms that became very frequent as the collection grew:
+  /// every known NDK and every published key containing one — a
+  /// from-scratch build over the grown collection never creates them.
+  void PurgeTerms(const TermIdSet& terms);
 
   /// Facts learned since the last protocol pass consumed them. Non-empty
   /// means the peer must re-derive candidate deltas at levels >= 2.
@@ -114,6 +107,11 @@ class Peer {
       published_docs_.try_emplace_hashed(key_hash, key).first->second =
           std::move(docs);
     }
+  }
+  /// The departure repair retracted the peer's contribution to `key`.
+  void Unpublish(uint32_t level, const hdk::TermKey& key) {
+    if (level - 1 < published_.size()) published_[level - 1].erase(key);
+    published_docs_.erase(key);
   }
 
   /// The peer's accumulated global knowledge.

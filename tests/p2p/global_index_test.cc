@@ -234,7 +234,7 @@ TEST_F(GlobalIndexTest, EraseKeysContainingPurgesEverywhere) {
                         index::PostingList({{5, 1, 5}}), Params(10), 5.0);
   index_.EndLevel(Params(10), 5.0);
 
-  EXPECT_EQ(index_.EraseKeysContaining(1), 2u);  // {1} and {1,2}
+  EXPECT_EQ(index_.EraseKeysContaining(TermIdSet{1}), 2u);  // {1}, {1,2}
   EXPECT_EQ(index_.Peek(hdk::TermKey{1}), nullptr);
   EXPECT_EQ(index_.Peek(hdk::TermKey{1, 2}), nullptr);
   EXPECT_NE(index_.Peek(hdk::TermKey{2}), nullptr);
