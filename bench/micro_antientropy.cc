@@ -127,11 +127,7 @@ int main() {
     return 1;
   }
 
-  engine::HdkEngineConfig config;
-  config.hdk = setup.MakeParams(setup.DfMaxLow());
-  config.overlay = setup.overlay;
-  config.overlay_seed = setup.overlay_seed;
-  config.num_threads = setup.num_threads;
+  engine::EngineConfig config = setup.MakeConfig(setup.DfMaxLow());
   config.replication = 2;
   // The defaults trade sketch size against fallback probability: a
   // strata undershoot on a medium-sized diff under-allocates the IBF,

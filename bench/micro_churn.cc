@@ -109,11 +109,7 @@ int main() {
   std::vector<EngineRun> runs;
 
   for (const RunSpec& spec : specs) {
-    engine::EngineConfig config;
-    config.hdk = setup.MakeParams(setup.DfMaxLow());
-    config.overlay = setup.overlay;
-    config.overlay_seed = setup.overlay_seed;
-    config.num_threads = setup.num_threads;
+    engine::EngineConfig config = setup.MakeConfig(setup.DfMaxLow());
     config.replication = spec.replication;
 
     auto built = engine::MakeEngine(

@@ -89,7 +89,7 @@ constexpr size_t kBatchQueries = 16384;
 constexpr size_t kBatchPasses = 7;
 
 hdk::Result<BatchThroughput> MeasureBatches(
-    hdk::engine::HdkEngineConfig config, size_t threads,
+    hdk::engine::EngineConfig config, size_t threads,
     const hdk::corpus::DocumentStore& store, uint64_t docs, uint32_t peers,
     const std::vector<hdk::corpus::Query>& queries, size_t top_k) {
   config.num_threads = threads;
@@ -142,11 +142,7 @@ int main() {
   const std::vector<corpus::Query> queries =
       ctx.MakeQueries(docs, setup.num_queries);
 
-  engine::HdkEngineConfig config;
-  config.hdk = setup.MakeParams(setup.DfMaxLow());
-  config.overlay = setup.overlay;
-  config.overlay_seed = setup.overlay_seed;
-  config.num_threads = setup.num_threads;
+  engine::EngineConfig config = setup.MakeConfig(setup.DfMaxLow());
 
   std::printf("peers %u | docs %llu | %zu queries per sweep point\n\n", peers,
               static_cast<unsigned long long>(docs), queries.size());
@@ -187,7 +183,7 @@ int main() {
   // Dead replica holder: with replication = 2 every key survives one
   // peer death, so a hard-killed peer must cost failovers, never a
   // degraded response.
-  engine::HdkEngineConfig replicated = config;
+  engine::EngineConfig replicated = config;
   replicated.replication = 2;
   auto with_replicas = engine::HdkSearchEngine::Build(
       replicated, store, engine::SplitEvenly(docs, peers));

@@ -1,5 +1,5 @@
-// Overload / tail-latency bench: what the armor layer buys against a
-// slow-but-alive replica holder, and what admission control sheds.
+// Overload / tail-latency bench: what hedged replica reads buy against a
+// slow-but-alive replica holder.
 //
 // Scenario: replication = 2, every key probe draws a little injected
 // latency, and ONE peer is a straggler — every leg addressed to it draws
@@ -13,14 +13,10 @@
 // are deterministic and machine-independent. HARD FAILS:
 //   * the +hedge row's p99 must be >= 2x lower than baseline's,
 //   * the +hedge row must have ZERO degraded responses (a healthy
-//     replica survives every hedge),
-//   * the admission gate must shed ZERO queries below its threshold, and
-//     over the threshold every shed query must be explicitly flagged —
-//     never silently dropped.
+//     replica survives every hedge).
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_THREADS.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -51,7 +47,7 @@ struct Row {
 /// Origins rotate over the peers SKIPPING the straggler: a slow requester
 /// drags every response leg addressed to it, which no holder-side armor
 /// can hedge away.
-Row RunRow(const char* name, const hdk::engine::HdkEngineConfig& config,
+Row RunRow(const char* name, const hdk::engine::EngineConfig& config,
            const hdk::corpus::DocumentStore& store, uint32_t peers,
            uint64_t docs, const std::vector<hdk::corpus::Query>& queries,
            size_t top_k, const hdk::SearchOptions& options,
@@ -97,10 +93,8 @@ int main() {
   auto setup = bench::SelectSetup();
   bench::Banner(
       "micro_overload: tail latency armor against a slow replica holder",
-      "deadline budgets, hedged replica reads and admission control "
-      "over the deterministic fault transport");
+      "hedged replica reads over the deterministic fault transport");
   bench::PrintSetup(setup);
-
 
   const uint32_t peers = setup.max_peers;
   const uint64_t docs = static_cast<uint64_t>(peers) * setup.docs_per_peer;
@@ -110,11 +104,7 @@ int main() {
       ctx.MakeQueries(docs, setup.num_queries);
 
   const PeerId slow = peers / 2;
-  engine::HdkEngineConfig config;
-  config.hdk = setup.MakeParams(setup.DfMaxLow());
-  config.overlay = setup.overlay;
-  config.overlay_seed = setup.overlay_seed;
-  config.num_threads = setup.num_threads;
+  engine::EngineConfig config = setup.MakeConfig(setup.DfMaxLow());
   config.replication = 2;
   {
     auto plan = net::FaultPlan::Parse(
@@ -169,52 +159,6 @@ int main() {
     return 1;
   }
 
-  // Admission control: below the threshold nothing sheds; over it the
-  // excess is shed lowest-priority-first and every victim is flagged.
-  engine::HdkEngineConfig gated_config = config;
-  const uint32_t admit =
-      static_cast<uint32_t>(std::max<size_t>(queries.size() / 2, 1));
-  gated_config.admission.max_batch_queries = admit;
-  auto gated = engine::HdkSearchEngine::Build(
-      gated_config, store, engine::SplitEvenly(docs, peers));
-  if (!gated.ok()) {
-    std::fprintf(stderr, "gated build failed: %s\n",
-                 gated.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<corpus::Query> under(queries.begin(),
-                                         queries.begin() + admit);
-  auto under_batch = (*gated)->SearchBatch(under, setup.top_k);
-  if (under_batch.total.shed != 0) {
-    std::fprintf(stderr,
-                 "\nFAIL: %llu queries shed below the admission "
-                 "threshold (%u of %u admitted)\n",
-                 static_cast<unsigned long long>(under_batch.total.shed),
-                 static_cast<unsigned>(under.size()), admit);
-    return 1;
-  }
-  auto over_batch = (*gated)->SearchBatch(queries, setup.top_k);
-  const uint64_t expected_shed = queries.size() - admit;
-  uint64_t flagged = 0;
-  for (const auto& response : over_batch.responses) {
-    flagged += response.shed ? 1 : 0;
-  }
-  if (over_batch.total.shed != expected_shed || flagged != expected_shed ||
-      over_batch.responses.size() != queries.size()) {
-    std::fprintf(stderr,
-                 "\nFAIL: over-threshold batch shed %llu (flagged %llu) "
-                 "of expected %llu — shedding must be explicit, never a "
-                 "silent drop\n",
-                 static_cast<unsigned long long>(over_batch.total.shed),
-                 static_cast<unsigned long long>(flagged),
-                 static_cast<unsigned long long>(expected_shed));
-    return 1;
-  }
-  std::printf("\nadmission: %u/%zu admitted -> %llu shed, all flagged; "
-              "below threshold -> 0 shed\n",
-              admit, queries.size(),
-              static_cast<unsigned long long>(expected_shed));
-
   const char* out_path = "BENCH_overload.json";
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
@@ -243,17 +187,10 @@ int main() {
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
-               "  \"p99_speedup_hedge\": %.2f,\n",
+               "  \"p99_speedup_hedge\": %.2f\n}\n",
                hedge_row.p99_ticks > 0.0
                    ? baseline.p99_ticks / hedge_row.p99_ticks
                    : 0.0);
-  std::fprintf(out,
-               "  \"admission\": {\"max_batch_queries\": %u, "
-               "\"under_threshold_shed\": %llu, \"over_threshold_shed\": "
-               "%llu, \"all_flagged\": true}\n}\n",
-               admit,
-               static_cast<unsigned long long>(under_batch.total.shed),
-               static_cast<unsigned long long>(expected_shed));
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

@@ -122,10 +122,7 @@ int main() {
   std::vector<Point> points;
   Reference ref;
   for (size_t threads : sweep) {
-    engine::EngineConfig config;
-    config.hdk = setup.MakeParams(setup.DfMaxLow());
-    config.overlay = setup.overlay;
-    config.overlay_seed = setup.overlay_seed;
+    engine::EngineConfig config = setup.MakeConfig(setup.DfMaxLow());
     config.num_threads = threads;
 
     Point p;
@@ -172,13 +169,8 @@ int main() {
     }
 
     // Growth wave: base network + one join wave must equal the full build.
-    engine::HdkEngineConfig hdk_config;
-    hdk_config.hdk = config.hdk;
-    hdk_config.overlay = config.overlay;
-    hdk_config.overlay_seed = config.overlay_seed;
-    hdk_config.num_threads = threads;
     auto base = engine::HdkSearchEngine::Build(
-        hdk_config, store, engine::SplitEvenly(base_docs, base_peers));
+        config, store, engine::SplitEvenly(base_docs, base_peers));
     if (!base.ok()) {
       std::fprintf(stderr, "base build failed: %s\n",
                    base.status().ToString().c_str());

@@ -602,11 +602,7 @@ Status Fig8(ExperimentContext& ctx, const std::vector<corpus::Query>& queries,
   Project("(a) paper-calibrated projection (Wikipedia constants):", paper,
           run.fig8a_calibration, run.fig8a);
 
-  engine::EngineConfig config;
-  config.hdk = setup.MakeParams(setup.DfMaxLow());
-  config.overlay = setup.overlay;
-  config.overlay_seed = setup.overlay_seed;
-  config.num_threads = setup.num_threads;
+  engine::EngineConfig config = setup.MakeConfig(setup.DfMaxLow());
   const uint64_t docs = setup.MaxDocuments();
   const corpus::DocumentStore& store = ctx.GrowTo(docs);
   const auto ranges = engine::SplitEvenly(docs, setup.max_peers);

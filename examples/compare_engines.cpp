@@ -26,10 +26,7 @@ int main() {
       static_cast<uint64_t>(setup.max_peers) * setup.docs_per_peer;
   const corpus::DocumentStore& store = ctx.GrowTo(num_docs);
 
-  engine::EngineConfig config;
-  config.hdk = setup.MakeParams(setup.DfMaxHigh());
-  config.overlay = setup.overlay;
-  config.overlay_seed = setup.overlay_seed;
+  engine::EngineConfig config = setup.MakeConfig(setup.DfMaxHigh());
   // All available cores for the indexing scans and the SearchBatch
   // fan-out; results are identical to num_threads = 1 (README "Threading").
   config.num_threads = 0;

@@ -48,7 +48,7 @@ int main() {
 
   // 2. Build the HDK P2P engine: 3 peers, paper parameters scaled to the
   //    toy collection.
-  engine::HdkEngineConfig config;
+  engine::EngineConfig config;
   config.hdk.df_max = 2;                  // tiny collection => tiny DFmax
   config.hdk.very_frequent_threshold = 50;
   config.hdk.window = 10;

@@ -42,17 +42,15 @@ struct QueryCost {
   /// Tail-latency armor counters (all zero with the default knobs):
   /// hedged replica reads fired after SearchOptions::hedge_delay_ticks
   /// without a delivered primary response, hedges whose replica answer
-  /// won the race, queries whose SearchOptions::deadline_ticks budget
+  /// won the race, and queries whose SearchOptions::deadline_ticks budget
   /// ran out (1 on such a query's cost; the response is partial and
-  /// explicitly degraded), and queries shed by the batch admission gate
-  /// (1; see SearchResponse::shed).
+  /// explicitly degraded).
   uint64_t hedges_fired = 0;
   uint64_t hedge_wins = 0;
   /// Always 0: the engine has no circuit breakers. Kept because the
   /// hdkbench harness reports it.
   uint64_t breaker_short_circuits = 0;
   uint64_t deadline_exceeded = 0;
-  uint64_t shed = 0;
 
   QueryCost& operator+=(const QueryCost& other) {
     keys_fetched += other.keys_fetched;
@@ -70,7 +68,6 @@ struct QueryCost {
     hedges_fired += other.hedges_fired;
     hedge_wins += other.hedge_wins;
     deadline_exceeded += other.deadline_exceeded;
-    shed += other.shed;
     return *this;
   }
 

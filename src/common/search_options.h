@@ -13,14 +13,6 @@
 
 namespace hdk {
 
-/// Priority class of a query, used by the batch admission gate: under
-/// overload the lowest classes are shed first (SearchResponse::shed).
-enum class QueryPriority : uint8_t {
-  kBackground = 0,
-  kNormal = 1,
-  kInteractive = 2,
-};
-
 /// Per-call retrieval options threaded from SearchEngine::Search /
 /// SearchBatch into every HdkRetriever network leg.
 struct SearchOptions {

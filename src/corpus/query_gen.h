@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/search_options.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "corpus/document.h"
@@ -30,9 +29,6 @@ struct Query {
   std::vector<TermId> terms;
   /// Document the terms were sampled from (guaranteed to match).
   DocId source_doc = kInvalidDoc;
-  /// Admission-gate priority class: under batch overload the lowest
-  /// classes are shed first (generated queries default to kNormal).
-  QueryPriority priority = QueryPriority::kNormal;
 
   size_t size() const { return terms.size(); }
 };

@@ -21,12 +21,12 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-/// Built-in "cached" decorator: LRU capacity from the spec argument, the
-/// EngineConfig default otherwise.
+/// Built-in "cached" decorator: LRU capacity from the spec argument,
+/// kDefaultResultCacheCapacity otherwise.
 Result<std::unique_ptr<SearchEngine>> MakeCached(
     std::unique_ptr<SearchEngine> inner, std::string_view arg,
-    const EngineConfig& config) {
-  size_t capacity = config.result_cache_capacity;
+    const EngineConfig& /*config*/) {
+  size_t capacity = kDefaultResultCacheCapacity;
   if (!arg.empty()) {
     size_t parsed = 0;
     auto [ptr, ec] =
@@ -72,22 +72,6 @@ struct DecoratorRegistry {
 DecoratorRegistry& Registry() {
   static DecoratorRegistry* registry = new DecoratorRegistry();
   return *registry;
-}
-
-/// The HDK backend's slice of `config` — the one copy both the build and
-/// the snapshot-load paths use, so neither can drop a field.
-HdkEngineConfig ToHdkConfig(const EngineConfig& config) {
-  HdkEngineConfig hdk;
-  hdk.hdk = config.hdk;
-  hdk.overlay = config.overlay;
-  hdk.overlay_seed = config.overlay_seed;
-  hdk.num_threads = config.num_threads;
-  hdk.faults = config.faults;
-  hdk.retry = config.retry;
-  hdk.replication = config.replication;
-  hdk.sync = config.sync;
-  hdk.admission = config.admission;
-  return hdk;
 }
 
 }  // namespace
@@ -194,21 +178,14 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
   switch (kind) {
     case EngineKind::kHdk: {
       HDK_ASSIGN_OR_RETURN(std::unique_ptr<HdkSearchEngine> engine,
-                           HdkSearchEngine::Build(ToHdkConfig(config), store,
+                           HdkSearchEngine::Build(config, store,
                                                   std::move(peer_ranges)));
       return std::unique_ptr<SearchEngine>(std::move(engine));
     }
     case EngineKind::kSingleTerm: {
-      StEngineConfig st;
-      st.overlay = config.overlay;
-      st.overlay_seed = config.overlay_seed;
-      st.num_threads = config.num_threads;
-      st.faults = config.faults;
-      st.retry = config.retry;
-      st.admission = config.admission;
       HDK_ASSIGN_OR_RETURN(
           std::unique_ptr<SingleTermEngine> engine,
-          SingleTermEngine::Build(st, store, std::move(peer_ranges)));
+          SingleTermEngine::Build(config, store, std::move(peer_ranges)));
       return std::unique_ptr<SearchEngine>(std::move(engine));
     }
     case EngineKind::kCentralized: {
@@ -274,7 +251,7 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
   }
   HDK_ASSIGN_OR_RETURN(
       std::unique_ptr<HdkSearchEngine> engine,
-      LoadEngineSnapshot(ToHdkConfig(config), store, snapshot.path));
+      LoadEngineSnapshot(config, store, snapshot.path));
   return ApplyEngineDecorators(spec, config,
                                std::unique_ptr<SearchEngine>(
                                    std::move(engine)));

@@ -24,13 +24,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/params.h"
 #include "common/status.h"
 #include "corpus/document.h"
-#include "engine/overlay_factory.h"
+#include "engine/engine_config.h"
 #include "engine/search_engine.h"
-#include "index/bm25.h"
-#include "net/fault.h"
 
 namespace hdk::engine {
 
@@ -49,46 +46,6 @@ std::string_view EngineKindName(EngineKind kind);
 
 /// Inverse of EngineKindName; nullopt for unknown names.
 std::optional<EngineKind> ParseEngineKind(std::string_view name);
-
-/// One configuration drives every backend; each consumes the fields it
-/// understands.
-struct EngineConfig {
-  /// HDK model parameters (kHdk).
-  HdkParams hdk;
-  /// Ranking parameters of the centralized reference (kCentralized; the
-  /// distributed baseline uses the shared BM25 defaults).
-  index::Bm25Params bm25;
-  /// Structured overlay for the distributed backends.
-  OverlayKind overlay = OverlayKind::kPGrid;
-  uint64_t overlay_seed = 42;
-  /// Worker threads for indexing scans and the SearchBatch fan-out, in
-  /// every backend. 0 = hardware concurrency, 1 = exact serial path.
-  /// Indexes and query results are identical for every value (see README
-  /// "Threading").
-  size_t num_threads = 0;
-  /// Default capacity of the "cached" decorator's LRU (overridable per
-  /// spec: "cached:256(hdk)").
-  size_t result_cache_capacity = 1024;
-  /// Fault-injection plan installed on the distributed backends'
-  /// transport at build time (see net/fault.h for the grammar; the
-  /// "faulty:seed=7,loss=0.01(hdk)" spec decorator overrides it). The
-  /// default plan is inactive: the engine is byte-identical to a
-  /// perfect-transport build.
-  net::FaultPlan faults;
-  /// Retry/backoff budget of failure-aware query messages.
-  net::RetryPolicy retry;
-  /// Key replication factor of the HDK global index (1 = primary only).
-  /// Values > 1 let queries fail over to replica holders when the
-  /// responsible peer is dead; the single-term baseline stays
-  /// single-homed.
-  uint32_t replication = 1;
-  /// Sketch tuning of the HDK backend's anti-entropy replica
-  /// reconciliation (see sync/sync.h).
-  sync::SyncConfig sync;
-  /// Batch admission gate / load shedding of the distributed backends
-  /// (see AdmissionConfig in engine/search_engine.h); off by default.
-  AdmissionConfig admission;
-};
 
 /// A parsed composition: the concrete backend plus the decorator stack
 /// wrapped around it, outermost first.

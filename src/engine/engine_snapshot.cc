@@ -384,7 +384,7 @@ Status ReadPublishedDocsMap(SectionCursor& cur, PublishedDocsMap* out) {
 
 // --- per-section writers / readers ---------------------------------------
 
-void WriteConfigSection(SnapshotWriter& w, const HdkEngineConfig& config,
+void WriteConfigSection(SnapshotWriter& w, const EngineConfig& config,
                         size_t num_peers, DocId indexed_docs) {
   w.BeginSection(SectionId::kConfig);
   w.WriteU64(config.hdk.df_max);
@@ -401,7 +401,7 @@ void WriteConfigSection(SnapshotWriter& w, const HdkEngineConfig& config,
 }
 
 Status ReadConfigSection(const SnapshotReader& reader,
-                         const HdkEngineConfig& config,
+                         const EngineConfig& config,
                          const corpus::DocumentStore& store,
                          uint64_t* num_peers, uint64_t* indexed_docs) {
   HDK_ASSIGN_OR_RETURN(SectionCursor cur,
@@ -479,7 +479,7 @@ Status ReadStatsSection(const SnapshotReader& reader,
   return Status::OK();
 }
 
-void WriteOverlaySection(SnapshotWriter& w, const HdkEngineConfig& config,
+void WriteOverlaySection(SnapshotWriter& w, const EngineConfig& config,
                          const dht::Overlay& overlay) {
   w.BeginSection(SectionId::kOverlay);
   w.WriteU8(static_cast<uint8_t>(config.overlay));
@@ -517,7 +517,7 @@ void WriteOverlaySection(SnapshotWriter& w, const HdkEngineConfig& config,
 }
 
 Status ReadOverlaySection(const SnapshotReader& reader,
-                          const HdkEngineConfig& config, uint64_t num_peers,
+                          const EngineConfig& config, uint64_t num_peers,
                           std::unique_ptr<dht::Overlay>* out) {
   HDK_ASSIGN_OR_RETURN(SectionCursor cur, reader.Find(SectionId::kOverlay));
   uint8_t kind = 0;
@@ -659,7 +659,7 @@ void WriteProtocolSection(SnapshotWriter& w,
 }
 
 Status ReadProtocolSection(const SnapshotReader& reader,
-                           const HdkEngineConfig& config,
+                           const EngineConfig& config,
                            uint64_t expected_peers,
                            p2p::HdkIndexingProtocol* protocol,
                            p2p::DistributedGlobalIndex* global) {
@@ -871,7 +871,7 @@ Status ReadEngineSection(const SnapshotReader& reader,
 
 }  // namespace
 
-uint64_t SnapshotConfigHash(const HdkEngineConfig& config) {
+uint64_t SnapshotConfigHash(const EngineConfig& config) {
   uint64_t h = Mix64(0x48444b53u);  // "HDKS"
   h = HashCombine(h, config.hdk.df_max);
   h = HashCombine(h, config.hdk.very_frequent_threshold);
@@ -977,7 +977,7 @@ Result<SnapshotDescription> DescribeEngineSnapshot(const std::string& path,
   desc.replication = replication;
   std::unique_ptr<dht::Overlay> overlay;
   if (replication > 1) {
-    HdkEngineConfig overlay_config;
+    EngineConfig overlay_config;
     overlay_config.overlay = static_cast<OverlayKind>(desc.overlay_kind);
     overlay_config.overlay_seed = desc.overlay_seed;
     HDK_RETURN_NOT_OK(ReadOverlaySection(reader, overlay_config,
@@ -1031,7 +1031,7 @@ Result<SnapshotDescription> DescribeEngineSnapshot(const std::string& path,
 }
 
 Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
-    const HdkEngineConfig& config, const corpus::DocumentStore& store,
+    const EngineConfig& config, const corpus::DocumentStore& store,
     const std::string& path) {
   HDK_RETURN_NOT_OK(config.hdk.Validate());
   HDK_ASSIGN_OR_RETURN(SnapshotReader reader, SnapshotReader::Open(path));

@@ -47,7 +47,7 @@ namespace hdk::engine {
 
 /// Hash of everything the codec requires to match between writer and
 /// loader configuration (HDK parameters, overlay kind, overlay seed).
-uint64_t SnapshotConfigHash(const HdkEngineConfig& config);
+uint64_t SnapshotConfigHash(const EngineConfig& config);
 
 /// Content identity of a document store: document count, total tokens and
 /// the token bytes of up to 64 evenly spaced sample documents. Cheap
@@ -121,7 +121,7 @@ Result<SnapshotDescription> DescribeEngineSnapshot(const std::string& path,
 /// posting-for-posting and traffic-counter-identical to the one that was
 /// saved.
 Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
-    const HdkEngineConfig& config, const corpus::DocumentStore& store,
+    const EngineConfig& config, const corpus::DocumentStore& store,
     const std::string& path);
 
 }  // namespace hdk::engine

@@ -69,6 +69,15 @@ HdkParams ExperimentSetup::MakeParams(Freq df_max) const {
   return p;
 }
 
+EngineConfig ExperimentSetup::MakeConfig(Freq df_max) const {
+  EngineConfig config;
+  config.hdk = MakeParams(df_max);
+  config.overlay = overlay;
+  config.overlay_seed = overlay_seed;
+  config.num_threads = num_threads;
+  return config;
+}
+
 std::vector<uint32_t> ExperimentSetup::PeerSweep() const {
   std::vector<uint32_t> sweep;
   for (uint32_t n = initial_peers; n <= max_peers; n += peer_step) {
@@ -131,24 +140,14 @@ Result<EnginesAtPoint> ExperimentContext::EnginesAt(uint32_t num_peers) {
   if (built_peers_ == 0) {
     auto ranges = SplitEvenly(point.num_docs, num_peers);
 
-    HdkEngineConfig low;
-    low.hdk = setup_.MakeParams(setup_.DfMaxLow());
-    low.overlay = setup_.overlay;
-    low.overlay_seed = setup_.overlay_seed;
-    low.num_threads = setup_.num_threads;
+    const EngineConfig low = setup_.MakeConfig(setup_.DfMaxLow());
+    const EngineConfig high = setup_.MakeConfig(setup_.DfMaxHigh());
     HDK_ASSIGN_OR_RETURN(hdk_low_,
                          HdkSearchEngine::Build(low, store, ranges));
-
-    HdkEngineConfig high = low;
-    high.hdk = setup_.MakeParams(setup_.DfMaxHigh());
     HDK_ASSIGN_OR_RETURN(hdk_high_,
                          HdkSearchEngine::Build(high, store, ranges));
-
-    StEngineConfig st;
-    st.overlay = setup_.overlay;
-    st.overlay_seed = setup_.overlay_seed;
-    st.num_threads = setup_.num_threads;
-    HDK_ASSIGN_OR_RETURN(st_, SingleTermEngine::Build(st, store, ranges));
+    // The single-term baseline ignores the HDK parameters.
+    HDK_ASSIGN_OR_RETURN(st_, SingleTermEngine::Build(low, store, ranges));
   } else if (num_peers > built_peers_) {
     // The paper's evolution step: the new peers join with the document
     // delta; nothing already indexed is re-indexed.

@@ -26,6 +26,7 @@
 #include "corpus/stats.h"
 #include "corpus/synthetic.h"
 #include "engine/centralized.h"
+#include "engine/engine_config.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
 #include "engine/st_engine.h"
@@ -82,6 +83,10 @@ struct ExperimentSetup {
 
   /// HdkParams assembled for a given DFmax.
   HdkParams MakeParams(Freq df_max) const;
+
+  /// The engine configuration every sweep engine is built from:
+  /// MakeParams(df_max) plus this setup's overlay and thread count.
+  EngineConfig MakeConfig(Freq df_max) const;
 
   /// Peer counts of the sweep: initial, initial+step, ..., max.
   std::vector<uint32_t> PeerSweep() const;

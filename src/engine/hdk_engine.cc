@@ -6,7 +6,7 @@
 namespace hdk::engine {
 
 Result<std::unique_ptr<HdkSearchEngine>> HdkSearchEngine::Build(
-    const HdkEngineConfig& config, const corpus::DocumentStore& store,
+    const EngineConfig& config, const corpus::DocumentStore& store,
     std::vector<std::pair<DocId, DocId>> peer_ranges) {
   HDK_RETURN_NOT_OK(config.hdk.Validate());
   if (peer_ranges.empty()) {
@@ -116,8 +116,8 @@ Result<sync::SyncStats> HdkSearchEngine::RunAntiEntropy() {
 
 net::Resilience HdkSearchEngine::InstallResilience() {
   injector_.Install(config_.faults);
-  return net::Resilience{&injector_, &health_, config_.retry,
-                         config_.replication, config_.sync};
+  return net::Resilience{&injector_, &health_, config_.replication,
+                         config_.sync};
 }
 
 Result<size_t> HdkSearchEngine::EvictDeadPeers(

@@ -20,11 +20,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/params.h"
 #include "common/status.h"
 #include "corpus/document.h"
 #include "corpus/stats.h"
-#include "engine/overlay_factory.h"
+#include "engine/engine_config.h"
 #include "engine/partition.h"
 #include "engine/search_engine.h"
 #include "net/fault.h"
@@ -40,7 +39,9 @@ class SnapshotReader;
 namespace hdk::engine {
 
 class HdkSearchEngine;
-struct HdkEngineConfig;
+
+/// The pre-EngineConfig name, kept for the frozen hdkbench harness.
+using HdkEngineConfig = EngineConfig;
 
 /// Snapshot codec entry points (defined in engine/engine_snapshot.cc;
 /// friends of HdkSearchEngine so they can serialize its built state and
@@ -48,38 +49,8 @@ struct HdkEngineConfig;
 Status SaveEngineSnapshot(const HdkSearchEngine& engine,
                           const std::string& path);
 Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
-    const HdkEngineConfig& config, const corpus::DocumentStore& store,
+    const EngineConfig& config, const corpus::DocumentStore& store,
     const std::string& path);
-
-/// Configuration of an HDK search engine instance.
-struct HdkEngineConfig {
-  HdkParams hdk;
-  OverlayKind overlay = OverlayKind::kPGrid;
-  uint64_t overlay_seed = 42;
-  /// Worker threads for the per-peer indexing scans and SearchBatch
-  /// fan-out. 0 = hardware concurrency, 1 = exact serial path. Results
-  /// are identical for every value (see README "Threading").
-  size_t num_threads = 0;
-  /// Transport fault plan installed at build time (see net/fault.h);
-  /// inactive by default — the engine is byte-identical to a
-  /// perfect-transport build. Excluded from the snapshot config hash:
-  /// faults perturb transport, never the published index.
-  net::FaultPlan faults;
-  /// Retry/backoff budget of failure-aware query messages.
-  net::RetryPolicy retry;
-  /// Key replication factor of the global index (1 = primary only);
-  /// > 1 lets queries fail over when the responsible peer is dead.
-  uint32_t replication = 1;
-  /// Sketch tuning of the anti-entropy replica reconciliation (see
-  /// sync/sync.h) that repairs replicas after joins, departures and
-  /// RunAntiEntropy(). Excluded from the snapshot config hash for the
-  /// same reason as `faults`: it shapes repair transport, never the
-  /// published index.
-  sync::SyncConfig sync;
-  /// Batch admission gate / load shedding (see AdmissionConfig in
-  /// engine/search_engine.h); off by default.
-  AdmissionConfig admission;
-};
 
 /// The assembled HDK P2P retrieval engine.
 class HdkSearchEngine : public SearchEngine {
@@ -88,7 +59,7 @@ class HdkSearchEngine : public SearchEngine {
   /// given peer document ranges, and returns a ready-to-query engine.
   /// `store` must outlive the engine.
   static Result<std::unique_ptr<HdkSearchEngine>> Build(
-      const HdkEngineConfig& config, const corpus::DocumentStore& store,
+      const EngineConfig& config, const corpus::DocumentStore& store,
       std::vector<std::pair<DocId, DocId>> peer_ranges);
 
   // -- SearchEngine ----------------------------------------------------
@@ -147,11 +118,6 @@ class HdkSearchEngine : public SearchEngine {
   /// DistributedGlobalIndex::ReconcileReplicas with recorded traffic.
   Result<sync::SyncStats> RunAntiEntropy() override;
 
-  /// The configured batch admission gate (see AdmissionConfig).
-  AdmissionConfig admission_config() const override {
-    return config_.admission;
-  }
-
   // -- HDK-specific observability --------------------------------------
 
   /// The indexing run's statistics (per-level candidates/HDKs/NDKs,
@@ -205,9 +171,16 @@ class HdkSearchEngine : public SearchEngine {
   /// Converts every hard-failed peer (the injector reports it dead)
   /// into a standard departure: evicted through ApplyMembership Leave
   /// events in descending peer-id order (so earlier removals don't
-  /// renumber later ones), which runs the in-place departure repair and
-  /// leaves an index posting-for-posting identical to a fault-free
-  /// build over the survivors. Returns the number of evicted peers.
+  /// renumber later ones), which runs the in-place departure repair.
+  /// Returns the number of evicted peers.
+  ///
+  /// LIMITATION: the result equals a fault-free build over the survivors
+  /// only if no contribution was routed to a peer while it was already
+  /// dead. Such contributions (and NDK notifications) are dropped before
+  /// they reach the ledger — counted in global_index().
+  /// lost_contributions() / lost_notifications() — so the repair cannot
+  /// re-route them and the evicted index misses their keys. ROADMAP item
+  /// 1(a) tracks the fix.
   Result<size_t> EvictDeadPeers(const corpus::DocumentStore& store);
 
   net::TrafficRecorder& mutable_traffic() { return *traffic_; }
@@ -216,7 +189,7 @@ class HdkSearchEngine : public SearchEngine {
   /// compare it against a from-scratch build).
   const p2p::HdkIndexingProtocol& protocol() const { return *protocol_; }
   const corpus::CollectionStats& collection_stats() const { return *stats_; }
-  const HdkEngineConfig& config() const { return config_; }
+  const EngineConfig& config() const { return config_; }
 
  protected:
   /// See OriginRotation: race-free rotation, departure-safe origins.
@@ -229,7 +202,7 @@ class HdkSearchEngine : public SearchEngine {
   friend Status SaveEngineSnapshot(const HdkSearchEngine& engine,
                                    const std::string& path);
   friend Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
-      const HdkEngineConfig& config, const corpus::DocumentStore& store,
+      const EngineConfig& config, const corpus::DocumentStore& store,
       const std::string& path);
 
   HdkSearchEngine() = default;
@@ -247,7 +220,7 @@ class HdkSearchEngine : public SearchEngine {
   /// (shared by Build and LoadEngineSnapshot).
   net::Resilience InstallResilience();
 
-  HdkEngineConfig config_;
+  EngineConfig config_;
   /// Transport fault state, owned by the engine and handed to the
   /// protocol/index as a net::Resilience bundle. Inert (and free) until
   /// a plan is installed.

@@ -49,10 +49,9 @@ SearchResponse ResultCacheEngine::Search(std::span<const TermId> query,
   }
   SearchResponse response = inner_->Search(query, k, options, origin);
   response.cost.cache_misses = 1;
-  // Never cache a degraded (or shed) response: its ranking is missing
-  // unreachable keys — or everything — and serving it as a hit would
-  // outlive the outage.
-  if (!response.degraded && !response.shed) {
+  // Never cache a degraded response: its ranking is missing unreachable
+  // keys, and serving it as a hit would outlive the outage.
+  if (!response.degraded) {
     std::lock_guard<std::mutex> lock(mu_);
     InsertLocked(std::move(key), response);
   }
@@ -107,18 +106,17 @@ BatchResponse ResultCacheEngine::SearchBatch(
       batch.responses[position].results =
           inner_batch.responses[miss].results;
       batch.responses[position].cost.cache_hits = 1;
-      // A duplicate of a degraded (or shed) miss shares its partial (or
-      // empty) ranking — surface that honestly.
+      // A duplicate of a degraded miss shares its partial ranking —
+      // surface that honestly.
       batch.responses[position].degraded =
           inner_batch.responses[miss].degraded;
-      batch.responses[position].shed = inner_batch.responses[miss].shed;
     }
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t j = 0; j < miss_index.size(); ++j) {
       SearchResponse& response = inner_batch.responses[j];
       response.cost.cache_misses = 1;
-      // Never cache a degraded or shed response (see Search).
-      if (!response.degraded && !response.shed) {
+      // Never cache a degraded response (see Search).
+      if (!response.degraded) {
         CacheKey key{std::vector<TermId>(miss_queries[j].terms.begin(),
                                          miss_queries[j].terms.end()),
                      k};

@@ -30,6 +30,10 @@
 
 namespace hdk::engine {
 
+/// Capacity of a "cached(...)" decorator whose spec gives none
+/// ("cached:256(hdk)" overrides it).
+inline constexpr size_t kDefaultResultCacheCapacity = 1024;
+
 /// LRU result cache over query (terms, k) -> SearchResponse.
 class ResultCacheEngine : public SearchEngine {
  public:
@@ -45,7 +49,7 @@ class ResultCacheEngine : public SearchEngine {
   /// Cache lookup on (query terms, k); `origin` only matters on a miss
   /// (results are origin-independent — origins shape routing cost, not
   /// ranking), and so do the overload options (hits never touch the
-  /// network). Degraded and shed responses are never cached.
+  /// network). Degraded responses are never cached.
   SearchResponse Search(std::span<const TermId> query, size_t k,
                         const SearchOptions& options, PeerId origin) override;
   using SearchEngine::Search;
@@ -54,8 +58,7 @@ class ResultCacheEngine : public SearchEngine {
   /// piggyback on its one execution (they count as hits — nothing extra
   /// travels), the distinct misses run through the inner engine's own
   /// (parallel) SearchBatch, and responses are stitched back in query
-  /// order. The inner engine's admission gate applies to the distinct
-  /// misses (the actual engine load) — cache hits are admitted for free.
+  /// order.
   BatchResponse SearchBatch(std::span<const corpus::Query> queries, size_t k,
                             const SearchOptions& options) override;
   using SearchEngine::SearchBatch;

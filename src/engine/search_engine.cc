@@ -1,7 +1,5 @@
 #include "engine/search_engine.h"
 
-#include <algorithm>
-
 namespace hdk::engine {
 
 Status SearchEngine::DispatchMembershipEvents(
@@ -34,37 +32,10 @@ BatchResponse SearchEngine::SearchBatch(
   batch.responses.resize(n);
   if (n == 0) return batch;
 
-  // Admission gate (off by default): over the bound, shed the excess
-  // deterministically — lowest priority class first, later positions
-  // first within a class — before any origin is assigned or any network
-  // work happens. Shed queries are explicitly flagged, never dropped.
-  std::vector<uint8_t> admitted(n, 1);
-  const AdmissionConfig admission = admission_config();
-  if (admission.max_batch_queries > 0 && n > admission.max_batch_queries) {
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (queries[a].priority != queries[b].priority) {
-        return queries[a].priority < queries[b].priority;
-      }
-      return a > b;
-    });
-    const size_t to_shed = n - admission.max_batch_queries;
-    for (size_t s = 0; s < to_shed; ++s) {
-      const size_t victim = order[s];
-      admitted[victim] = 0;
-      batch.responses[victim].shed = true;
-      batch.responses[victim].cost.shed = 1;
-    }
-  }
-
   // Origins are assigned serially in query order, so the peer rotation is
   // independent of how the queries are later scheduled onto threads.
-  // Shed queries never consume a rotation slot.
-  std::vector<PeerId> origins(n, kInvalidPeer);
-  for (size_t i = 0; i < n; ++i) {
-    if (admitted[i]) origins[i] = AcquireOrigin();
-  }
+  std::vector<PeerId> origins(n);
+  for (size_t i = 0; i < n; ++i) origins[i] = AcquireOrigin();
 
   ThreadPool* pool = batch_pool();
   const size_t chunks = pool != nullptr ? pool->num_threads() : 1;
@@ -72,9 +43,7 @@ BatchResponse SearchEngine::SearchBatch(
   ParallelChunks(pool, n, [&](size_t begin, size_t end, size_t chunk) {
     QueryCost& cost = chunk_cost[chunk];
     for (size_t i = begin; i < end; ++i) {
-      if (admitted[i]) {
-        batch.responses[i] = Search(queries[i].terms, k, options, origins[i]);
-      }
+      batch.responses[i] = Search(queries[i].terms, k, options, origins[i]);
       cost += batch.responses[i].cost;
     }
   });

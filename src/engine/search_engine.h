@@ -64,20 +64,6 @@ struct BatchResponse {
   QueryCost total;
 };
 
-/// Bounded per-batch admission gate (load shedding). With
-/// max_batch_queries == 0 (default) the gate is off and SearchBatch is
-/// byte-identical to the ungated engine. When a batch exceeds the bound,
-/// the excess queries are SHED before touching the engine: lowest
-/// QueryPriority class first, later batch positions first within a
-/// class (earlier submissions win ties). Shed queries come back with
-/// empty results, SearchResponse::shed set and QueryCost::shed == 1 —
-/// never silently dropped.
-struct AdmissionConfig {
-  uint32_t max_batch_queries = 0;
-
-  bool operator==(const AdmissionConfig&) const = default;
-};
-
 /// The query-origin rotation shared by the distributed backends. Atomic,
 /// so concurrent batches over a shared engine stay race-free (each batch
 /// still pre-assigns origins in query order); the stored value is kept
@@ -145,10 +131,9 @@ class SearchEngine {
   }
 
   /// Executes a query workload and aggregates cost — the throughput entry
-  /// point the figure benches run. The default implementation first runs
-  /// the admission gate (see AdmissionConfig; off by default), then fans
-  /// the admitted queries out across the engine's thread pool (serial
-  /// when the engine was configured with num_threads = 1): origins are
+  /// point the figure benches run. The default implementation fans the
+  /// queries out across the engine's thread pool (serial when the engine
+  /// was configured with num_threads = 1): origins are
   /// pre-assigned in query order, each worker chunk accumulates its own
   /// QueryCost, and the per-chunk costs are reduced in chunk order — so
   /// responses AND the total are identical to a serial loop over
@@ -237,10 +222,6 @@ class SearchEngine {
     return Status::Unimplemented(
         "this engine backend does not support anti-entropy sync");
   }
-
-  /// The batch admission gate SearchBatch applies (see AdmissionConfig).
-  /// The default — gate off — keeps SearchBatch unbounded.
-  virtual AdmissionConfig admission_config() const { return {}; }
 
  protected:
   /// The shared ApplyMembership skeleton every backend dispatches

@@ -5,7 +5,7 @@
 namespace hdk::engine {
 
 Result<std::unique_ptr<SingleTermEngine>> SingleTermEngine::Build(
-    const StEngineConfig& config, const corpus::DocumentStore& store,
+    const EngineConfig& config, const corpus::DocumentStore& store,
     std::vector<std::pair<DocId, DocId>> peer_ranges) {
   if (peer_ranges.empty()) {
     return Status::InvalidArgument("SingleTermEngine: need >= 1 peer");
@@ -18,10 +18,9 @@ Result<std::unique_ptr<SingleTermEngine>> SingleTermEngine::Build(
       MakeOverlay(config.overlay, peer_ranges.size(), config.overlay_seed);
   engine->traffic_ = std::make_unique<net::TrafficRecorder>();
   engine->injector_.Install(config.faults);
-  engine->config_admission_ = config.admission;
   engine->engine_ = std::make_unique<p2p::SingleTermP2PEngine>(
       engine->overlay_.get(), engine->traffic_.get(),
-      net::Resilience{&engine->injector_, &engine->health_, config.retry,
+      net::Resilience{&engine->injector_, &engine->health_,
                       /*replication=*/1, /*sync=*/{}});
   HDK_RETURN_NOT_OK(engine->engine_->IndexPeers(
       /*first_peer=*/0, store, peer_ranges, engine->pool_.get()));

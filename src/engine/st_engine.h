@@ -15,7 +15,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "corpus/document.h"
-#include "engine/overlay_factory.h"
+#include "engine/engine_config.h"
 #include "engine/search_engine.h"
 #include "net/fault.h"
 #include "net/traffic.h"
@@ -23,30 +23,11 @@
 
 namespace hdk::engine {
 
-/// Configuration of the baseline engine.
-struct StEngineConfig {
-  OverlayKind overlay = OverlayKind::kPGrid;
-  uint64_t overlay_seed = 42;
-  /// Worker threads for the per-peer indexing scans and SearchBatch
-  /// fan-out. 0 = hardware concurrency, 1 = exact serial path.
-  size_t num_threads = 0;
-  /// Transport fault plan installed at build time (see net/fault.h);
-  /// inactive by default. Faults touch the QUERY path only — terms are
-  /// single-homed here, so an unreachable owner degrades the response
-  /// instead of failing over.
-  net::FaultPlan faults;
-  /// Retry/backoff budget of failure-aware query messages.
-  net::RetryPolicy retry;
-  /// Batch admission gate / load shedding (see AdmissionConfig in
-  /// engine/search_engine.h); off by default.
-  AdmissionConfig admission;
-};
-
 /// Distributed single-term indexing + BM25 retrieval baseline.
 class SingleTermEngine : public SearchEngine {
  public:
   static Result<std::unique_ptr<SingleTermEngine>> Build(
-      const StEngineConfig& config, const corpus::DocumentStore& store,
+      const EngineConfig& config, const corpus::DocumentStore& store,
       std::vector<std::pair<DocId, DocId>> peer_ranges);
 
   // -- SearchEngine ----------------------------------------------------
@@ -64,11 +45,6 @@ class SingleTermEngine : public SearchEngine {
   Status ApplyMembership(const corpus::DocumentStore& store,
                          std::span<const MembershipEvent> events) override;
   using SearchEngine::ApplyMembership;
-
-  /// The configured batch admission gate (see AdmissionConfig).
-  AdmissionConfig admission_config() const override {
-    return config_admission_;
-  }
 
   size_t num_peers() const override { return overlay_->num_peers(); }
   uint64_t num_documents() const override {
@@ -123,7 +99,6 @@ class SingleTermEngine : public SearchEngine {
   /// installed.
   net::FaultInjector injector_;
   net::PeerHealth health_;
-  AdmissionConfig config_admission_;
   const corpus::DocumentStore* store_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;  // nullptr = serial
   std::unique_ptr<dht::Overlay> overlay_;

@@ -22,12 +22,8 @@ struct SearchResponse {
   /// time (cost.keys_unreachable counts the missing ones). Always false
   /// on a healthy network with no deadline.
   bool degraded = false;
-  /// True when the batch admission gate rejected this query under
-  /// overload before it touched the engine: results are empty,
-  /// cost.shed == 1, and no network work was done. Shedding is always
-  /// explicit — a query is either answered or flagged, never silently
-  /// dropped. Distinct from `degraded`, which means the query RAN but
-  /// could not fetch everything.
+  /// Always false: no engine sheds load. Kept because the hdkbench
+  /// harness counts shed responses as failed operations.
   bool shed = false;
 };
 

@@ -295,14 +295,6 @@ void FaultInjector::EnsurePeers(size_t n) {
   arrivals_.Grow(n);
 }
 
-std::vector<PeerId> PeerHealth::Suspects() const {
-  std::vector<PeerId> out;
-  for (size_t p = 0; p < strain_.size(); ++p) {
-    if (Suspect(static_cast<PeerId>(p))) out.push_back(static_cast<PeerId>(p));
-  }
-  return out;
-}
-
 bool Channel::Attempt(PeerId src, PeerId dst, MessageKind kind,
                       uint64_t postings, uint64_t hops, uint64_t salt,
                       uint32_t attempt, uint64_t* latency_ticks,
@@ -331,8 +323,7 @@ SendOutcome Channel::SendReliable(PeerId src, PeerId dst, MessageKind kind,
                                   uint64_t salt, uint64_t extra_bytes,
                                   DeadlineBudget* budget) const {
   SendOutcome out;
-  const uint32_t max_attempts = std::max<uint32_t>(1, res_.retry.max_attempts);
-  for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
     if (attempt > 0) {
       if (budget != nullptr && budget->exhausted()) {
         // The clock ran out before this retry could fire: abandon the
@@ -342,9 +333,7 @@ SendOutcome Channel::SendReliable(PeerId src, PeerId dst, MessageKind kind,
         break;
       }
       ++out.retries;
-      const uint64_t backoff =
-          static_cast<uint64_t>(res_.retry.backoff_base_ticks)
-          << (attempt - 1);
+      const uint64_t backoff = kBackoffBaseTicks << (attempt - 1);
       out.latency_ticks += backoff;
       if (budget != nullptr) budget->Charge(backoff);
     }
@@ -379,12 +368,10 @@ SendOutcome Channel::SendAssured(PeerId src, PeerId dst, MessageKind kind,
     Attempt(src, dst, kind, postings, hops, salt, 0, &out.latency_ticks);
     return out;
   }
-  const uint32_t max_attempts = std::max<uint32_t>(1, res_.retry.max_attempts);
-  for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
     if (attempt > 0) {
       ++out.retries;
-      out.latency_ticks += static_cast<uint64_t>(res_.retry.backoff_base_ticks)
-                           << (attempt - 1);
+      out.latency_ticks += kBackoffBaseTicks << (attempt - 1);
     }
     if (Attempt(src, dst, kind, postings, hops, salt, attempt,
                 &out.latency_ticks)) {

@@ -7,10 +7,9 @@
 // — per message kind, per (src, dst) pair — whether a message is lost,
 // how many latency ticks it accrues, and whether the destination peer is
 // hard-dead (an unannounced failure: every message to it fails until a
-// membership event or health-driven eviction removes it). A PeerHealth
-// strain tracker (modeled on distft's session_metadata) counts
-// consecutive failures per peer and feeds both replica-failover ordering
-// and optional auto-eviction.
+// membership event — e.g. HdkSearchEngine::EvictDeadPeers — removes it).
+// A PeerHealth strain tracker (modeled on distft's session_metadata)
+// counts consecutive failures per peer and orders replica failover.
 //
 // DETERMINISM: loss and latency decisions are PURE HASHES of
 // (seed, kind, src, dst, salt, attempt) — there is no shared RNG stream,
@@ -39,8 +38,8 @@
 //   SendAssured   barrier-reliable (indexing path): delivery guaranteed
 //                 unless the destination is hard-dead; attempts beyond
 //                 the retry budget are absorbed by the caller's
-//                 redelivery queue, so only up to max_attempts messages
-//                 are recorded.
+//                 redelivery queue, so only up to kMaxSendAttempts
+//                 messages are recorded.
 // With an inactive injector every mode records exactly one message —
 // byte-identical traffic to the pre-fault engine.
 #ifndef HDKP2P_NET_FAULT_H_
@@ -159,14 +158,13 @@ struct FaultPlan {
   bool operator==(const FaultPlan&) const = default;
 };
 
-/// Bounded-retry policy shared by the query and indexing send paths.
-struct RetryPolicy {
-  /// Total attempts per logical message (first try + retries).
-  uint32_t max_attempts = 4;
-  /// Backoff after attempt k waits base << k ticks (simulated time,
-  /// surfaced in QueryCost::latency_ticks — nothing actually sleeps).
-  uint32_t backoff_base_ticks = 1;
-};
+/// Bounded retry shared by the query and indexing send paths: total
+/// attempts per logical message (first try + retries).
+inline constexpr uint32_t kMaxSendAttempts = 4;
+/// Backoff before retry k (k >= 1) waits kBackoffBaseTicks << (k - 1)
+/// ticks of simulated time, surfaced in QueryCost::latency_ticks —
+/// nothing actually sleeps.
+inline constexpr uint64_t kBackoffBaseTicks = 1;
 
 /// One atomic per peer. Elements are read and written from any thread;
 /// the size changes only through Grow/Erase, which reallocate and are
@@ -277,17 +275,15 @@ class FaultInjector {
 
 /// Consecutive-failure strain tracker (distft session_metadata style):
 /// every failed send to a peer bumps its strain, every success clears
-/// it. Peers whose strain crosses `suspect_threshold` are Suspect —
-/// failover orders them last, and the engine may auto-evict them
-/// through the standard departure repair. Same sizing contract as the
+/// it. Peers whose strain reaches kDefaultSuspectThreshold are Suspect,
+/// and failover orders them last. Nothing evicts a suspect peer; only
+/// hard-dead peers leave, through the explicit
+/// HdkSearchEngine::EvictDeadPeers. Same sizing contract as the
 /// FaultInjector: recording and reading are lock-free, EnsurePeers and
 /// OnPeerRemoved are serial-section only.
 class PeerHealth {
  public:
   static constexpr uint32_t kDefaultSuspectThreshold = 4;
-
-  explicit PeerHealth(uint32_t suspect_threshold = kDefaultSuspectThreshold)
-      : suspect_threshold_(suspect_threshold) {}
 
   /// Clears `peer`'s strain. Writes only when the strain is nonzero, so
   /// the common all-healthy case leaves the slot's cache line shared.
@@ -307,15 +303,10 @@ class PeerHealth {
     return strain == nullptr ? 0 : strain->load(std::memory_order_acquire);
   }
 
-  /// strain(peer) >= suspect_threshold.
+  /// strain(peer) >= kDefaultSuspectThreshold.
   bool Suspect(PeerId peer) const {
-    return strain(peer) >= suspect_threshold_;
+    return strain(peer) >= kDefaultSuspectThreshold;
   }
-
-  /// All currently suspect peers, ascending id. Serial sections only.
-  std::vector<PeerId> Suspects() const;
-
-  uint32_t suspect_threshold() const { return suspect_threshold_; }
 
   /// Overlay departure renumbering (see FaultInjector::OnPeerRemoved).
   /// Serial sections only.
@@ -325,7 +316,6 @@ class PeerHealth {
   void EnsurePeers(size_t n) { strain_.Grow(n); }
 
  private:
-  uint32_t suspect_threshold_;
   PeerSlots<uint32_t> strain_;
 };
 
@@ -335,7 +325,6 @@ class PeerHealth {
 struct Resilience {
   FaultInjector* injector = nullptr;
   PeerHealth* health = nullptr;
-  RetryPolicy retry;
   /// Number of fragment holders per key (primary + replication-1
   /// salted replicas). 1 = no replication (default).
   uint32_t replication = 1;
@@ -358,7 +347,7 @@ struct SendOutcome {
 };
 
 /// The choke point between the protocols and the TrafficRecorder. Cheap
-/// to construct (two pointers + policy), so call sites make one on the
+/// to construct (two pointers + a small bundle), so call sites make one on the
 /// fly: Channel(traffic, resilience).Send(...).
 class Channel {
  public:
@@ -387,7 +376,7 @@ class Channel {
 
   /// Barrier-reliable: delivery is guaranteed unless `dst` is hard-dead
   /// (the level barrier stands in for an ack/timeout protocol), but only
-  /// up to max_attempts message records are charged — the tail of a long
+  /// up to kMaxSendAttempts message records are charged — the tail of a long
   /// unlucky streak is absorbed by the barrier redelivery, which its
   /// caller records separately.
   SendOutcome SendAssured(PeerId src, PeerId dst, MessageKind kind,

@@ -136,8 +136,7 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
                                                 const hdk::TermKey& key,
                                                 uint64_t key_hash,
                                                 index::PostingList full_local,
-                                                const HdkParams& params,
-                                                double avg_doc_length) {
+                                                const HdkParams& params) {
   // Sender-side truncation: a locally non-discriminative key is certainly
   // globally non-discriminative (paper Section 3: local NDK => global NDK),
   // so the peer only transmits its local top-DFmax postings for it.
@@ -182,7 +181,6 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
     shard.pending.try_emplace_hashed(key_hash, key)
         .first->second.push_back(Contribution{src, std::move(full_local)});
   }
-  (void)avg_doc_length;  // truncation choice is re-derived at publish time
   return payload;
 }
 
@@ -767,7 +765,8 @@ const hdk::KeyEntry* DistributedGlobalIndex::FetchFrom(
 }
 
 DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
-    PeerId src, const hdk::TermKey& key, const FetchOptions& options) const {
+    PeerId src, const hdk::TermKey& key, uint32_t hedge_delay_ticks,
+    DeadlineBudget* budget) const {
   FetchResult result;
   // One Hash64 serves routing, the responsible-peer lookup, the shard
   // choice and the fragment probe.
@@ -806,15 +805,16 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
   }
 
   // One probe + response round trip against `holder`. The outcome's
-  // ticks are the round trip's simulated completion time; `budget` (when
-  // non-null) is charged leg by leg and aborts retries at exhaustion.
+  // ticks are the round trip's simulated completion time; `leg_budget`
+  // (when non-null) is charged leg by leg and aborts retries at
+  // exhaustion.
   struct Leg {
     bool delivered = false;
     bool deadline_exhausted = false;
     uint64_t ticks = 0;
     const hdk::KeyEntry* entry = nullptr;
   };
-  auto round_trip = [&](PeerId holder, DeadlineBudget* budget) {
+  auto round_trip = [&](PeerId holder, DeadlineBudget* leg_budget) {
     Leg leg;
     // The probe routes through the overlay (replica probes are billed
     // the same route: the salted placement is resolved the same way).
@@ -822,7 +822,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     const net::SendOutcome probe =
         channel.SendReliable(src, holder, net::MessageKind::kKeyProbe,
                              /*postings=*/0, hops, ring_key,
-                             /*extra_bytes=*/0, budget);
+                             /*extra_bytes=*/0, leg_budget);
     result.retries += probe.retries;
     leg.ticks += probe.latency_ticks;
     leg.deadline_exhausted |= probe.deadline_exhausted;
@@ -833,7 +833,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     const net::SendOutcome response = channel.SendReliable(
         holder, src, net::MessageKind::kPostingsResponse,
         entry != nullptr ? entry->postings.size() : 0, /*hops=*/1, ring_key,
-        /*extra_bytes=*/0, budget);
+        /*extra_bytes=*/0, leg_budget);
     result.retries += response.retries;
     leg.ticks += response.latency_ticks;
     leg.deadline_exhausted |= response.deadline_exhausted;
@@ -845,19 +845,18 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     return leg;
   };
 
-  const uint32_t hedge_delay = options.hedge_delay_ticks;
   size_t i = 0;
   while (i < holders.size()) {
-    if (options.budget != nullptr && options.budget->exhausted()) {
+    if (budget != nullptr && budget->exhausted()) {
       result.deadline_exhausted = true;
       break;
     }
     const PeerId holder = holders[i];
     if (i > 0) ++result.failovers;
 
-    if (hedge_delay == 0) {
+    if (hedge_delay_ticks == 0) {
       // Plain sequential failover: the leg charges the budget directly.
-      const Leg leg = round_trip(holder, options.budget);
+      const Leg leg = round_trip(holder, budget);
       result.latency_ticks += leg.ticks;
       if (leg.deadline_exhausted) result.deadline_exhausted = true;
       if (leg.delivered) {
@@ -875,9 +874,9 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     // budget-free and the WINNER's effective completion time is charged
     // once — but both legs' messages and retries are real traffic.
     const Leg primary_leg = round_trip(holder, nullptr);
-    if (primary_leg.delivered && primary_leg.ticks <= hedge_delay) {
+    if (primary_leg.delivered && primary_leg.ticks <= hedge_delay_ticks) {
       result.latency_ticks += primary_leg.ticks;
-      if (options.budget != nullptr) options.budget->Charge(primary_leg.ticks);
+      if (budget != nullptr) budget->Charge(primary_leg.ticks);
       result.entry = primary_leg.entry;
       return result;
     }
@@ -886,7 +885,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     if (j >= holders.size()) {
       // No replica left to hedge against: the primary leg stands alone.
       result.latency_ticks += primary_leg.ticks;
-      if (options.budget != nullptr) options.budget->Charge(primary_leg.ticks);
+      if (budget != nullptr) budget->Charge(primary_leg.ticks);
       if (primary_leg.delivered) {
         result.entry = primary_leg.entry;
         return result;
@@ -895,20 +894,20 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     }
     ++result.hedges_fired;
     const Leg hedge_leg = round_trip(holders[j], nullptr);
-    // The hedge started hedge_delay ticks after the primary, so its
+    // The hedge started `hedge_delay_ticks` after the primary, so its
     // effective completion is shifted; ties go to the primary.
-    const uint64_t hedge_effective = hedge_delay + hedge_leg.ticks;
+    const uint64_t hedge_effective = hedge_delay_ticks + hedge_leg.ticks;
     if (primary_leg.delivered &&
         (!hedge_leg.delivered || primary_leg.ticks <= hedge_effective)) {
       result.latency_ticks += primary_leg.ticks;
-      if (options.budget != nullptr) options.budget->Charge(primary_leg.ticks);
+      if (budget != nullptr) budget->Charge(primary_leg.ticks);
       result.entry = primary_leg.entry;
       return result;
     }
     if (hedge_leg.delivered) {
       ++result.hedge_wins;
       result.latency_ticks += hedge_effective;
-      if (options.budget != nullptr) options.budget->Charge(hedge_effective);
+      if (budget != nullptr) budget->Charge(hedge_effective);
       result.entry = hedge_leg.entry;
       return result;
     }
@@ -917,7 +916,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     const uint64_t failed_ticks =
         std::max<uint64_t>(primary_leg.ticks, hedge_effective);
     result.latency_ticks += failed_ticks;
-    if (options.budget != nullptr) options.budget->Charge(failed_ticks);
+    if (budget != nullptr) budget->Charge(failed_ticks);
     ++result.failovers;
     i = j + 1;
   }

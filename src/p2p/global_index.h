@@ -191,8 +191,8 @@ class DistributedGlobalIndex {
   /// \param num_shards shard count; 0 applies the heuristic
   ///                   DefaultShardCount(pool). Any value produces
   ///                   identical observable state (see file comment).
-  /// \param resilience fault injector / health tracker / retry policy /
-  ///                   replication factor (see net/fault.h). The default
+  /// \param resilience fault injector / health tracker / replication
+  ///                   factor / sync tuning (see net/fault.h). The default
   ///                   — no injector, replication 1 — reproduces the
   ///                   perfect-transport engine byte for byte. The
   ///                   injector and health pointers, when set, must
@@ -243,12 +243,12 @@ class DistributedGlobalIndex {
   /// hash computation. The convenience overload hashes the key itself.
   uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
                           uint64_t key_hash, index::PostingList full_local,
-                          const HdkParams& params, double avg_doc_length);
+                          const HdkParams& params);
   uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
                           index::PostingList full_local,
-                          const HdkParams& params, double avg_doc_length) {
+                          const HdkParams& params) {
     return InsertPostings(src, key, key.Hash64(), std::move(full_local),
-                          params, avg_doc_length);
+                          params);
   }
 
   /// Classifies all keys that received contributions since the last
@@ -366,36 +366,27 @@ class DistributedGlobalIndex {
     bool deadline_exhausted = false;
   };
 
-  /// Per-fetch overload knobs threaded down from SearchOptions. The
-  /// defaults reproduce the plain failover walk tick for tick.
-  struct FetchOptions {
-    /// Hedge a fetch whose primary leg has not delivered within this
-    /// many simulated ticks (0 = hedging off; see SearchOptions).
-    uint32_t hedge_delay_ticks = 0;
-    /// Deadline budget charged by every leg; null = unlimited.
-    DeadlineBudget* budget = nullptr;
-  };
-
   /// Failure-aware FetchFrom: probes the responsible peer with bounded
-  /// retry + exponential backoff (the Resilience retry policy); when its
-  /// round trip fails, fails over to the key's replica holders in
-  /// health order (non-suspect holders first). With an inactive injector
-  /// this records exactly the two messages FetchFrom records and ignores
-  /// `options` entirely (zero simulated time passes).
+  /// retry + exponential backoff (net::kMaxSendAttempts); when its round
+  /// trip fails, fails over to the key's replica holders in health order
+  /// (non-suspect holders first). With an inactive injector this records
+  /// exactly the two messages FetchFrom records and ignores the overload
+  /// knobs entirely (zero simulated time passes).
   ///
-  /// Overload armor (all off by default; see FetchOptions):
+  /// Overload armor, threaded down from SearchOptions (both off by
+  /// default, which reproduces the plain failover walk tick for tick):
   ///   * hedged reads: when the primary leg's simulated completion time
-  ///     exceeds hedge_delay_ticks, the same probe also runs against the
-  ///     next available holder and the earlier (simulated-time) answer
-  ///     wins — both legs' traffic is recorded, but latency_ticks and
-  ///     the budget advance only by the winner's effective time;
-  ///   * deadline budget: legs charge the budget and stop retrying when
-  ///     it exhausts; an exhausted budget ends the failover walk.
+  ///     exceeds `hedge_delay_ticks` (0 = off), the same probe also runs
+  ///     against the next available holder and the earlier
+  ///     (simulated-time) answer wins — both legs' traffic is recorded,
+  ///     but latency_ticks and the budget advance only by the winner's
+  ///     effective time;
+  ///   * deadline `budget` (null = unlimited): legs charge it and stop
+  ///     retrying when it exhausts; an exhausted budget ends the
+  ///     failover walk.
   FetchResult FetchFromResilient(PeerId src, const hdk::TermKey& key,
-                                 const FetchOptions& options) const;
-  FetchResult FetchFromResilient(PeerId src, const hdk::TermKey& key) const {
-    return FetchFromResilient(src, key, FetchOptions{});
-  }
+                                 uint32_t hedge_delay_ticks = 0,
+                                 DeadlineBudget* budget = nullptr) const;
 
   /// The key's fragment holders under the current overlay: the
   /// responsible peer first, then `replication - 1` distinct peers
@@ -442,8 +433,9 @@ class DistributedGlobalIndex {
   }
 
   /// Indexing-side losses that became permanent: contributions /
-  /// NDK notifications addressed to a hard-dead peer (dropped, the
-  /// published index degrades until the peer is evicted and repaired).
+  /// NDK notifications addressed to a hard-dead peer. They are dropped
+  /// before reaching the ledger, so evicting the peer later does not
+  /// bring them back (see ROADMAP item 1(a)).
   uint64_t lost_contributions() const {
     return lost_contributions_.load(std::memory_order_relaxed);
   }

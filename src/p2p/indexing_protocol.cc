@@ -315,7 +315,7 @@ Status HdkIndexingProtocol::Depart(
         if (s == 1 && readmitted.count(key.term(0)) == 0) continue;
         ++task.keys_inserted;
         task.postings_inserted += InsertCandidate(
-            peer, s, key, scanned.hash_at(ci), std::move(pl), avgdl);
+            peer, s, key, scanned.hash_at(ci), std::move(pl));
       }
     });
     for (size_t i = 0; i < tasks.size(); ++i) {
@@ -373,14 +373,13 @@ Status HdkIndexingProtocol::Depart(
 uint64_t HdkIndexingProtocol::InsertCandidate(Peer& peer, uint32_t s,
                                               const hdk::TermKey& key,
                                               uint64_t key_hash,
-                                              index::PostingList full,
-                                              double avgdl) {
+                                              index::PostingList full) {
   // Keys below the top level can become expansion material later;
   // remember which local documents carry them (delta-scan targets).
   std::vector<DocId> key_docs;
   if (s < params_.s_max) key_docs = full.Documents();
   const uint64_t payload = global_->InsertPostings(
-      peer.id(), key, key_hash, std::move(full), params_, avgdl);
+      peer.id(), key, key_hash, std::move(full), params_);
   peer.MarkPublished(s, key, key_hash, std::move(key_docs));
   return payload;
 }
@@ -466,7 +465,7 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
         if (!task.is_new && peer.HasPublished(s, key, key_hash)) continue;
         ++task.keys_inserted;
         task.postings_inserted +=
-            InsertCandidate(peer, s, key, key_hash, std::move(pl), avgdl);
+            InsertCandidate(peer, s, key, key_hash, std::move(pl));
       }
     });
     phase_timings_.scan_seconds += scan_watch.ElapsedSeconds();

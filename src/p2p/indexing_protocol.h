@@ -244,8 +244,7 @@ class HdkIndexingProtocol {
   /// bookkeeping. Safe to call concurrently for distinct peers once
   /// EnsureCapacity() ran. Returns the postings transmitted.
   uint64_t InsertCandidate(Peer& peer, uint32_t s, const hdk::TermKey& key,
-                           uint64_t key_hash, index::PostingList full,
-                           double avgdl);
+                           uint64_t key_hash, index::PostingList full);
 
   const HdkParams params_;
   const corpus::DocumentStore& store_;

@@ -25,9 +25,6 @@ index::SearchResponse HdkRetriever::Search(PeerId origin,
   // Unlimited (deadline_ticks == 0) never binds.
   DeadlineBudget budget;
   if (options.deadline_ticks > 0) budget.remaining = options.deadline_ticks;
-  DistributedGlobalIndex::FetchOptions fetch_options;
-  fetch_options.hedge_delay_ticks = options.hedge_delay_ticks;
-  fetch_options.budget = &budget;
   bool deadline_hit = false;
 
   // Reused across this thread's queries: a query's fetched keys are
@@ -46,7 +43,8 @@ index::SearchResponse HdkRetriever::Search(PeerId origin,
           return std::nullopt;
         }
         const DistributedGlobalIndex::FetchResult fetch =
-            global_->FetchFromResilient(origin, key, fetch_options);
+            global_->FetchFromResilient(origin, key,
+                                        options.hedge_delay_ticks, &budget);
         exec.cost.retries += fetch.retries;
         exec.cost.failovers += fetch.failovers;
         exec.cost.latency_ticks += fetch.latency_ticks;

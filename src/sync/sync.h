@@ -49,6 +49,8 @@ struct SyncConfig {
   uint32_t max_cells = 4096;
   /// Seeds every sketch hash; both sides of a pair must agree.
   uint64_t seed = 0x414e544945ULL;  // "ANTIE"
+
+  bool operator==(const SyncConfig&) const = default;
 };
 
 /// What a reconciliation pass did — the stats surface of acceptance

@@ -291,7 +291,7 @@ TEST_P(FlatSwapGoldenTest, LifecycleMatchesUnorderedEraFingerprints) {
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    engine::HdkEngineConfig config;
+    engine::EngineConfig config;
     config.hdk.df_max = 9;
     config.hdk.very_frequent_threshold = 450;
     config.hdk.window = 8;

@@ -46,8 +46,8 @@ corpus::SyntheticCorpus SyncCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig SyncConfig(OverlayKind overlay, size_t num_threads) {
-  HdkEngineConfig config;
+EngineConfig SyncConfig(OverlayKind overlay, size_t num_threads) {
+  EngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;
@@ -78,7 +78,7 @@ TEST_P(AntiEntropyTest, LostReplicaPushesAreDetectedAndHealed) {
   for (size_t ti = 0; ti < 2; ++ti) {
     const size_t threads = ti == 0 ? 1 : 4;
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    HdkEngineConfig config = SyncConfig(GetParam(), threads);
+    EngineConfig config = SyncConfig(GetParam(), threads);
     config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
     auto built =
         HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
@@ -110,7 +110,7 @@ TEST_P(AntiEntropyTest, LostReplicaPushesAreDetectedAndHealed) {
 
     // Replica divergence never touches the published primaries: contents
     // are identical to a fault-free build.
-    HdkEngineConfig clean = SyncConfig(GetParam(), threads);
+    EngineConfig clean = SyncConfig(GetParam(), threads);
     auto reference =
         HdkSearchEngine::Build(clean, store, SplitEvenly(240, 8));
     ASSERT_TRUE(reference.ok());
@@ -129,7 +129,7 @@ TEST_P(AntiEntropyTest, LostForgetNoticesLeaveStaleCopiesSweepDropsThem) {
   corpus::DocumentStore store;
   corpus.FillStore(320, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1);
+  EngineConfig config = SyncConfig(GetParam(), 1);
   // Forget notices travel when a term crosses the very-frequent cutoff
   // during growth and its keys are purged; lose nearly all of them, so
   // purged keys linger in the replica maps as stale copies.
@@ -162,7 +162,7 @@ TEST_P(AntiEntropyTest, DeadHolderIsSkippedAndHealedAfterRevival) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1);
+  EngineConfig config = SyncConfig(GetParam(), 1);
   config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -187,7 +187,7 @@ TEST_P(AntiEntropyTest, UndersizedIbfFallsBackToFullSyncAndStillHeals) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1);
+  EngineConfig config = SyncConfig(GetParam(), 1);
   // An 8-cell clamp cannot sketch the heavy divergence a 90% push loss
   // creates; every diverged pair must degrade to the full-sync path.
   config.sync.max_cells = 8;
@@ -209,7 +209,7 @@ TEST_P(AntiEntropyTest, FullModeHealsButShipsMoreThanIbf) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config = SyncConfig(GetParam(), 1);
+  EngineConfig config = SyncConfig(GetParam(), 1);
   config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.2");
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok());
@@ -246,7 +246,7 @@ TEST_P(AntiEntropyTest, ChurnSweptAfterEveryBatchEndsDivergenceFree) {
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    HdkEngineConfig config = SyncConfig(GetParam(), threads);
+    EngineConfig config = SyncConfig(GetParam(), threads);
     config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
 
     // Control: nobody sweeps, so the lost pushes of the churn's
@@ -276,7 +276,7 @@ TEST_P(AntiEntropyTest, LosslessReplicatedBuildIsDivergenceFree) {
 
   // Without injected loss every best-effort replica push is delivered;
   // an explicit sweep must find every pair already in sync.
-  HdkEngineConfig config = SyncConfig(GetParam(), 1);
+  EngineConfig config = SyncConfig(GetParam(), 1);
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok());
   EXPECT_EQ((*built)->global_index().CountReplicaDivergence(), 0u);
@@ -292,7 +292,7 @@ TEST(AntiEntropyInterfaceTest, UnreplicatedEngineSweepIsANoop) {
   corpus::DocumentStore store;
   corpus.FillStore(120, &store);
 
-  HdkEngineConfig config = SyncConfig(OverlayKind::kPGrid, 1);
+  EngineConfig config = SyncConfig(OverlayKind::kPGrid, 1);
   config.replication = 1;
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(120, 4));
   ASSERT_TRUE(built.ok());
@@ -332,7 +332,7 @@ TEST(AntiEntropySnapshotTest, RoundTripRestoresReconciledReplicas) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig config = SyncConfig(OverlayKind::kPGrid, 1);
+  EngineConfig config = SyncConfig(OverlayKind::kPGrid, 1);
   config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 8));
   ASSERT_TRUE(built.ok());

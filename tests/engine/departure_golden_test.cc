@@ -47,9 +47,9 @@ corpus::SyntheticCorpus ChurnCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig GoldenConfig(OverlayKind overlay, uint32_t replication,
+EngineConfig GoldenConfig(OverlayKind overlay, uint32_t replication,
                              size_t threads) {
-  HdkEngineConfig config;
+  EngineConfig config;
   config.hdk.df_max = 8;
   // Four terms cross Ff = 350 when the first wave joins (cf 360-487 over
   // 420 documents); departing the first joiner pulls three of them back
@@ -144,7 +144,7 @@ struct HistoryOutcome {
 // re-admission, reverse reclassification, retraction), a middle founder's
 // departure (renumbering), a 1-peer join wave and the departure of
 // peer 0.
-void RunHistory(const HdkEngineConfig& config, corpus::DocumentStore& store,
+void RunHistory(const EngineConfig& config, corpus::DocumentStore& store,
                 HistoryOutcome* out) {
   corpus::SyntheticCorpus corpus = ChurnCorpus();
   corpus.FillStore(300, &store);
@@ -302,7 +302,7 @@ class DepartureStateTest : public ::testing::TestWithParam<size_t> {};
 // per-level published keys and published documents — is exactly what a
 // from-scratch build over the surviving ranges gives that peer.
 TEST_P(DepartureStateTest, SurvivorStateEqualsFromScratchBuild) {
-  const HdkEngineConfig config =
+  const EngineConfig config =
       GoldenConfig(OverlayKind::kPGrid, 1, GetParam());
   corpus::DocumentStore store;
   HistoryOutcome run;

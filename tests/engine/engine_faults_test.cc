@@ -48,8 +48,8 @@ corpus::SyntheticCorpus FaultCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig FaultConfig(size_t num_threads = 1) {
-  HdkEngineConfig config;
+EngineConfig FaultConfig(size_t num_threads = 1) {
+  EngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;
@@ -95,7 +95,7 @@ TEST_P(LossyBuildIdentityTest, LossyBuildEqualsFaultFreeBuild) {
   corpus::DocumentStore store;
   FaultCorpus().FillStore(240, &store);
 
-  HdkEngineConfig clean_config = FaultConfig(threads);
+  EngineConfig clean_config = FaultConfig(threads);
   clean_config.overlay = overlay;
   auto clean = HdkSearchEngine::Build(clean_config, store,
                                       SplitEvenly(240, 4));
@@ -104,7 +104,7 @@ TEST_P(LossyBuildIdentityTest, LossyBuildEqualsFaultFreeBuild) {
   // 1% seeded loss on every message kind: insertions and notifications
   // are retried and, past the retry budget, redelivered at the level
   // barrier — the published index must not lose a single posting.
-  HdkEngineConfig lossy_config = clean_config;
+  EngineConfig lossy_config = clean_config;
   auto plan = net::FaultPlan::Parse("seed=7,loss=0.01");
   ASSERT_TRUE(plan.ok());
   lossy_config.faults = *plan;
@@ -153,9 +153,9 @@ TEST(LossyBuildIdentityTest, LossyBuildsAreThreadCountInvariant) {
   auto plan = net::FaultPlan::Parse("seed=13,loss=0.01");
   ASSERT_TRUE(plan.ok());
 
-  HdkEngineConfig serial_config = FaultConfig(1);
+  EngineConfig serial_config = FaultConfig(1);
   serial_config.faults = *plan;
-  HdkEngineConfig parallel_config = FaultConfig(4);
+  EngineConfig parallel_config = FaultConfig(4);
   parallel_config.faults = *plan;
 
   auto serial = HdkSearchEngine::Build(serial_config, store,
@@ -182,7 +182,7 @@ TEST(LossyBuildIdentityTest, LossyBuildsAreThreadCountInvariant) {
 TEST(ReplicaFailoverTest, ReplicaAnswersWhenResponsiblePeerDies) {
   corpus::DocumentStore store;
   FaultCorpus().FillStore(240, &store);
-  HdkEngineConfig config = FaultConfig(1);
+  EngineConfig config = FaultConfig(1);
   config.replication = 2;
   auto engine = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -220,7 +220,7 @@ TEST(ReplicaFailoverTest, DeadHolderBatchesAreThreadCountInvariant) {
   for (size_t ti = 0; ti < 2; ++ti) {
     const size_t threads = ti == 0 ? 1 : 4;
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    HdkEngineConfig config = FaultConfig(threads);
+    EngineConfig config = FaultConfig(threads);
     config.replication = 2;
     config.faults = *net::FaultPlan::Parse("seed=7,loss=0.02");
     auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
@@ -264,7 +264,7 @@ TEST(ReplicaFailoverTest, DeadHolderBatchesAreThreadCountInvariant) {
 TEST(GracefulDegradationTest, DeadPrimaryWithoutReplicasDegradesThenEvicts) {
   corpus::DocumentStore store;
   FaultCorpus().FillStore(240, &store);
-  HdkEngineConfig config = FaultConfig(1);  // replication = 1
+  EngineConfig config = FaultConfig(1);  // replication = 1
   auto engine = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
@@ -312,9 +312,7 @@ TEST(GracefulDegradationTest, DeadPrimaryWithoutReplicasDegradesThenEvicts) {
 TEST(FaultySpecTest, DecoratorInstallsQueryTimeFaults) {
   corpus::DocumentStore store;
   FaultCorpus().FillStore(160, &store);
-  EngineConfig config;
-  config.hdk = FaultConfig().hdk;
-  config.num_threads = 1;
+  const EngineConfig config = FaultConfig();
 
   auto plain = MakeEngine("hdk", config, store, SplitEvenly(160, 4));
   auto faulty = MakeEngine("faulty:seed=7,loss=0.02(hdk)", config, store,

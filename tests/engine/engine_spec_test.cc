@@ -241,6 +241,12 @@ TEST(CachedEngineTest2, LruEvictsBeyondCapacity) {
   ASSERT_TRUE(cached.ok());
   auto* decorator = static_cast<ResultCacheEngine*>((*cached).get());
   EXPECT_EQ(decorator->capacity(), 2u);
+  // Without the argument the decorator takes the built-in default.
+  auto defaulted = MakeEngine("cached(centralized)", TestConfig(), store,
+                              SplitEvenly(80, 2));
+  ASSERT_TRUE(defaulted.ok());
+  EXPECT_EQ(static_cast<ResultCacheEngine*>((*defaulted).get())->capacity(),
+            kDefaultResultCacheCapacity);
 
   const std::vector<TermId> q1{1, 2}, q2{3, 4}, q3{5, 6};
   (void)(*cached)->Search(q1, 10);

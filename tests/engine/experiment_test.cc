@@ -96,10 +96,7 @@ TEST(ExperimentGoldenTest, TinyFixtureFingerprintsAtOneAndFourThreads) {
   const corpus::DocumentStore& store = ctx.GrowTo(docs);
   const std::vector<corpus::Query> queries = ctx.MakeQueries(docs, 1000);
   for (size_t threads : {1u, 4u}) {
-    HdkEngineConfig config;
-    config.hdk = setup.MakeParams(setup.DfMaxLow());
-    config.overlay = setup.overlay;
-    config.overlay_seed = setup.overlay_seed;
+    EngineConfig config = setup.MakeConfig(setup.DfMaxLow());
     config.num_threads = threads;
     auto built = HdkSearchEngine::Build(
         config, store, SplitEvenly(docs, setup.max_peers));

@@ -27,7 +27,7 @@ class HdkEngineTest : public ::testing::Test {
   }
 
   corpus::DocumentStore store_;
-  HdkEngineConfig config_;
+  EngineConfig config_;
 };
 
 // SplitEvenly/JoinRanges are covered by tests/engine/partition_test.cc.
@@ -95,14 +95,14 @@ TEST_F(HdkEngineTest, SearchRotatesOriginByDefault) {
 }
 
 TEST_F(HdkEngineTest, RejectsInvalidConfig) {
-  HdkEngineConfig bad = config_;
+  EngineConfig bad = config_;
   bad.hdk.df_max = 0;
   EXPECT_FALSE(HdkSearchEngine::Build(bad, store_, SplitEvenly(160, 4)).ok());
   EXPECT_FALSE(HdkSearchEngine::Build(config_, store_, {}).ok());
 }
 
 TEST_F(HdkEngineTest, ChordOverlayWorksToo) {
-  HdkEngineConfig chord = config_;
+  EngineConfig chord = config_;
   chord.overlay = OverlayKind::kChord;
   auto built = HdkSearchEngine::Build(chord, store_, SplitEvenly(160, 4));
   ASSERT_TRUE(built.ok());

@@ -34,8 +34,8 @@ corpus::SyntheticCorpus GrowthCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig GrowthConfig() {
-  HdkEngineConfig config;
+EngineConfig GrowthConfig() {
+  EngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;
@@ -136,7 +136,7 @@ TEST(IncrementalGrowthTest, DfMaxCrossingAndVeryFrequentPurge) {
   //   * term 2's document frequency crosses DFmax only after the second
   //     wave -> its key must be reclassified HDK -> NDK and expanded into
   //     pairs by the OLD peers that contributed it.
-  HdkEngineConfig config;
+  EngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 25;
   config.hdk.window = 8;
@@ -209,7 +209,7 @@ TEST(IncrementalGrowthTest, SingleTermAddPeersEqualsFromScratchBuild) {
   corpus::SyntheticCorpus corpus = GrowthCorpus();
   corpus::DocumentStore store;
   corpus.FillStore(120, &store);
-  StEngineConfig config;
+  EngineConfig config;
   auto grown = SingleTermEngine::Build(config, store, SplitEvenly(120, 2));
   ASSERT_TRUE(grown.ok());
   corpus.FillStore(240, &store);
@@ -304,7 +304,7 @@ TEST(IncrementalGrowthTest, SmaxFourGrowthIsDeltaPrunedAndExact) {
   corpus::SyntheticCorpus corpus = GrowthCorpus();
   corpus::DocumentStore store;
   corpus.FillStore(120, &store);
-  HdkEngineConfig config = GrowthConfig();
+  EngineConfig config = GrowthConfig();
   config.hdk.s_max = 4;
   // A larger DFmax keeps the growth wave's fresh-fact set sparse (few
   // keys cross), which is exactly when delta pruning must pay off.

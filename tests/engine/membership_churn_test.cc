@@ -36,8 +36,8 @@ corpus::SyntheticCorpus ChurnCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig ChurnConfig(size_t num_threads = 1) {
-  HdkEngineConfig config;
+EngineConfig ChurnConfig(size_t num_threads = 1) {
+  EngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;
@@ -85,7 +85,7 @@ TEST_P(HdkChurnIdentityTest, DepartureEqualsFromScratchBuild) {
   corpus::SyntheticCorpus corpus = ChurnCorpus();
   corpus::DocumentStore store;
   corpus.FillStore(360, &store);
-  HdkEngineConfig config = ChurnConfig(GetParam());
+  EngineConfig config = ChurnConfig(GetParam());
 
   auto churned = HdkSearchEngine::Build(config, store, SplitEvenly(360, 6));
   ASSERT_TRUE(churned.ok()) << churned.status().ToString();
@@ -117,7 +117,7 @@ TEST_P(HdkChurnIdentityTest, JoinLeaveJoinSequenceIsExact) {
   corpus::SyntheticCorpus corpus = ChurnCorpus();
   corpus::DocumentStore store;
   corpus.FillStore(120, &store);
-  HdkEngineConfig config = ChurnConfig(GetParam());
+  EngineConfig config = ChurnConfig(GetParam());
   // The Chord ring variant: departures must hold on both overlays.
   config.overlay = OverlayKind::kChord;
 
@@ -172,7 +172,7 @@ void RunReadmissionScenario(size_t threads, corpus::DocumentStore& store,
   // re-enters the key vocabulary (targeted delta re-scan), {2} flips back
   // to a full-posting HDK, and the expansion key {2,3} is RETRACTED
   // because the knowledge that generated it is gone.
-  HdkEngineConfig config;
+  EngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 25;
   config.hdk.window = 8;
@@ -273,7 +273,7 @@ TEST(MembershipChurnTest, SingleTermDepartureEqualsFromScratchBuild) {
   corpus::SyntheticCorpus corpus = ChurnCorpus();
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
-  StEngineConfig config;
+  EngineConfig config;
   config.num_threads = 1;
   config.overlay = OverlayKind::kChord;
 
@@ -415,7 +415,7 @@ TEST(MembershipChurnTest, BatchOriginsStayInsideTheLivePeerSet) {
   corpus::SyntheticCorpus corpus = ChurnCorpus();
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
-  HdkEngineConfig config = ChurnConfig();
+  EngineConfig config = ChurnConfig();
 
   auto engine = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
   ASSERT_TRUE(engine.ok());

@@ -1,5 +1,5 @@
-// Tail-latency armor end to end (deadline budgets, hedged replica reads,
-// admission control — common/search_options.h and the engine wiring):
+// Tail-latency armor end to end (deadline budgets and hedged replica
+// reads — common/search_options.h and the engine wiring):
 //
 //   * with every knob at its default the engine is BYTE-IDENTICAL to the
 //     pre-overload engine: the golden build fingerprints still hold with
@@ -11,9 +11,7 @@
 //   * a deadline budget turns unreachable-holder retry storms into a
 //     partial, explicitly-degraded top-k with deadline_exceeded set — and
 //     a deadline wide enough to never bind is byte-identical to no
-//     deadline at all;
-//   * the admission gate sheds the lowest-priority queries of an
-//     over-bound batch, explicitly flagged, never silently dropped.
+//     deadline at all.
 #include <cstdint>
 #include <span>
 #include <string>
@@ -46,8 +44,8 @@ corpus::SyntheticCorpus OverloadCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig OverloadConfig(OverlayKind overlay, size_t num_threads) {
-  HdkEngineConfig config;
+EngineConfig OverloadConfig(OverlayKind overlay, size_t num_threads) {
+  EngineConfig config;
   config.hdk.df_max = 8;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;
@@ -83,9 +81,9 @@ void ExpectSameRankings(const BatchResponse& a, const BatchResponse& b) {
 // Defaults: byte identity with the pre-overload engine.
 
 // The golden build fingerprints of the flat-map-era lifecycle test
-// (tests/common/flat_map_test.cc) — re-asserted here with every overload
-// knob EXPLICITLY at its default, so a default that silently activates
-// breaks this test, not just the lifecycle one.
+// (tests/common/flat_map_test.cc) — re-asserted here next to the
+// overload knobs, so a default that silently activates breaks this test,
+// not just the lifecycle one.
 struct GoldenBuild {
   uint64_t contents_fp;
   uint64_t traffic_fp;
@@ -123,15 +121,13 @@ TEST_P(OverloadDefaultsTest, ExplicitDefaultsMatchPreOverloadGoldens) {
   corpus::DocumentStore store;
   corpus::SyntheticCorpus(cfg).FillStore(320, &store);
 
-  HdkEngineConfig config;
+  EngineConfig config;
   config.hdk.df_max = 9;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;
   config.hdk.s_max = 3;
   config.overlay = overlay;
   config.num_threads = threads;
-  // Every overload knob, spelled out at its default.
-  config.admission = AdmissionConfig{};
 
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(160, 4));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -153,7 +149,7 @@ TEST_P(OverloadDefaultsTest, DefaultOptionsCarryZeroArmorCounters) {
   // Two identical builds (deterministic), one batch each: the engine's
   // origin rotation advances per batch, so same-engine comparisons would
   // compare different origins, not different options.
-  const HdkEngineConfig config = OverloadConfig(overlay, threads);
+  const EngineConfig config = OverloadConfig(overlay, threads);
   auto a = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
   auto b = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
   ASSERT_TRUE(a.ok()) << a.status().ToString();
@@ -169,7 +165,6 @@ TEST_P(OverloadDefaultsTest, DefaultOptionsCarryZeroArmorCounters) {
   EXPECT_EQ(plain.total.hedges_fired, 0u);
   EXPECT_EQ(plain.total.hedge_wins, 0u);
   EXPECT_EQ(plain.total.deadline_exceeded, 0u);
-  EXPECT_EQ(plain.total.shed, 0u);
   for (const SearchResponse& response : plain.responses) {
     EXPECT_FALSE(response.degraded);
     EXPECT_FALSE(response.shed);
@@ -196,7 +191,7 @@ TEST_P(HedgeTest, HedgesCutSlowHolderLatencyWithIdenticalRankings) {
 
   // Peer 3 is alive but a straggler: every leg addressed to it draws up
   // to 64 injected ticks. Its replica holders are fast.
-  HdkEngineConfig config = OverloadConfig(GetParam(), 1);
+  EngineConfig config = OverloadConfig(GetParam(), 1);
   config.replication = 2;
   config.faults = *net::FaultPlan::Parse("seed=7,latency@3=64");
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
@@ -235,7 +230,7 @@ TEST_P(HedgeTest, HedgedBatchesAreThreadCountInvariant) {
   for (size_t ti = 0; ti < 2; ++ti) {
     const size_t threads = ti == 0 ? 1 : 4;
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    HdkEngineConfig config = OverloadConfig(GetParam(), threads);
+    EngineConfig config = OverloadConfig(GetParam(), threads);
     config.replication = 2;
     config.faults = *net::FaultPlan::Parse("seed=7,loss=0.02,latency@3=64");
     auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
@@ -274,7 +269,7 @@ TEST(DeadlineTest, BudgetDegradesInsteadOfRetryingForever) {
   // key burns the full retry/backoff budget against the corpse. One
   // fresh (identical) build per batch keeps the origin rotation aligned
   // across the three compared runs.
-  HdkEngineConfig config = OverloadConfig(OverlayKind::kPGrid, 1);
+  EngineConfig config = OverloadConfig(OverlayKind::kPGrid, 1);
   config.faults = *net::FaultPlan::Parse("seed=7,latency=6,kill=2@0");
   auto fresh_engine = [&] {
     auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
@@ -325,7 +320,7 @@ TEST(DeadlineTest, BoundedBatchesAreThreadCountInvariant) {
   uint64_t exceeded[2] = {0, 0};
   for (size_t ti = 0; ti < 2; ++ti) {
     const size_t threads = ti == 0 ? 1 : 4;
-    HdkEngineConfig config = OverloadConfig(OverlayKind::kChord, threads);
+    EngineConfig config = OverloadConfig(OverlayKind::kChord, threads);
     config.faults = *net::FaultPlan::Parse("seed=7,latency=6,kill=2@0");
     auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
     ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -340,101 +335,6 @@ TEST(DeadlineTest, BoundedBatchesAreThreadCountInvariant) {
   EXPECT_EQ(fp[0], fp[1]);
   EXPECT_GT(exceeded[0], 0u);
   EXPECT_EQ(exceeded[0], exceeded[1]);
-}
-
-// ---------------------------------------------------------------------
-// Admission control.
-
-TEST(AdmissionTest, GateShedsLowestPriorityQueriesExplicitly) {
-  corpus::DocumentStore store;
-  OverloadCorpus().FillStore(240, &store);
-
-  HdkEngineConfig config = OverloadConfig(OverlayKind::kPGrid, 1);
-  auto open_built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
-  ASSERT_TRUE(open_built.ok());
-  auto open = std::move(open_built).value();
-
-  HdkEngineConfig gated_config = config;
-  gated_config.admission.max_batch_queries = 6;
-  auto gated_built =
-      HdkSearchEngine::Build(gated_config, store, SplitEvenly(240, 6));
-  ASSERT_TRUE(gated_built.ok());
-  auto gated = std::move(gated_built).value();
-
-  std::vector<corpus::Query> queries =
-      OverloadQueries(store, gated->peer_ranges(), 10);
-  // Two background stragglers, one interactive, the rest normal.
-  for (auto& q : queries) q.priority = QueryPriority::kNormal;
-  queries[2].priority = QueryPriority::kBackground;
-  queries[7].priority = QueryPriority::kBackground;
-  queries[4].priority = QueryPriority::kInteractive;
-
-  BatchResponse reference = open->SearchBatch(queries, 20);
-  BatchResponse batch = gated->SearchBatch(queries, 20);
-
-  // 10 queries, 6 admitted: the two background queries shed first, then
-  // normal-priority queries from the back of the batch (9, then 8).
-  const std::vector<size_t> expect_shed = {2, 7, 8, 9};
-  uint64_t shed = 0;
-  for (size_t i = 0; i < batch.responses.size(); ++i) {
-    const SearchResponse& response = batch.responses[i];
-    const bool should_shed =
-        std::find(expect_shed.begin(), expect_shed.end(), i) !=
-        expect_shed.end();
-    EXPECT_EQ(response.shed, should_shed) << "query " << i;
-    if (response.shed) {
-      ++shed;
-      // Shed is explicit and free: no results, no network work, flagged.
-      EXPECT_TRUE(response.results.empty());
-      EXPECT_EQ(response.cost.shed, 1u);
-      EXPECT_EQ(response.cost.messages, 0u);
-      EXPECT_FALSE(response.degraded);
-    } else {
-      // Admitted queries rank exactly as the ungated engine ranks them
-      // (results are origin-independent).
-      const auto& expected = reference.responses[i].results;
-      ASSERT_EQ(response.results.size(), expected.size()) << "query " << i;
-      for (size_t j = 0; j < expected.size(); ++j) {
-        EXPECT_EQ(response.results[j].doc, expected[j].doc);
-      }
-    }
-  }
-  EXPECT_EQ(shed, expect_shed.size());
-  EXPECT_EQ(batch.total.shed, expect_shed.size());
-
-  // Under the bound nothing sheds, whatever the priorities say.
-  std::vector<corpus::Query> small(queries.begin(), queries.begin() + 6);
-  BatchResponse under = gated->SearchBatch(small, 20);
-  EXPECT_EQ(under.total.shed, 0u);
-}
-
-TEST(AdmissionTest, ShedDecisionsAreThreadCountInvariant) {
-  corpus::DocumentStore store;
-  OverloadCorpus().FillStore(240, &store);
-
-  uint64_t fp[2] = {0, 0};
-  for (size_t ti = 0; ti < 2; ++ti) {
-    const size_t threads = ti == 0 ? 1 : 4;
-    HdkEngineConfig config = OverloadConfig(OverlayKind::kChord, threads);
-    config.admission.max_batch_queries = 7;
-    auto built = HdkSearchEngine::Build(config, store, SplitEvenly(240, 6));
-    ASSERT_TRUE(built.ok());
-    auto engine = std::move(built).value();
-    std::vector<corpus::Query> queries =
-        OverloadQueries(store, engine->peer_ranges(), 12);
-    queries[1].priority = QueryPriority::kBackground;
-    queries[10].priority = QueryPriority::kInteractive;
-    BatchResponse batch = engine->SearchBatch(queries, 20);
-    EXPECT_EQ(batch.total.shed, 5u);
-    uint64_t h = FingerprintBatch(batch);
-    for (const SearchResponse& response : batch.responses) {
-      h = HashCombine(h, response.shed ? 1 : 0);
-    }
-    fp[ti] = h;
-  }
-  // Shedding happens before the batch fans out, so the victim set — and
-  // everything downstream — is identical at every thread count.
-  EXPECT_EQ(fp[0], fp[1]);
 }
 
 }  // namespace

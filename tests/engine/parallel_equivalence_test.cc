@@ -167,15 +167,9 @@ TEST(HdkParallelBuildTest, GlobalIndexIsPostingForPostingIdentical) {
   corpus::DocumentStore store;
   corpus.FillStore(240, &store);
 
-  HdkEngineConfig serial_cfg;
-  serial_cfg.hdk = SerialConfig().hdk;
-  serial_cfg.num_threads = 1;
-  HdkEngineConfig parallel_cfg = serial_cfg;
-  parallel_cfg.num_threads = TestThreads();
-
-  auto serial = HdkSearchEngine::Build(serial_cfg, store,
+  auto serial = HdkSearchEngine::Build(SerialConfig(), store,
                                        SplitEvenly(240, 4));
-  auto parallel = HdkSearchEngine::Build(parallel_cfg, store,
+  auto parallel = HdkSearchEngine::Build(ParallelConfig(), store,
                                          SplitEvenly(240, 4));
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());

@@ -37,8 +37,8 @@ corpus::SyntheticCorpus TestCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig Config(OverlayKind overlay, size_t threads) {
-  HdkEngineConfig config;
+EngineConfig Config(OverlayKind overlay, size_t threads) {
+  EngineConfig config;
   config.hdk.df_max = 9;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;

@@ -257,31 +257,36 @@ TEST(FaultInjectorTest, OnPeerRemovedRenumbers) {
 }
 
 TEST(PeerHealthTest, StrainAndSuspects) {
-  PeerHealth health(/*suspect_threshold=*/2);
+  constexpr uint32_t kThreshold = PeerHealth::kDefaultSuspectThreshold;
+  PeerHealth health;
   // Unsized peers read as healthy; recording needs the serial sizing.
   EXPECT_EQ(health.strain(7), 0u);
   health.EnsurePeers(8);
   EXPECT_EQ(health.strain(7), 0u);
   EXPECT_FALSE(health.Suspect(7));
 
-  health.RecordFailure(7);
-  EXPECT_EQ(health.strain(7), 1u);
-  EXPECT_FALSE(health.Suspect(7));
+  for (uint32_t i = 1; i < kThreshold; ++i) {
+    health.RecordFailure(7);
+    EXPECT_EQ(health.strain(7), i);
+    EXPECT_FALSE(health.Suspect(7));
+  }
   health.RecordFailure(7);
   EXPECT_TRUE(health.Suspect(7));
-  EXPECT_EQ(health.Suspects(), std::vector<PeerId>{7});
+  for (PeerId p = 0; p < 7; ++p) EXPECT_FALSE(health.Suspect(p)) << p;
 
   // One success clears the streak — strain counts CONSECUTIVE failures.
   health.RecordSuccess(7);
   EXPECT_EQ(health.strain(7), 0u);
   EXPECT_FALSE(health.Suspect(7));
 
-  health.RecordFailure(2);
-  health.RecordFailure(2);
-  health.RecordFailure(4);
-  health.RecordFailure(4);
+  for (uint32_t i = 0; i < kThreshold; ++i) {
+    health.RecordFailure(2);
+    health.RecordFailure(4);
+  }
   health.OnPeerRemoved(3);  // 4 renumbers to 3
-  EXPECT_EQ(health.Suspects(), (std::vector<PeerId>{2, 3}));
+  for (PeerId p = 0; p < 7; ++p) {
+    EXPECT_EQ(health.Suspect(p), p == 2 || p == 3) << p;
+  }
 }
 
 TEST(ChannelTest, InactiveInjectorRecordsExactlyOneMessage) {
@@ -293,7 +298,7 @@ TEST(ChannelTest, InactiveInjectorRecordsExactlyOneMessage) {
   PeerHealth health;
   health.EnsurePeers(4);
   for (const Resilience& res :
-       {Resilience{}, Resilience{&injector, &health, {}, 1, {}}}) {
+       {Resilience{}, Resilience{&injector, &health, 1, {}}}) {
     TrafficRecorder fresh;
     fresh.EnsurePeers(4);
     Channel channel(&fresh, res);
@@ -320,7 +325,7 @@ TEST(ChannelTest, SendReliableRetriesThenFailsOverOrDegrades) {
   PeerHealth health;
   injector.EnsurePeers(4);
   health.EnsurePeers(4);
-  Resilience res{&injector, &health, RetryPolicy{4, 1}, 1, {}};
+  Resilience res{&injector, &health, 1, {}};
   Channel channel(&traffic, res);
 
   // A hard-dead destination: the first attempt is recorded (bandwidth is
@@ -333,7 +338,7 @@ TEST(ChannelTest, SendReliableRetriesThenFailsOverOrDegrades) {
   EXPECT_EQ(health.strain(2), 1u);
 
   // Heavy loss against a LIVE peer: across many logical messages every
-  // one is eventually delivered or exhausts exactly max_attempts
+  // one is eventually delivered or exhausts exactly kMaxSendAttempts
   // records; retried sends surface their extra attempts.
   injector.RevivePeer(2);
   FaultPlan plan;
@@ -350,7 +355,7 @@ TEST(ChannelTest, SendReliableRetriesThenFailsOverOrDegrades) {
     retried += out.retries > 0;
     exhausted += !out.delivered;
     if (!out.delivered) {
-      EXPECT_EQ(out.retries, 3u);
+      EXPECT_EQ(out.retries, kMaxSendAttempts - 1);
     }
     if (out.retries > 0) {
       EXPECT_GT(out.latency_ticks, 0u);
@@ -366,7 +371,7 @@ TEST(ChannelTest, SendAssuredChargesDeadPeersOneAttempt) {
   traffic.EnsurePeers(4);
   FaultInjector injector;
   injector.EnsurePeers(4);
-  Resilience res{&injector, nullptr, RetryPolicy{3, 1}, 1, {}};
+  Resilience res{&injector, nullptr, 1, {}};
   Channel channel(&traffic, res);
 
   injector.KillPeer(1);
@@ -376,7 +381,7 @@ TEST(ChannelTest, SendAssuredChargesDeadPeersOneAttempt) {
   EXPECT_EQ(dead.retries, 0u);
   EXPECT_EQ(traffic.total().messages, 1u);
 
-  // Against a live peer under heavy loss, at most max_attempts records
+  // Against a live peer under heavy loss, at most kMaxSendAttempts records
   // are charged; an undelivered outcome is the caller's cue to park the
   // payload on the redelivery queue (the barrier delivers it later).
   injector.RevivePeer(1);
@@ -390,11 +395,11 @@ TEST(ChannelTest, SendAssuredChargesDeadPeersOneAttempt) {
     auto out = channel.SendAssured(0, 1, MessageKind::kInsertPostings, 10,
                                    2, salt);
     const uint64_t records = traffic.total().messages - before;
-    EXPECT_LE(records, 3u);
+    EXPECT_LE(records, kMaxSendAttempts);
     EXPECT_EQ(records, 1 + out.retries);
     saw_exhausted |= !out.delivered;
   }
-  EXPECT_TRUE(saw_exhausted);  // 0.6^3 ~ 22% of 200
+  EXPECT_TRUE(saw_exhausted);  // 0.6^4 ~ 13% of 200
 }
 
 TEST(ChannelTest, ConcurrentSendsMatchASerialRun) {
@@ -421,7 +426,7 @@ TEST(ChannelTest, ConcurrentSendsMatchASerialRun) {
       injector.KillPeer(kDead);
     }
     bool Send(size_t i) {
-      const Resilience res{&injector, &health, RetryPolicy{4, 1}, 1, {}};
+      const Resilience res{&injector, &health, 1, {}};
       const auto src = static_cast<PeerId>(i % kPeers);
       const auto dst = static_cast<PeerId>((i * 3 + 1) % kPeers);
       const MessageKind kind = i % 2 == 0 ? MessageKind::kKeyProbe

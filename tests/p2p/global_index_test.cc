@@ -26,11 +26,11 @@ TEST_F(GlobalIndexTest, AggregatesDfAcrossPeers) {
   hdk::TermKey key{1, 2};
   index_.InsertPostings(0, key,
                         index::PostingList({{0, 1, 10}, {1, 1, 10}}),
-                        Params(10), 10.0);
+                        Params(10));
   index_.InsertPostings(1, key,
                         index::PostingList({{5, 1, 10}, {6, 1, 10},
                                             {7, 1, 10}}),
-                        Params(10), 10.0);
+                        Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0);
   EXPECT_EQ(outcome.hdks, 1u);
   EXPECT_EQ(outcome.ndks, 0u);
@@ -51,7 +51,7 @@ TEST_F(GlobalIndexTest, ClassifiesNdkAndTruncates) {
   // Sender-side truncation already limits the transmitted payload to the
   // local top-DFmax.
   const uint64_t payload = index_.InsertPostings(
-      0, key, index::PostingList(postings), Params(5), 100.0);
+      0, key, index::PostingList(postings), Params(5));
   EXPECT_EQ(payload, 5u);
   auto outcome = index_.EndLevel(Params(5), 100.0);
   EXPECT_EQ(outcome.ndks, 1u);
@@ -73,8 +73,7 @@ TEST_F(GlobalIndexTest, NotifiesEveryContributorOfAnNdk) {
     for (DocId d = p * 10; d < p * 10 + 4; ++d) {
       postings.push_back({d, 1, 10});
     }
-    index_.InsertPostings(p, key, index::PostingList(postings), Params(10),
-                          10.0);
+    index_.InsertPostings(p, key, index::PostingList(postings), Params(10));
   }
   auto outcome = index_.EndLevel(Params(10), 10.0);  // df 12 > 10
   ASSERT_EQ(outcome.notifications.size(), 1u);
@@ -93,7 +92,7 @@ TEST_F(GlobalIndexTest, LateContributionCrossingDfMaxNotifiesEveryone) {
   hdk::TermKey key{3};
   std::vector<index::Posting> first;
   for (DocId d = 0; d < 6; ++d) first.push_back({d, 1, 10});
-  index_.InsertPostings(0, key, index::PostingList(first), Params(10), 10.0);
+  index_.InsertPostings(0, key, index::PostingList(first), Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0);
   EXPECT_EQ(outcome.hdks, 1u);
   EXPECT_EQ(outcome.reclassified, 0u);
@@ -101,8 +100,7 @@ TEST_F(GlobalIndexTest, LateContributionCrossingDfMaxNotifiesEveryone) {
 
   std::vector<index::Posting> second;
   for (DocId d = 20; d < 26; ++d) second.push_back({d, 1, 10});
-  index_.InsertPostings(1, key, index::PostingList(second), Params(10),
-                        10.0);
+  index_.InsertPostings(1, key, index::PostingList(second), Params(10));
   outcome = index_.EndLevel(Params(10), 10.0);  // df 12 > 10 now
   EXPECT_EQ(outcome.ndks, 1u);
   EXPECT_EQ(outcome.reclassified, 1u);
@@ -117,14 +115,13 @@ TEST_F(GlobalIndexTest, LateContributionToKnownNdkNotifiesOnlyNewcomer) {
   hdk::TermKey key{5};
   std::vector<index::Posting> first;
   for (DocId d = 0; d < 12; ++d) first.push_back({d, 1, 10});
-  index_.InsertPostings(0, key, index::PostingList(first), Params(10), 10.0);
+  index_.InsertPostings(0, key, index::PostingList(first), Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0);  // NDK immediately
   EXPECT_EQ(outcome.ndks, 1u);
 
   std::vector<index::Posting> second;
   for (DocId d = 20; d < 23; ++d) second.push_back({d, 1, 10});
-  index_.InsertPostings(1, key, index::PostingList(second), Params(10),
-                        10.0);
+  index_.InsertPostings(1, key, index::PostingList(second), Params(10));
   outcome = index_.EndLevel(Params(10), 10.0);
   EXPECT_EQ(outcome.reclassified, 0u);
   ASSERT_EQ(outcome.notifications.size(), 1u);
@@ -136,8 +133,7 @@ TEST_F(GlobalIndexTest, NotificationsCanBeDisabled) {
   hdk::TermKey key{3};
   std::vector<index::Posting> postings;
   for (DocId d = 0; d < 12; ++d) postings.push_back({d, 1, 10});
-  index_.InsertPostings(0, key, index::PostingList(postings), Params(10),
-                        10.0);
+  index_.InsertPostings(0, key, index::PostingList(postings), Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0,
                                  /*notify_contributors=*/false);
   EXPECT_EQ(outcome.ndks, 1u);
@@ -151,7 +147,7 @@ TEST_F(GlobalIndexTest, InsertRecordsTraffic) {
   index_.InsertPostings(2, key,
                         index::PostingList({{0, 1, 5}, {1, 1, 5},
                                             {2, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   const auto& insert =
       traffic_.ByKind(net::MessageKind::kInsertPostings);
   EXPECT_EQ(insert.messages, 1u);
@@ -162,7 +158,7 @@ TEST_F(GlobalIndexTest, FetchRecordsProbeAndResponse) {
   hdk::TermKey key{4};
   index_.InsertPostings(0, key,
                         index::PostingList({{0, 1, 5}, {1, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   index_.EndLevel(Params(10), 5.0);
 
   const hdk::KeyEntry* entry = index_.FetchFrom(3, key);
@@ -187,7 +183,7 @@ TEST_F(GlobalIndexTest, KeysArePlacedByHashOnCorrectFragments) {
   for (TermId t = 0; t < 40; ++t) {
     hdk::TermKey key{t};
     index_.InsertPostings(0, key, index::PostingList({{0, 1, 5}}),
-                          Params(10), 5.0);
+                          Params(10));
   }
   index_.EndLevel(Params(10), 5.0);
   EXPECT_EQ(index_.TotalKeys(), 40u);
@@ -206,7 +202,7 @@ TEST_F(GlobalIndexTest, KeysArePlacedByHashOnCorrectFragments) {
 TEST_F(GlobalIndexTest, OverlayGrowthMigratesResponsibility) {
   for (TermId t = 0; t < 40; ++t) {
     index_.InsertPostings(0, hdk::TermKey{t},
-                          index::PostingList({{0, 1, 5}}), Params(10), 5.0);
+                          index::PostingList({{0, 1, 5}}), Params(10));
   }
   index_.EndLevel(Params(10), 5.0);
 
@@ -226,12 +222,12 @@ TEST_F(GlobalIndexTest, OverlayGrowthMigratesResponsibility) {
 
 TEST_F(GlobalIndexTest, EraseKeysContainingPurgesEverywhere) {
   index_.InsertPostings(0, hdk::TermKey{1}, index::PostingList({{0, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   index_.InsertPostings(0, hdk::TermKey{2}, index::PostingList({{0, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   index_.EndLevel(Params(10), 5.0);
   index_.InsertPostings(1, hdk::TermKey{1, 2},
-                        index::PostingList({{5, 1, 5}}), Params(10), 5.0);
+                        index::PostingList({{5, 1, 5}}), Params(10));
   index_.EndLevel(Params(10), 5.0);
 
   EXPECT_EQ(index_.EraseKeysContaining(TermIdSet{1}), 2u);  // {1}, {1,2}
@@ -245,7 +241,7 @@ TEST_F(GlobalIndexTest, StoredPostingsPerPeerSumsToTotal) {
   for (TermId t = 0; t < 20; ++t) {
     index_.InsertPostings(
         0, hdk::TermKey{t},
-        index::PostingList({{0, 1, 5}, {1, 1, 5}}), Params(10), 5.0);
+        index::PostingList({{0, 1, 5}, {1, 1, 5}}), Params(10));
   }
   index_.EndLevel(Params(10), 5.0);
   uint64_t sum = 0;
@@ -258,9 +254,9 @@ TEST_F(GlobalIndexTest, StoredPostingsPerPeerSumsToTotal) {
 
 TEST_F(GlobalIndexTest, ExportContainsEverything) {
   index_.InsertPostings(0, hdk::TermKey{1},
-                        index::PostingList({{0, 1, 5}}), Params(10), 5.0);
+                        index::PostingList({{0, 1, 5}}), Params(10));
   index_.InsertPostings(1, hdk::TermKey{2, 3},
-                        index::PostingList({{5, 1, 5}}), Params(10), 5.0);
+                        index::PostingList({{5, 1, 5}}), Params(10));
   index_.EndLevel(Params(10), 5.0);
   auto contents = index_.ExportContents();
   EXPECT_EQ(contents.size(), 2u);
@@ -291,7 +287,7 @@ void FeedWorkload(DistributedGlobalIndex& index, const HdkParams& params) {
         postings.push_back({d, 1, 10});
       }
       index.InsertPostings(p, hdk::TermKey{t},
-                           index::PostingList(postings), params, 10.0);
+                           index::PostingList(postings), params);
     }
   }
 }
@@ -379,7 +375,7 @@ TEST(ShardedGlobalIndexTest, OverlayGrowthMigratesWithinShards) {
                                /*num_shards=*/7);
   for (TermId t = 0; t < 40; ++t) {
     index.InsertPostings(0, hdk::TermKey{t},
-                         index::PostingList({{0, 1, 5}}), params, 5.0);
+                         index::PostingList({{0, 1, 5}}), params);
   }
   index.EndLevel(params, 5.0);
 

@@ -32,8 +32,8 @@ corpus::SyntheticCorpus TestCorpus(uint64_t seed = 515) {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig Config() {
-  HdkEngineConfig config;
+EngineConfig Config() {
+  EngineConfig config;
   config.hdk.df_max = 7;
   config.hdk.very_frequent_threshold = 300;
   config.num_threads = 1;
@@ -185,7 +185,7 @@ TEST_F(SnapshotCorruptionTest, WrongConfigHashInHeader) {
 
 TEST_F(SnapshotCorruptionTest, MismatchedLoaderConfig) {
   // An intact file, but the loader runs different engine parameters.
-  HdkEngineConfig other = Config();
+  EngineConfig other = Config();
   other.hdk.df_max = 13;
   auto loaded = LoadEngineSnapshot(other, *store_, *path_);
   ASSERT_FALSE(loaded.ok());

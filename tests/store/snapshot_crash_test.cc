@@ -29,8 +29,8 @@ corpus::SyntheticCorpus CrashCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig CrashConfig() {
-  HdkEngineConfig config;
+EngineConfig CrashConfig() {
+  EngineConfig config;
   config.hdk.df_max = 7;
   config.hdk.very_frequent_threshold = 300;
   config.num_threads = 1;

@@ -47,7 +47,7 @@ class SnapshotFuzzTest : public ::testing::Test {
     store_ = new corpus::DocumentStore();
     corpus::SyntheticCorpus(cfg).FillStore(80, store_);
 
-    engine::HdkEngineConfig config;
+    engine::EngineConfig config;
     config.hdk.df_max = 7;
     config.hdk.very_frequent_threshold = 300;
     config.num_threads = 1;
@@ -154,7 +154,7 @@ TEST_F(SnapshotFuzzTest, MutantsThroughTheEngineLoader) {
   // checksums, the per-section decoders and cross-checks (config hash,
   // store hash, posting cross-validation) must also fail cleanly, and a
   // surviving engine must answer a query without crashing.
-  engine::HdkEngineConfig config;
+  engine::EngineConfig config;
   config.hdk.df_max = 7;
   config.hdk.very_frequent_threshold = 300;
   config.num_threads = 1;

@@ -39,8 +39,8 @@ corpus::SyntheticCorpus TestCorpus() {
   return corpus::SyntheticCorpus(cfg);
 }
 
-HdkEngineConfig Config(OverlayKind overlay, size_t threads) {
-  HdkEngineConfig config;
+EngineConfig Config(OverlayKind overlay, size_t threads) {
+  EngineConfig config;
   config.hdk.df_max = 9;
   config.hdk.very_frequent_threshold = 450;
   config.hdk.window = 8;
@@ -93,7 +93,7 @@ TEST_P(SnapshotIdentityTest, SaveLoadIsFingerprintIdentical) {
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    const HdkEngineConfig config = Config(GetParam(), threads);
+    const EngineConfig config = Config(GetParam(), threads);
     auto built = HdkSearchEngine::Build(config, store, SplitEvenly(160, 4));
     ASSERT_TRUE(built.ok()) << built.status().ToString();
 
@@ -142,7 +142,7 @@ TEST_P(SnapshotIdentityTest, RestoredEngineGrowsAndChurnsIdentically) {
   corpus::DocumentStore store;
   corpus.FillStore(320, &store);
 
-  const HdkEngineConfig config = Config(GetParam(), 1);
+  const EngineConfig config = Config(GetParam(), 1);
   auto built = HdkSearchEngine::Build(config, store, SplitEvenly(160, 4));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
 
@@ -178,10 +178,7 @@ TEST_P(SnapshotIdentityTest, FactoryRestoreComposesDecorators) {
   corpus.FillStore(160, &store);
   const auto queries = TestQueries(store, 10);
 
-  EngineConfig config;
-  config.hdk = Config(GetParam(), 1).hdk;
-  config.overlay = GetParam();
-  config.num_threads = 1;
+  const EngineConfig config = Config(GetParam(), 1);
 
   auto built =
       MakeEngine("cached(hdk)", config, store, SplitEvenly(160, 4));
@@ -204,6 +201,46 @@ TEST_P(SnapshotIdentityTest, FactoryRestoreComposesDecorators) {
       MakeEngine("centralized", config, store, SnapshotFile{path});
   ASSERT_FALSE(centralized.ok());
   EXPECT_EQ(centralized.status().code(), StatusCode::kUnimplemented);
+}
+
+TEST_P(SnapshotIdentityTest, FactoryRestoreKeepsTheWholeConfig) {
+  // The snapshot hashes only the index-shaping fields; the transport
+  // fields below must still reach the restored engine through the
+  // spec-based load, or the loaded network would run fault-free and
+  // unreplicated behind the caller's back.
+  corpus::SyntheticCorpus corpus = TestCorpus();
+  corpus::DocumentStore store;
+  corpus.FillStore(240, &store);
+
+  EngineConfig config = Config(GetParam(), 2);
+  config.replication = 2;
+  config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.4");
+  config.sync.min_cells = 32;
+  config.sync.max_cells = 2048;
+
+  auto built = MakeEngine("hdk", config, store, SplitEvenly(160, 4));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string path = SnapshotPath("snapshot_config.hdks");
+  ASSERT_TRUE((*built)->SaveSnapshot(path).ok());
+
+  auto loaded = MakeEngine("hdk", config, store, SnapshotFile{path});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto* engine = dynamic_cast<HdkSearchEngine*>(loaded->get());
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(engine->config().replication, 2u);
+  EXPECT_EQ(engine->config().faults, config.faults);
+  EXPECT_EQ(engine->config().sync, config.sync);
+  EXPECT_EQ(engine->config().num_threads, 2u);
+
+  // The lossy plan is live on the restored transport: a join wave's
+  // replica pushes go missing, and one sweep heals every pair.
+  ASSERT_TRUE(
+      engine->ApplyMembership(store, JoinWave(160, 2, 40)).ok());
+  EXPECT_GT(engine->global_index().CountReplicaDivergence(), 0u);
+  auto sweep = engine->RunAntiEntropy();
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  EXPECT_GT(sweep->pairs_diverged, 0u);
+  EXPECT_EQ(engine->global_index().CountReplicaDivergence(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
