@@ -43,13 +43,23 @@ struct SweepPoint {
   sync::SyncStats stats;
 };
 
+/// The sweep table's header; `fulls` splits into new-side and rejected.
+void PrintHeader(const char* first) {
+  std::printf("%-12s %12s %12s %10s %9s %6s %8s %8s %13s %12s %11s\n", first,
+              "div_before", "div_after", "seconds", "diverged", "fulls",
+              "new_side", "rejected", "shipped_post", "sketch_B", "messages");
+}
+
 void PrintSweep(const SweepPoint& p) {
-  std::printf("%-12s %12llu %12llu %10.4f %9llu %6llu %13llu %12llu %11llu\n",
+  std::printf("%-12s %12llu %12llu %10.4f %9llu %6llu %8llu %8llu %13llu "
+              "%12llu %11llu\n",
               p.label.c_str(),
               static_cast<unsigned long long>(p.divergence_before),
               static_cast<unsigned long long>(p.divergence_after), p.seconds,
               static_cast<unsigned long long>(p.stats.pairs_diverged),
               static_cast<unsigned long long>(p.stats.full_syncs),
+              static_cast<unsigned long long>(p.stats.full_syncs_new_side),
+              static_cast<unsigned long long>(p.stats.full_syncs_rejected),
               static_cast<unsigned long long>(p.stats.ShippedPostings()),
               static_cast<unsigned long long>(p.stats.sketch_bytes),
               static_cast<unsigned long long>(p.stats.messages));
@@ -84,6 +94,7 @@ void JsonSweep(std::FILE* out, const SweepPoint& p, const char* indent,
       "\"pairs_checked\": %llu, \"pairs_diverged\": %llu, "
       "\"shipped_postings\": %llu, \"delta_postings\": %llu, "
       "\"full_postings\": %llu, \"full_syncs\": %llu, "
+      "\"full_syncs_new_side\": %llu, \"full_syncs_rejected\": %llu, "
       "\"dropped_keys\": %llu, \"sketch_bytes\": %llu, "
       "\"messages\": %llu}%s\n",
       indent, p.label.c_str(),
@@ -95,6 +106,8 @@ void JsonSweep(std::FILE* out, const SweepPoint& p, const char* indent,
       static_cast<unsigned long long>(p.stats.delta_postings),
       static_cast<unsigned long long>(p.stats.full_postings),
       static_cast<unsigned long long>(p.stats.full_syncs),
+      static_cast<unsigned long long>(p.stats.full_syncs_new_side),
+      static_cast<unsigned long long>(p.stats.full_syncs_rejected),
       static_cast<unsigned long long>(p.stats.dropped_keys),
       static_cast<unsigned long long>(p.stats.sketch_bytes),
       static_cast<unsigned long long>(p.stats.messages), last ? "" : ",");
@@ -139,9 +152,7 @@ int main() {
   config.faults = *plan;
 
   // -- Part 1: one sweep over small divergence vs full re-replication ---
-  std::printf("%-12s %12s %12s %10s %9s %6s %13s %12s %11s\n", "mode",
-              "div_before", "div_after", "seconds", "diverged", "fulls",
-              "shipped_post", "sketch_B", "messages");
+  PrintHeader("mode");
   auto built = engine::HdkSearchEngine::Build(
       config, store, engine::SplitEvenly(initial_docs, initial_peers));
   if (!built.ok()) {
@@ -165,8 +176,9 @@ int main() {
   const uint64_t full_postings =
       (config.replication - 1) *
       ibf_engine->global_index().TotalStoredPostings();
-  std::printf("%-12s %12s %12s %10s %9s %6s %13llu\n", "full", "", "", "",
-              "", "", static_cast<unsigned long long>(full_postings));
+  std::printf("%-12s %12s %12s %10s %9s %6s %8s %8s %13llu\n", "full", "",
+              "", "", "", "", "", "",
+              static_cast<unsigned long long>(full_postings));
   if (ibf_postings * 5 > full_postings) {
     std::fprintf(stderr,
                  "acceptance failed: IBF shipped %llu postings, full sync "
@@ -180,9 +192,7 @@ int main() {
                   static_cast<double>(std::max<uint64_t>(ibf_postings, 1)));
 
   // -- Part 2: join/leave wave sweep on the same engine ----------------
-  std::printf("%-12s %12s %12s %10s %9s %6s %13s %12s %11s\n", "wave",
-              "div_before", "div_after", "seconds", "diverged", "fulls",
-              "shipped_post", "sketch_B", "messages");
+  PrintHeader("wave");
   std::vector<SweepPoint> waves;
   DocId frontier = static_cast<DocId>(initial_docs);
   for (int cycle = 0; cycle < 2; ++cycle) {

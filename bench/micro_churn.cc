@@ -6,8 +6,11 @@
 // departure waves — messages and postings moved per membership event —
 // and the result-cache hit rate of a repeated query batch between waves.
 // For the HDK engines a departure wave's time is split into the in-place
-// repair, the handover/repair billing and the replica reconciliation
-// (p2p::PhaseTimings).
+// repair, the handover/repair billing and the replica reconciliation, a
+// join wave's into the fragment handover (with its reconciliation), the
+// Ff purge and the avgdl re-truncation (p2p::PhaseTimings), and either
+// wave's reconciliation into its collect and pair/apply phases
+// (sync::SyncTimings).
 // Emits BENCH_churn.json. (Plain main(), no Google Benchmark dependency,
 // like micro_parallel.)
 //
@@ -37,11 +40,16 @@ struct WavePoint {
   double seconds = 0;
   uint64_t messages = 0;
   uint64_t postings_moved = 0;
-  /// The departure phase split; only HDK engines report it.
+  /// The phase split; only HDK engines report it.
   bool has_phases = false;
   double repair_s = 0;
   double diff_s = 0;
   double reconcile_s = 0;
+  double handover_s = 0;
+  double purge_s = 0;
+  double retruncate_s = 0;
+  double sync_collect_s = 0;
+  double sync_pairs_s = 0;
 };
 
 struct EngineRun {
@@ -125,9 +133,12 @@ int main() {
     EngineRun run;
     run.spec = spec.label;
 
-    std::printf("%-14s %-6s %7s %10s %12s %14s %16s %10s %10s %12s\n",
+    std::printf("%-14s %-6s %7s %10s %12s %14s %16s %10s %10s %12s %11s "
+                "%10s %13s %15s %13s\n",
                 spec.label, "wave", "events", "peers", "seconds", "messages",
-                "postings_moved", "repair_s", "diff_s", "reconcile_s");
+                "postings_moved", "repair_s", "diff_s", "reconcile_s",
+                "handover_s", "purge_s", "retruncate_s", "sync_collect_s",
+                "sync_pairs_s");
     // Decorated stacks hide the HDK engine; their phase columns stay
     // empty.
     const auto* hdk_engine =
@@ -135,6 +146,11 @@ int main() {
     auto phases = [hdk_engine] {
       return hdk_engine != nullptr ? hdk_engine->phase_timings()
                                    : p2p::PhaseTimings{};
+    };
+    auto sync_phases = [hdk_engine] {
+      return hdk_engine != nullptr
+                 ? hdk_engine->global_index().sync_timings()
+                 : sync::SyncTimings{};
     };
 
     DocId frontier =
@@ -145,6 +161,7 @@ int main() {
           engine.traffic() != nullptr ? engine.traffic()->Snapshot()
                                       : net::TrafficCounters{};
       const p2p::PhaseTimings phases_before = phases();
+      const sync::SyncTimings sync_before = sync_phases();
       Stopwatch watch;
       Status st = engine.ApplyMembership(store, events);
       const double seconds = watch.ElapsedSeconds();
@@ -172,16 +189,31 @@ int main() {
                      phases_before.departure_diff_seconds;
       point.reconcile_s = phases_after.departure_reconcile_seconds -
                           phases_before.departure_reconcile_seconds;
+      point.handover_s = phases_after.join_handover_seconds -
+                         phases_before.join_handover_seconds;
+      point.purge_s = phases_after.join_purge_seconds -
+                      phases_before.join_purge_seconds;
+      point.retruncate_s = phases_after.join_retruncate_seconds -
+                           phases_before.join_retruncate_seconds;
+      const sync::SyncTimings sync_after = sync_phases();
+      point.sync_collect_s =
+          sync_after.collect_seconds - sync_before.collect_seconds;
+      point.sync_pairs_s =
+          sync_after.pairs_seconds - sync_before.pairs_seconds;
       run.waves.push_back(point);
       std::printf("%-14s %-6s %7zu %10zu %12.4f %14llu %16llu", "", kind,
                   point.events, point.peers_after, point.seconds,
                   static_cast<unsigned long long>(point.messages),
                   static_cast<unsigned long long>(point.postings_moved));
       if (point.has_phases) {
-        std::printf(" %10.4f %10.4f %12.4f\n", point.repair_s,
-                    point.diff_s, point.reconcile_s);
+        std::printf(" %10.4f %10.4f %12.4f %11.4f %10.4f %13.4f %15.4f "
+                    "%13.4f\n",
+                    point.repair_s, point.diff_s, point.reconcile_s,
+                    point.handover_s, point.purge_s, point.retruncate_s,
+                    point.sync_collect_s, point.sync_pairs_s);
       } else {
-        std::printf(" %10s %10s %12s\n", "-", "-", "-");
+        std::printf(" %10s %10s %12s %11s %10s %13s %15s %13s\n", "-", "-",
+                    "-", "-", "-", "-", "-", "-");
       }
       return true;
     };
@@ -270,8 +302,12 @@ int main() {
       if (p.has_phases) {
         std::fprintf(out,
                      ", \"repair_s\": %.6f, \"diff_s\": %.6f, "
-                     "\"reconcile_s\": %.6f",
-                     p.repair_s, p.diff_s, p.reconcile_s);
+                     "\"reconcile_s\": %.6f, \"handover_s\": %.6f, "
+                     "\"purge_s\": %.6f, \"retruncate_s\": %.6f, "
+                     "\"sync_collect_s\": %.6f, \"sync_pairs_s\": %.6f",
+                     p.repair_s, p.diff_s, p.reconcile_s, p.handover_s,
+                     p.purge_s, p.retruncate_s, p.sync_collect_s,
+                     p.sync_pairs_s);
       }
       std::fprintf(out, "}%s\n", i + 1 < run.waves.size() ? "," : "");
     }

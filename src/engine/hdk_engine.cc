@@ -59,13 +59,11 @@ Status HdkSearchEngine::ApplyJoinWave(
   HDK_RETURN_NOT_OK(ValidateJoinRanges(protocol_->indexed_documents(),
                                        new_ranges, store_->size()));
 
-  // 1. The joining peers enter the overlay; key-space responsibility is
-  //    re-balanced and published fragments are handed over.
+  // 1. The joining peers enter the overlay; the protocol's Grow hands
+  //    the published fragments over to the re-balanced key space.
   for (size_t i = 0; i < new_ranges.size(); ++i) {
     HDK_RETURN_NOT_OK(overlay_->AddPeer());
   }
-  p2p::GrowthStats growth;
-  growth.migrated_keys = global_->OnOverlayGrown();
 
   // 2. Collection statistics over the grown ranges (very-frequent cutoff,
   //    average document length): the current ones plus the joining
@@ -75,7 +73,8 @@ Status HdkSearchEngine::ApplyJoinWave(
   stats->AddRanges(*store_, new_ranges);
   stats_ = std::move(stats);
 
-  // 3. Delta indexing run.
+  // 3. Handover and delta indexing run.
+  p2p::GrowthStats growth;
   HDK_RETURN_NOT_OK(protocol_->Grow(new_ranges, *stats_, &growth));
   last_growth_ = growth;
   return Status::OK();

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <numeric>
 #include <tuple>
 
 #include "common/hash.h"
+#include "common/stopwatch.h"
 #include "sync/reconcile.h"
 #include "sync/sketch.h"
 
@@ -970,41 +972,40 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
     if (shard->replicas.size() < num_peers) shard->replicas.resize(num_peers);
   }
 
-  // One replica slot, seen from either side of a pair. The TermKey rides
-  // BY VALUE: applying a plan erases flat-map entries, which invalidates
-  // references into the maps.
-  struct Rec {
-    PeerId primary;
-    uint64_t key_hash;
+  // One replica slot of a pair: its content digest and where its entry
+  // sits — position `pos` of the primary's fragment (desired side) or of
+  // the holder's replica map (actual side) in shard `shard`.
+  struct Slot {
     uint64_t digest;
-    uint32_t shard;
-    uint64_t postings;
-    hdk::TermKey key;
+    PeerId primary;
+    uint32_t pos;
+    uint32_t postings;
+    uint16_t shard;
+    bool actual;
   };
+  assert(shards_.size() <= UINT16_MAX + 1);
 
   // Phase 1 (shard-parallel): collect what each holder SHOULD store
   // (desired: fragments x salted placement) and what it DOES store
-  // (actual: the replica maps).
-  struct Side {
-    std::vector<std::vector<Rec>> desired;  // per holder
-    std::vector<std::vector<Rec>> actual;
-  };
-  std::vector<Side> parts(shards_.size());
+  // (actual: the replica maps). slots[s][h]: shard s's slots of holder h.
+  Stopwatch collect_watch;
+  std::vector<std::vector<std::vector<Slot>>> slots(shards_.size());
   ParallelForEach(pool_, shards_.size(), [&](size_t s) {
-    Shard& shard = *shards_[s];
-    Side& part = parts[s];
-    part.desired.resize(num_peers);
-    part.actual.resize(num_peers);
+    const Shard& shard = *shards_[s];
+    std::vector<std::vector<Slot>>& part = slots[s];
+    part.resize(num_peers);
     for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
       const auto& fragment = shard.fragments[owner];
       for (size_t pos = 0; pos < fragment.size(); ++pos) {
-        const auto& [key, entry] = fragment.entry(pos);
-        const uint64_t key_hash = fragment.hash_at(pos);
-        const dht::HolderSet holders = HoldersFor(key_hash);
+        const hdk::KeyEntry& entry = fragment.entry(pos).second;
+        const dht::HolderSet holders = HoldersFor(fragment.hash_at(pos));
+        assert(holders[0] == owner);
+        const Slot slot{EntryDigest(fragment.hash_at(pos), entry), owner,
+                        static_cast<uint32_t>(pos),
+                        static_cast<uint32_t>(entry.postings.size()),
+                        static_cast<uint16_t>(s), false};
         for (size_t i = 1; i < holders.size(); ++i) {
-          part.desired[holders[i]].push_back(
-              Rec{holders[0], key_hash, EntryDigest(key_hash, entry),
-                  static_cast<uint32_t>(s), entry.postings.size(), key});
+          part[holders[i]].push_back(slot);
         }
       }
     }
@@ -1012,32 +1013,20 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
     for (PeerId holder = 0; holder < tracked; ++holder) {
       const auto& replica = shard.replicas[holder];
       for (size_t pos = 0; pos < replica.size(); ++pos) {
-        const auto& [key, entry] = replica.entry(pos);
         const uint64_t key_hash = replica.hash_at(pos);
-        part.actual[holder].push_back(
-            Rec{overlay_->Responsible(key_hash), key_hash,
-                EntryDigest(key_hash, entry), static_cast<uint32_t>(s),
-                entry.postings.size(), key});
+        part[holder].push_back(
+            Slot{EntryDigest(key_hash, replica.entry(pos).second),
+                 overlay_->Responsible(key_hash), static_cast<uint32_t>(pos),
+                 0, static_cast<uint16_t>(s), true});
       }
     }
   });
+  sync_timings_.collect_seconds += collect_watch.ElapsedSeconds();
 
-  // Serial regroup per holder, then sort (primary, digest): the per-pair
-  // digest sets become contiguous runs, identical for every shard/thread
-  // count.
-  std::vector<std::vector<Rec>> desired(num_peers), actual(num_peers);
-  for (Side& part : parts) {
-    for (size_t h = 0; h < num_peers; ++h) {
-      std::move(part.desired[h].begin(), part.desired[h].end(),
-                std::back_inserter(desired[h]));
-      std::move(part.actual[h].begin(), part.actual[h].end(),
-                std::back_inserter(actual[h]));
-    }
-  }
-  auto by_pair = [](const Rec& a, const Rec& b) {
-    return std::tie(a.primary, a.digest, a.key_hash) <
-           std::tie(b.primary, b.digest, b.key_hash);
-  };
+  // A subtracted sketch depends only on the symmetric difference of the
+  // two sets, so every identical pair gets the plan of two empty sets.
+  Stopwatch pairs_watch;
+  const sync::PairPlan identical_plan = sync::PlanPairSync({}, {}, cfg);
 
   // Phase 2 (holder-parallel): reconcile each (primary, holder) pair.
   // Worker h mutates only shard.replicas[h] (fragments are read-only),
@@ -1045,51 +1034,33 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
   // salted by (epoch, pair, leg), so the outcome is thread-independent.
   std::vector<sync::SyncStats> partials(num_peers);
   ParallelForEach(pool_, num_peers, [&](size_t h) {
-    std::vector<Rec>& want = desired[h];
-    std::vector<Rec>& have = actual[h];
-    std::sort(want.begin(), want.end(), by_pair);
-    std::sort(have.begin(), have.end(), by_pair);
     sync::SyncStats& part = partials[h];
     net::Channel channel(traffic_, res_);
     const PeerId holder = static_cast<PeerId>(h);
 
-    auto find_by_digest = [](const std::vector<Rec>& recs, size_t begin,
-                             size_t end, uint64_t digest) -> const Rec* {
-      for (size_t i = begin; i < end; ++i) {
-        if (recs[i].digest == digest) return &recs[i];
+    // Counting sort of the holder's slots into per-primary runs.
+    std::vector<size_t> at(num_peers + 1, 0);
+    for (const auto& part_slots : slots) {
+      for (const Slot& slot : part_slots[h]) ++at[slot.primary + 1];
+    }
+    std::partial_sum(at.begin(), at.end(), at.begin());
+    std::vector<Slot> runs(at.back());
+    std::vector<size_t> next(at.begin(), at.end() - 1);
+    for (const auto& part_slots : slots) {
+      for (const Slot& slot : part_slots[h]) {
+        runs[next[slot.primary]++] = slot;
       }
-      return nullptr;
-    };
-    auto erase_actual = [&](const Rec& rec) {
-      auto& replica = shards_[rec.shard]->replicas[holder];
-      auto it = replica.find_hashed(rec.key_hash, rec.key);
-      if (it != replica.end()) replica.erase(it);
-    };
-    auto ship_desired = [&](const Rec& rec) {
-      const auto& fragment = shards_[rec.shard]->fragments[rec.primary];
-      auto src = fragment.find_hashed(rec.key_hash, rec.key);
-      assert(src != fragment.end());
-      shards_[rec.shard]
-          ->replicas[holder]
-          .try_emplace_hashed(rec.key_hash, rec.key)
-          .first->second = src->second;
-    };
+    }
 
-    size_t wi = 0, ai = 0;
-    while (wi < want.size() || ai < have.size()) {
-      // Next pair = smallest primary present on either side.
-      PeerId primary;
-      if (wi < want.size() && ai < have.size()) {
-        primary = std::min(want[wi].primary, have[ai].primary);
-      } else if (wi < want.size()) {
-        primary = want[wi].primary;
-      } else {
-        primary = have[ai].primary;
-      }
-      const size_t wbegin = wi, abegin = ai;
-      while (wi < want.size() && want[wi].primary == primary) ++wi;
-      while (ai < have.size() && have[ai].primary == primary) ++ai;
-
+    // The repairs are applied after the last pair, while every slot's
+    // position is still valid (a key belongs to one pair only).
+    std::vector<Slot> drops, ships;
+    std::vector<Slot> ship, drop;  // one pair's difference, digest order
+    std::vector<uint64_t> ship_digests, drop_digests;
+    for (PeerId primary = 0; primary < num_peers; ++primary) {
+      const auto run = runs.begin() + at[primary];
+      const auto run_end = runs.begin() + at[primary + 1];
+      if (run == run_end) continue;
       ++part.pairs_checked;
       if (res_.injector != nullptr && res_.injector->active() &&
           (res_.injector->PeerDead(primary) ||
@@ -1098,18 +1069,38 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
         continue;
       }
 
-      std::vector<uint64_t> want_digests, have_digests;
-      want_digests.reserve(wi - wbegin);
-      have_digests.reserve(ai - abegin);
+      // The pair's fingerprint per side: slot count and wrapping sum of
+      // mixed digests, the check PlanPairSync verifies decodes by.
+      uint64_t want = 0, have = 0, want_sum = 0, have_sum = 0;
       uint64_t want_postings = 0;
-      for (size_t i = wbegin; i < wi; ++i) {
-        want_digests.push_back(want[i].digest);
-        want_postings += want[i].postings;
+      for (auto it = run; it != run_end; ++it) {
+        (it->actual ? have : want) += 1;
+        (it->actual ? have_sum : want_sum) += Mix64(it->digest);
+        want_postings += it->postings;  // 0 on the actual side
       }
-      for (size_t i = abegin; i < ai; ++i) {
-        have_digests.push_back(have[i].digest);
+      const bool diverged = want != have || want_sum != have_sum;
+      ship.clear();
+      drop.clear();
+      ship_digests.clear();
+      drop_digests.clear();
+      if (diverged) {
+        // A digest on both sides cancels; the rest is the difference.
+        std::sort(run, run_end, [](const Slot& a, const Slot& b) {
+          return a.digest < b.digest;
+        });
+        for (auto it = run; it != run_end; ++it) {
+          if (it + 1 != run_end && it[1].digest == it->digest) {
+            ++it;
+          } else {
+            (it->actual ? drop : ship).push_back(*it);
+          }
+        }
+        for (const Slot& slot : ship) ship_digests.push_back(slot.digest);
+        for (const Slot& slot : drop) drop_digests.push_back(slot.digest);
       }
-      const bool diverged = want_digests != have_digests;  // both sorted
+      const sync::PairPlan plan =
+          diverged ? sync::PlanPairSync(ship_digests, drop_digests, cfg)
+                   : identical_plan;
 
       const uint64_t pair_salt = Mix64(HashCombine(
           HashCombine(0x53594e43ULL, sync_epoch_),
@@ -1119,32 +1110,40 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
       auto leg = [&](PeerId src, PeerId dst, net::MessageKind kind,
                      uint64_t postings, uint64_t leg_idx,
                      uint64_t extra_bytes) {
-        if (!record_traffic) return true;
-        const net::SendOutcome sent =
-            channel.SendReliable(src, dst, kind, postings, /*hops=*/1,
-                                 pair_salt + leg_idx, extra_bytes);
-        part.messages += 1 + sent.retries;
-        return sent.delivered;
+        if (record_traffic) {
+          const net::SendOutcome sent =
+              channel.SendReliable(src, dst, kind, postings, /*hops=*/1,
+                                   pair_salt + leg_idx, extra_bytes);
+          part.messages += 1 + sent.retries;
+          if (!sent.delivered) {
+            ++part.pairs_unreachable;
+            return false;
+          }
+        }
+        return true;
       };
+      auto apply = [&] {
+        drops.insert(drops.end(), drop.begin(), drop.end());
+        ships.insert(ships.end(), ship.begin(), ship.end());
+      };
+      // Billed as a re-send of the whole desired bucket; replacing only
+      // the difference leaves the same replica state.
       auto full_sync = [&] {
         if (!leg(primary, holder, net::MessageKind::kSyncFull, want_postings,
-                 /*leg_idx=*/9, /*extra_bytes=*/8 * want_digests.size())) {
-          ++part.pairs_unreachable;
+                 /*leg_idx=*/9, /*extra_bytes=*/8 * want)) {
           return;
         }
         if (diverged) ++part.pairs_diverged;
         ++part.full_syncs;
-        part.full_keys += want_digests.size();
+        ++(want == 0 || have == 0 ? part.full_syncs_new_side
+                                  : part.full_syncs_rejected);
+        part.full_keys += want;
         part.full_postings += want_postings;
-        for (size_t i = abegin; i < ai; ++i) erase_actual(have[i]);
-        for (size_t i = wbegin; i < wi; ++i) ship_desired(want[i]);
+        apply();
       };
 
-      // The exchange is computed locally by the planner; the legs below
-      // bill exactly what would travel, and any lost leg aborts the pair
-      // with nothing applied.
-      const sync::PairPlan plan =
-          sync::PlanPairSync(want_digests, have_digests, cfg);
+      // The legs bill exactly what would travel; any lost leg aborts the
+      // pair with nothing applied.
       const uint64_t ibf_bytes =
           static_cast<uint64_t>(plan.ibf_cells) * sync::Ibf::kCellBytes;
       const uint64_t strata_bytes = plan.sketch_bytes - ibf_bytes;
@@ -1153,18 +1152,16 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
       // Leg 1: holder -> primary, the holder's strata estimator.
       if (!leg(holder, primary, net::MessageKind::kSyncStrata, 0,
                /*leg_idx=*/1, strata_bytes)) {
-        ++part.pairs_unreachable;
         continue;
       }
       ++part.sketch_messages;
       part.sketch_bytes += strata_bytes;
 
       // Leg 2: primary -> holder, the difference IBF (skipped when the
-      // strata already proved the pair identical).
+      // estimate already exceeded the cell budget).
       if (plan.ibf_cells > 0) {
         if (!leg(primary, holder, net::MessageKind::kSyncIbf, 0,
                  /*leg_idx=*/2, ibf_bytes)) {
-          ++part.pairs_unreachable;
           continue;
         }
         ++part.sketch_messages;
@@ -1179,48 +1176,50 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
       if (plan.ship.empty() && plan.drop.empty()) continue;  // in sync
 
       ++part.pairs_diverged;
-      uint64_t ship_postings = 0;
-      std::vector<const Rec*> ship_recs, drop_recs;
-      ship_recs.reserve(plan.ship.size());
-      drop_recs.reserve(plan.drop.size());
-      bool resolved = true;
-      for (uint64_t digest : plan.ship) {
-        const Rec* rec = find_by_digest(want, wbegin, wi, digest);
-        if (rec == nullptr) { resolved = false; break; }
-        ship_recs.push_back(rec);
-        ship_postings += rec->postings;
-      }
-      for (uint64_t digest : plan.drop) {
-        const Rec* rec = find_by_digest(have, abegin, ai, digest);
-        if (rec == nullptr) { resolved = false; break; }
-        drop_recs.push_back(rec);
-      }
-      if (!resolved) {
-        // A decoded digest matching neither side should be impossible
-        // past the planner's checksum — degrade to full sync regardless.
+      if (plan.ship != ship_digests || plan.drop != drop_digests) {
+        // A decode other than the difference should be impossible past
+        // the planner's checksum — degrade to full sync regardless.
         full_sync();
         continue;
       }
+      uint64_t ship_postings = 0;
+      for (const Slot& slot : ship) ship_postings += slot.postings;
       // Leg 3: holder -> primary, the decoded want-list (key digests);
       // leg 4: primary -> holder, the missing postings.
-      if (!plan.ship.empty()) {
+      if (!ship.empty()) {
         if (!leg(holder, primary, net::MessageKind::kSyncDelta, 0,
-                 /*leg_idx=*/3, 8 * plan.ship.size()) ||
+                 /*leg_idx=*/3, 8 * ship.size()) ||
             !leg(primary, holder, net::MessageKind::kSyncDelta, ship_postings,
                  /*leg_idx=*/4, 0)) {
-          ++part.pairs_unreachable;
           continue;
         }
       }
-      // Drops first: a stale-content key appears in both lists (old
-      // digest dropped, fresh digest shipped).
-      for (const Rec* rec : drop_recs) erase_actual(*rec);
-      for (const Rec* rec : ship_recs) ship_desired(*rec);
-      part.delta_keys += plan.ship.size();
+      apply();
+      part.delta_keys += ship.size();
       part.delta_postings += ship_postings;
-      part.dropped_keys += plan.drop.size();
+      part.dropped_keys += drop.size();
+    }
+
+    // Drops first: a stale-content key is in both lists (old digest
+    // dropped, fresh digest shipped). Descending positions per map, so
+    // each swap-remove moves only an entry that stays.
+    std::sort(drops.begin(), drops.end(), [](const Slot& a, const Slot& b) {
+      return std::tie(a.shard, a.pos) > std::tie(b.shard, b.pos);
+    });
+    for (const Slot& slot : drops) {
+      auto& replica = shards_[slot.shard]->replicas[holder];
+      replica.erase(replica.begin() + slot.pos);
+    }
+    for (const Slot& slot : ships) {
+      const auto& fragment = shards_[slot.shard]->fragments[slot.primary];
+      shards_[slot.shard]
+          ->replicas[holder]
+          .try_emplace_hashed(fragment.hash_at(slot.pos),
+                              fragment.entry(slot.pos).first)
+          .first->second = fragment.entry(slot.pos).second;
     }
   });
+  sync_timings_.pairs_seconds += pairs_watch.ElapsedSeconds();
 
   for (const sync::SyncStats& part : partials) stats.Add(part);
   sync_stats_.Add(stats);

@@ -411,6 +411,11 @@ class DistributedGlobalIndex {
   /// not at all, so reconciliation can degrade but never diverge. Runs
   /// holder-parallel on the pool; traffic, repairs and stats are
   /// deterministic for every thread/shard count.
+  /// The exchange is billed in full, but computed from the difference
+  /// only: a pair whose sides agree on (slot count, sum of mixed digests)
+  /// is identical and gets the plan of two empty sets, and a diverged
+  /// pair is planned over its symmetric difference, which yields the
+  /// same sketches. CountReplicaDivergence is the from-scratch backstop.
   /// The returned per-call stats are also accumulated into sync_stats().
   sync::SyncStats ReconcileReplicas(bool record_traffic);
 
@@ -421,6 +426,8 @@ class DistributedGlobalIndex {
 
   /// Cumulative reconciliation stats across all ReconcileReplicas calls.
   const sync::SyncStats& sync_stats() const { return sync_stats_; }
+  /// Cumulative wall-clock split of all ReconcileReplicas calls.
+  const sync::SyncTimings& sync_timings() const { return sync_timings_; }
 
   /// Best-effort replica maintenance messages that were lost in flight
   /// (under an active fault plan): the divergence RunAntiEntropy is
@@ -605,6 +612,7 @@ class DistributedGlobalIndex {
   /// decisions so successive sweeps draw independent loss outcomes.
   uint64_t sync_epoch_ = 0;
   sync::SyncStats sync_stats_;
+  sync::SyncTimings sync_timings_;
   /// unique_ptr: Shard holds a mutex and must not move when the vector is
   /// built. Fixed size after construction.
   std::vector<std::unique_ptr<Shard>> shards_;

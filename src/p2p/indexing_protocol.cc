@@ -120,9 +120,16 @@ Status HdkIndexingProtocol::Grow(
     growth->delta_documents = frontier - new_ranges.front().first;
   }
 
-  // 1. Terms that crossed Ff leave the key vocabulary: erase their keys
+  // 1. Key-space responsibility was re-balanced by the grown overlay:
+  //    hand the published fragments over and reconcile the replicas.
+  Stopwatch handover_watch;
+  const uint64_t migrated = global_->OnOverlayGrown();
+  phase_timings_.join_handover_seconds += handover_watch.ElapsedSeconds();
+
+  // 2. Terms that crossed Ff leave the key vocabulary: erase their keys
   //    from the global index and from every peer's local knowledge —
   //    a from-scratch build over the grown collection never creates them.
+  Stopwatch purge_watch;
   const TermIdSet fresh_vf = RefreshVeryFrequent(stats);
   uint64_t purged = 0;
   if (!fresh_vf.empty()) {
@@ -130,17 +137,22 @@ Status HdkIndexingProtocol::Grow(
     ParallelForEach(pool_, peers_.size(),
                     [&](size_t i) { peers_[i].PurgeTerms(fresh_vf); });
   }
+  phase_timings_.join_purge_seconds += purge_watch.ElapsedSeconds();
   if (growth != nullptr) {
+    growth->migrated_keys = migrated;
     growth->new_very_frequent_terms = fresh_vf.size();
     growth->purged_keys = purged;
   }
 
-  // 2. The average document length shifted with the new documents;
+  // 3. The average document length shifted with the new documents;
   //    re-derive every truncation-dependent published entry under the
   //    grown collection's statistics.
+  Stopwatch retruncate_watch;
   global_->Retruncate(params_, stats.average_document_length());
+  phase_timings_.join_retruncate_seconds +=
+      retruncate_watch.ElapsedSeconds();
 
-  // 3. The joining peers enter the protocol.
+  // 4. The joining peers enter the protocol.
   const size_t first_new_peer = peers_.size();
   for (const auto& [first, last] : new_ranges) {
     peers_.emplace_back(static_cast<PeerId>(peers_.size()), first, last,
@@ -148,7 +160,7 @@ Status HdkIndexingProtocol::Grow(
   }
   report_.inserted_postings_per_peer.resize(peers_.size(), 0);
 
-  // 4. Level-wise protocol over the delta.
+  // 5. Level-wise protocol over the delta.
   RunLevels(stats, first_new_peer, growth);
   return Status::OK();
 }

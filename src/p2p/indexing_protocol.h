@@ -102,12 +102,19 @@ struct GrowthStats {
 ///   * scan  — the parallel per-peer candidate scans including their
 ///             shard-buffered insertions,
 ///   * merge — the shard-parallel EndLevel classification/publication,
+///   * join handover / purge / retruncate — a join's fragment handover
+///             to the grown overlay with its replica reconciliation, the
+///             purge of keys whose terms crossed Ff, and the avgdl
+///             re-truncation,
 ///   * departure repair / diff / reconcile — a departure's in-place level
 ///             repair, its avgdl re-truncation plus handover and change
 ///             billing, and the replica reconciliation after it.
 struct PhaseTimings {
   double scan_seconds = 0;
   double merge_seconds = 0;
+  double join_handover_seconds = 0;
+  double join_purge_seconds = 0;
+  double join_retruncate_seconds = 0;
   double departure_repair_seconds = 0;
   double departure_diff_seconds = 0;
   double departure_reconcile_seconds = 0;
@@ -153,8 +160,10 @@ class HdkIndexingProtocol {
   /// Incremental join: `new_ranges` (one per joining peer) must continue
   /// contiguously from the indexed document frontier, and the overlay must
   /// already contain the new peers (caller responsibility — see
-  /// HdkSearchEngine::AddPeers). `stats` must describe the grown
-  /// collection. Fills protocol-level fields of `growth` when non-null.
+  /// HdkSearchEngine::AddPeers). Grow hands the published fragments over
+  /// to the grown overlay first (DistributedGlobalIndex::OnOverlayGrown).
+  /// `stats` must describe the grown collection. Fills `growth` when
+  /// non-null.
   Status Grow(const std::vector<std::pair<DocId, DocId>>& new_ranges,
               const corpus::CollectionStats& stats,
               GrowthStats* growth = nullptr);

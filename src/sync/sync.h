@@ -69,7 +69,10 @@ struct SyncStats {
   uint64_t delta_keys = 0;         // keys shipped by decoded deltas
   uint64_t delta_postings = 0;     // postings shipped by decoded deltas
   uint64_t dropped_keys = 0;       // stale replica keys dropped
-  uint64_t full_syncs = 0;         // pairs that fell back to full sync
+  uint64_t full_syncs = 0;         // pairs that fell back to full sync:
+  uint64_t full_syncs_new_side = 0;  //   one side of the pair was empty
+  uint64_t full_syncs_rejected = 0;  //   oversized estimate, stuck peel or
+                                     //   checksum miss
   uint64_t full_keys = 0;          // keys shipped by full syncs
   uint64_t full_postings = 0;      // postings shipped by full syncs
 
@@ -86,6 +89,8 @@ struct SyncStats {
     delta_postings += other.delta_postings;
     dropped_keys += other.dropped_keys;
     full_syncs += other.full_syncs;
+    full_syncs_new_side += other.full_syncs_new_side;
+    full_syncs_rejected += other.full_syncs_rejected;
     full_keys += other.full_keys;
     full_postings += other.full_postings;
   }
@@ -96,6 +101,15 @@ struct SyncStats {
   uint64_t ShippedPostings() const { return delta_postings + full_postings; }
 
   bool operator==(const SyncStats&) const = default;
+};
+
+/// Cumulative wall-clock split of the reconciliation calls: collecting
+/// every replica slot's digest, then planning, billing and applying the
+/// pairs. Observability only; nothing reads it back and snapshots do not
+/// keep it.
+struct SyncTimings {
+  double collect_seconds = 0;
+  double pairs_seconds = 0;
 };
 
 }  // namespace hdk::sync

@@ -78,11 +78,12 @@ uint64_t DigestSync(uint64_t h, const sync::SyncStats& s) {
 
 std::string Describe(const char* step, const sync::SyncStats& s,
                      uint64_t divergence) {
-  char buf[320];
+  char buf[360];
   std::snprintf(buf, sizeof(buf),
                 "%s: checked=%llu diverged=%llu unreachable=%llu msgs=%llu "
                 "sketch=%llu/%lluB est=%llu dec=%llu delta=%llu/%llu "
-                "dropped=%llu full=%llu/%llu/%llu divergence=%llu",
+                "dropped=%llu full=%llu(new %llu, rejected %llu)/%llu/%llu "
+                "divergence=%llu",
                 step, (unsigned long long)s.pairs_checked,
                 (unsigned long long)s.pairs_diverged,
                 (unsigned long long)s.pairs_unreachable,
@@ -95,6 +96,8 @@ std::string Describe(const char* step, const sync::SyncStats& s,
                 (unsigned long long)s.delta_postings,
                 (unsigned long long)s.dropped_keys,
                 (unsigned long long)s.full_syncs,
+                (unsigned long long)s.full_syncs_new_side,
+                (unsigned long long)s.full_syncs_rejected,
                 (unsigned long long)s.full_keys,
                 (unsigned long long)s.full_postings,
                 (unsigned long long)divergence);
@@ -128,6 +131,10 @@ void RunHistory(const EngineConfig& config, HistoryOutcome* out) {
   // One step's call stats, the cumulative stats, the per-kind traffic and
   // the divergence left behind.
   auto record = [&](const char* step, const sync::SyncStats& call) {
+    // Every full sync has exactly one cause.
+    EXPECT_EQ(call.full_syncs,
+              call.full_syncs_new_side + call.full_syncs_rejected)
+        << step;
     const uint64_t divergence = global.CountReplicaDivergence();
     out->sync = DigestSync(DigestSync(out->sync, call), global.sync_stats());
     out->traffic =
@@ -191,7 +198,8 @@ TEST_P(SyncGoldenTest, HistoryMatchesRecordedGoldens) {
   // The history reaches the paths under test.
   EXPECT_GT(run.totals.pairs_diverged, 0u);
   EXPECT_GT(run.totals.pairs_unreachable, 0u);
-  EXPECT_GT(run.totals.full_syncs, 0u);
+  EXPECT_GT(run.totals.full_syncs_new_side, 0u);
+  EXPECT_GT(run.totals.full_syncs_rejected, 0u);
   if (golden.max_cells != 1) {
     EXPECT_GT(run.totals.delta_keys, 0u);
   }

@@ -195,7 +195,6 @@ TEST(IndexingProtocolTest, GrowEqualsFromScratchRun) {
   ASSERT_TRUE(grown.ok());
   ASSERT_TRUE(overlay->AddPeer().ok());
   ASSERT_TRUE(overlay->AddPeer().ok());
-  (*grown)->OnOverlayGrown();
   GrowthStats growth;
   ASSERT_TRUE(
       protocol.Grow({{90, 135}, {135, 180}}, *fx.stats, &growth).ok());

@@ -262,5 +262,76 @@ TEST(PlanPairSyncTest, RejectedPlansNeverCarryADelta) {
   EXPECT_GT(rejected, 0u);
 }
 
+void ExpectSamePlan(const PairPlan& want, const PairPlan& got,
+                    size_t trial) {
+  EXPECT_EQ(want.ok, got.ok) << "trial " << trial;
+  EXPECT_EQ(want.estimated_diff, got.estimated_diff) << "trial " << trial;
+  EXPECT_EQ(want.sketch_bytes, got.sketch_bytes) << "trial " << trial;
+  EXPECT_EQ(want.ibf_cells, got.ibf_cells) << "trial " << trial;
+  EXPECT_EQ(want.ship, got.ship) << "trial " << trial;
+  EXPECT_EQ(want.drop, got.drop) << "trial " << trial;
+}
+
+// The subtracted sketches depend only on the symmetric difference: the
+// cells of the common elements cancel exactly. So planning a pair over
+// its difference alone gives the same plan, field for field — the
+// property the replica reconciler computes its plans by.
+TEST(PlanPairSyncTest, PlanOfTheDifferenceEqualsPlanOfTheSets) {
+  Rng rng(112);
+  size_t ok = 0, past_max_cells = 0, stuck = 0;
+  for (size_t t = 0; t < 240; ++t) {
+    SyncConfig config;
+    const uint32_t shape = static_cast<uint32_t>(rng.NextBounded(3));
+    if (shape == 1) {
+      // Budgets that reject most estimates outright.
+      config.max_cells = 2 + static_cast<uint32_t>(rng.NextBounded(40));
+    } else if (shape == 2) {
+      // Undersized IBFs that mostly decode only partway.
+      config.min_cells = 3;
+      config.max_cells = 3 + static_cast<uint32_t>(rng.NextBounded(12));
+      config.alpha = 0.5;
+    }
+    // Identical sets, one empty side, small and large differences.
+    const size_t kind = rng.NextBounded(4);
+    const size_t tail = kind == 3 ? 400 : 30;
+    size_t shared = rng.NextBounded(600);
+    size_t only_a = rng.NextBounded(tail);
+    size_t only_b = rng.NextBounded(tail);
+    if (kind == 0) only_a = only_b = 0;
+    if (kind == 1) {
+      shared = 0;
+      (t % 2 == 0 ? only_a : only_b) = 0;
+    }
+    const SetPair sets = MakeSets(rng, shared, only_a, only_b);
+
+    const PairPlan whole = PlanPairSync(sets.a, sets.b, config);
+    const PairPlan diff = PlanPairSync(sets.only_a, sets.only_b, config);
+    ExpectSamePlan(whole, diff, t);
+    if (whole.ok) {
+      ++ok;
+    } else if (whole.ibf_cells == 0) {
+      ++past_max_cells;
+    } else {
+      ++stuck;
+    }
+  }
+  // Every planner outcome is exercised.
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(past_max_cells, 0u);
+  EXPECT_GT(stuck, 0u);
+}
+
+TEST(PlanPairSyncTest, IdenticalPairsPlanLikeTwoEmptySets) {
+  Rng rng(113);
+  for (size_t t = 0; t < 40; ++t) {
+    SyncConfig config;
+    // max_cells 1 is below even an empty pair's IBF: both reject alike.
+    if (t % 4 == 3) config.max_cells = 1;
+    const SetPair sets = MakeSets(rng, rng.NextBounded(2000), 0, 0);
+    ExpectSamePlan(PlanPairSync({}, {}, config),
+                   PlanPairSync(sets.a, sets.b, config), t);
+  }
+}
+
 }  // namespace
 }  // namespace hdk::sync
