@@ -24,8 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include "churn_golden.h"
 #include "common/hash.h"
-#include "corpus/synthetic.h"
 #include "engine/engine_snapshot.h"
 #include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
@@ -35,17 +35,6 @@
 
 namespace hdk::engine {
 namespace {
-
-corpus::SyntheticCorpus ChurnCorpus() {
-  corpus::SyntheticConfig cfg;
-  cfg.seed = 31337;
-  cfg.vocabulary_size = 3000;
-  cfg.num_topics = 12;
-  cfg.topic_width = 35;
-  cfg.mean_doc_length = 50.0;
-  cfg.topic_share = 0.7;
-  return corpus::SyntheticCorpus(cfg);
-}
 
 EngineConfig GoldenConfig(OverlayKind overlay, uint32_t replication,
                              size_t threads) {
@@ -87,22 +76,6 @@ uint64_t DigestDeparture(uint64_t h, const p2p::DepartureStats& d) {
     h = HashCombine(h, v);
   }
   return DigestSync(h, d.replica_sync);
-}
-
-uint64_t DigestReport(const p2p::IndexingReport& report) {
-  uint64_t h = HashCombine(Mix64(report.levels.size()),
-                           report.excluded_very_frequent_terms);
-  for (const p2p::ProtocolLevelStats& l : report.levels) {
-    for (uint64_t v :
-         {static_cast<uint64_t>(l.level), l.keys_inserted,
-          l.postings_inserted, l.hdks, l.ndks, l.notifications,
-          l.generation.documents_scanned, l.generation.positions_scanned,
-          l.generation.formations, l.generation.pruned_candidates}) {
-      h = HashCombine(h, v);
-    }
-  }
-  for (uint64_t v : report.inserted_postings_per_peer) h = HashCombine(h, v);
-  return h;
 }
 
 std::string DescribeDeparture(const p2p::DepartureStats& d) {

@@ -20,21 +20,11 @@
 #include "engine/membership.h"
 #include "engine/partition.h"
 #include "engine/st_engine.h"
+#include "churn_golden.h"
 #include "expect_departure.h"
 
 namespace hdk::engine {
 namespace {
-
-corpus::SyntheticCorpus ChurnCorpus() {
-  corpus::SyntheticConfig cfg;
-  cfg.seed = 31337;
-  cfg.vocabulary_size = 3000;
-  cfg.num_topics = 12;
-  cfg.topic_width = 35;
-  cfg.mean_doc_length = 50.0;
-  cfg.topic_share = 0.7;
-  return corpus::SyntheticCorpus(cfg);
-}
 
 EngineConfig ChurnConfig(size_t num_threads = 1) {
   EngineConfig config;
