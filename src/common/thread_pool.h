@@ -1,21 +1,29 @@
-// Work-stealing-free chunked thread pool — the parallel execution
-// substrate for the engines.
+// Chunked thread pool — the parallel execution substrate for the engines.
 //
 // The protocol and query workloads this repo parallelizes are embarrassingly
-// parallel ACROSS independent units (peers within an indexing level, queries
-// within a batch), and determinism matters more than load balance: serial
-// and parallel runs must produce posting-for-posting identical indexes and
-// result lists. The pool therefore deliberately avoids work stealing and
-// dynamic scheduling — ParallelChunks statically splits [0, n) into one
-// contiguous chunk per thread, so chunk boundaries (and therefore any
-// per-chunk accumulator) depend only on (n, num_threads), never on timing.
+// parallel ACROSS independent units (peers within an indexing level, shards
+// of the global index, queries within a batch), and determinism matters:
+// serial and parallel runs must produce posting-for-posting identical
+// indexes and result lists. Two entry points serve the two kinds of
+// caller:
+//   * ParallelChunks statically splits [0, n) into one contiguous chunk per
+//     thread, so chunk boundaries (and therefore any per-chunk accumulator)
+//     depend only on (n, num_threads), never on timing;
+//   * ParallelForEach hands indices out one at a time through an atomic
+//     cursor, so uneven units (a joining peer's full scan beside small
+//     delta scans) spread over the threads. Which thread runs an index
+//     depends on timing, so it suits callers whose per-index results do
+//     not depend on the thread that ran them.
 //
 // A pool with num_threads == 1 spawns no workers and runs everything inline
-// on the caller — the exact serial path, byte-identical to the pre-parallel
-// code. The free helpers accept a nullptr pool with the same meaning.
+// on the caller in ascending index order — the exact serial path,
+// byte-identical to the pre-parallel code. The free helpers accept a
+// nullptr pool with the same meaning.
 #ifndef HDKP2P_COMMON_THREAD_POOL_H_
 #define HDKP2P_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -27,8 +35,8 @@
 
 namespace hdk {
 
-/// A fixed-size pool of worker threads executing statically chunked
-/// parallel-for jobs. One job runs at a time; concurrent ParallelChunks
+/// A fixed-size pool of worker threads executing chunked parallel-for
+/// jobs. One job runs at a time; concurrent ParallelChunks
 /// calls from different threads serialize on an internal mutex (each call
 /// still sees its own chunking), so a shared pool is safe to use from
 /// concurrently running batches.
@@ -102,13 +110,26 @@ inline void ParallelChunks(
   pool->ParallelChunks(n, fn);
 }
 
-/// Per-element convenience: calls fn(i) for every i in [0, n), chunked
-/// across the pool (serial when pool is nullptr).
+/// Calls fn(i) exactly once for every i in [0, n). On a pool, every thread
+/// claims the next unclaimed index from a shared atomic cursor until none
+/// is left, so one slow index does not hold back a whole static chunk.
+/// pool == nullptr (or a 1-thread pool) runs the indices inline in
+/// ascending order — the exact serial path.
 template <typename Fn>
 void ParallelForEach(ThreadPool* pool, size_t n, Fn&& fn) {
-  ParallelChunks(pool, n, [&fn](size_t begin, size_t end, size_t /*chunk*/) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
+  if (n == 0) return;
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::atomic<size_t> cursor{0};
+  pool->ParallelChunks(
+      std::min(n, pool->num_threads()), [&](size_t, size_t, size_t) {
+        for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          fn(i);
+        }
+      });
 }
 
 }  // namespace hdk

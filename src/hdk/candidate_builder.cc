@@ -207,7 +207,8 @@ CandidateBuilder::CandidateBuilder(const HdkParams& params)
 
 KeyMap<index::PostingList> CandidateBuilder::BuildLevel1(
     const corpus::DocumentStore& store, DocId first, DocId last,
-    const TermIdSet& excluded, CandidateBuildStats* stats) const {
+    const TermIdSet& excluded, CandidateBuildStats* stats,
+    const TermIdSet* only) const {
   CandidateAccum accums(/*expected_candidates=*/0);
   FlatMap<TermId, uint32_t, IdHasher> tf;  // per-doc, capacity persists
   for (DocId d = first; d < last; ++d) {
@@ -222,7 +223,9 @@ KeyMap<index::PostingList> CandidateBuilder::BuildLevel1(
       ++tf[t];
     }
     const uint32_t len = static_cast<uint32_t>(tokens.size());
+    if (stats != nullptr) stats->formations += tf.size();
     for (const auto& [term, count] : tf) {
+      if (only != nullptr && only->count(term) == 0) continue;
       bool inserted = false;
       Accum& a = accums.GetOrCreate(TermSetHash(term),
                                     std::span<const TermId>(&term, 1),
@@ -232,7 +235,6 @@ KeyMap<index::PostingList> CandidateBuilder::BuildLevel1(
       a.current_len = len;
       a.FlushDoc();
       a.current_doc = kInvalidDoc;
-      if (stats != nullptr) ++stats->formations;
     }
   }
   return accums.Take();

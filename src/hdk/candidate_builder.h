@@ -186,10 +186,13 @@ class CandidateBuilder {
 
   /// Level 1: every term occurring in documents [first, last) of `store`,
   /// except the `excluded` (very frequent) terms, keyed as single-term
-  /// keys with plain term posting lists.
+  /// keys with plain term posting lists. With `only` set, lists are built
+  /// for those terms alone, while `stats` still counts the formations of
+  /// every term, as the full scan would.
   KeyMap<index::PostingList> BuildLevel1(
       const corpus::DocumentStore& store, DocId first, DocId last,
-      const TermIdSet& excluded, CandidateBuildStats* stats) const;
+      const TermIdSet& excluded, CandidateBuildStats* stats,
+      const TermIdSet* only = nullptr) const;
 
   /// Level s >= 2: size-s candidates over documents [first, last).
   /// The returned posting lists carry, per document, the number of window

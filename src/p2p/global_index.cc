@@ -31,6 +31,16 @@ uint64_t EntryDigest(uint64_t key_hash, const hdk::KeyEntry& entry) {
   return Mix64(h);
 }
 
+/// Postings an InsertPostings message carries for a local list of
+/// `local_df` postings. Sender-side truncation: a locally
+/// non-discriminative key is certainly globally non-discriminative (paper
+/// Section 3: local NDK => global NDK), so the peer only transmits its
+/// local top-DFmax postings for it.
+uint64_t TransmittedPostings(uint64_t local_df, const HdkParams& params) {
+  if (local_df <= params.df_max) return local_df;
+  return std::min<uint64_t>(local_df, params.EffectiveNdkTruncation());
+}
+
 /// Folds one contribution into the ledger entry's merge cache, with the
 /// sender-side truncation re-applied exactly as InsertPostings
 /// transmitted it.
@@ -49,6 +59,14 @@ void FoldIntoCache(DistributedGlobalIndex::LedgerEntry& ledger,
                           });
   ledger.merged_locals.MergeFrom(std::move(truncated));
 }
+
+/// One contribution in the level barrier's sort: the sort key and where
+/// the contribution waits in its run.
+struct SortSlot {
+  hdk::TermKey key;
+  PeerId peer = kInvalidPeer;
+  DistributedGlobalIndex::PendingContribution* pending = nullptr;
+};
 
 /// Key-space handover within one shard: moves every fragment entry whose
 /// responsible peer changed to its new owner's slot, calling
@@ -134,23 +152,17 @@ PeerId DistributedGlobalIndex::ResponsiblePeerHashed(uint64_t key_hash) const {
   return overlay_->Responsible(key_hash);
 }
 
-uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
-                                                const hdk::TermKey& key,
-                                                uint64_t key_hash,
-                                                index::PostingList full_local,
-                                                const HdkParams& params) {
-  // Sender-side truncation: a locally non-discriminative key is certainly
-  // globally non-discriminative (paper Section 3: local NDK => global NDK),
-  // so the peer only transmits its local top-DFmax postings for it.
-  uint64_t payload = full_local.size();
-  if (full_local.size() > params.df_max) {
-    payload = std::min<uint64_t>(payload, params.EffectiveNdkTruncation());
-  }
+uint64_t DistributedGlobalIndex::InsertPostings(
+    ContributionRuns& runs, PeerId src, const hdk::TermKey& key,
+    uint64_t key_hash, index::PostingList full_local,
+    const HdkParams& params) {
+  const uint64_t payload = TransmittedPostings(full_local.size(), params);
 
   // key_hash IS the key's ring id: one hash drives routing, the
-  // destination lookup, the shard choice and the pending-buffer probe.
+  // destination lookup, the shard choice and the barrier's ledger probe.
   const PeerId dst = overlay_->Responsible(key_hash);
   const size_t hops = overlay_->Route(src, key_hash);
+  bool redeliver = false;
   if (!FaultsActive()) {
     traffic_->Record(src, dst, net::MessageKind::kInsertPostings, payload,
                      hops);
@@ -166,24 +178,26 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
         lost_contributions_.fetch_add(1, std::memory_order_relaxed);
         return payload;
       }
-      // Retry budget exhausted against a live peer: park the
-      // contribution for the level barrier, whose redelivery records
-      // the final (delivered) message.
-      Shard& shard = *shards_[ShardOf(key_hash)];
-      std::lock_guard<std::mutex> lock(shard.insert_mu);
-      shard.redelivery.push_back(Shard::Redelivery{
-          src, key, key_hash, std::move(full_local), payload});
-      return payload;
+      // Retry budget exhausted against a live peer: the level barrier's
+      // redelivery records the final (delivered) message.
+      redeliver = true;
     }
   }
 
-  Shard& shard = *shards_[ShardOf(key_hash)];
-  {
-    std::lock_guard<std::mutex> lock(shard.insert_mu);
-    shard.pending.try_emplace_hashed(key_hash, key)
-        .first->second.push_back(Contribution{src, std::move(full_local)});
-  }
+  if (runs.by_shard_.empty()) runs.by_shard_.resize(shards_.size());
+  runs.by_shard_[ShardOf(key_hash)].push_back(PendingContribution{
+      key, redeliver, key_hash, Contribution{src, std::move(full_local)}});
   return payload;
+}
+
+void DistributedGlobalIndex::Submit(ContributionRuns&& runs) {
+  std::lock_guard<std::mutex> lock(submit_mu_);
+  for (size_t i = 0; i < runs.by_shard_.size(); ++i) {
+    if (!runs.by_shard_[i].empty()) {
+      shards_[i]->runs.push_back(std::move(runs.by_shard_[i]));
+    }
+  }
+  runs.by_shard_.clear();
 }
 
 bool DistributedGlobalIndex::Publish(Shard& shard, const hdk::TermKey& key,
@@ -283,79 +297,96 @@ dht::HolderSet DistributedGlobalIndex::HoldersFor(uint64_t key_hash) const {
   return dht::ReplicaHolders(*overlay_, key_hash, res_.replication);
 }
 
-void DistributedGlobalIndex::DrainRedelivery(Shard& shard,
-                                             bool record_traffic) {
-  if (shard.redelivery.empty()) return;
-  // The queue order depends on the insert wave's thread interleaving;
-  // sort so the barrier processes items in a reproducible sequence.
-  std::sort(shard.redelivery.begin(), shard.redelivery.end(),
-            [](const Shard::Redelivery& a, const Shard::Redelivery& b) {
-              return std::tie(a.key, a.src) < std::tie(b.key, b.src);
-            });
-  for (Shard::Redelivery& item : shard.redelivery) {
-    const PeerId dst = overlay_->Responsible(item.key_hash);
-    if (res_.injector != nullptr && res_.injector->PeerDead(dst)) {
-      lost_contributions_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (record_traffic) {
-      traffic_->Record(item.src, dst, net::MessageKind::kInsertPostings,
-                       item.payload, overlay_->Route(item.src, item.key_hash));
-    }
-    shard.pending.try_emplace_hashed(item.key_hash, item.key)
-        .first->second.push_back(
-            Contribution{item.src, std::move(item.full)});
-  }
-  shard.redelivery.clear();
-}
-
 LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
                                                    const HdkParams& params,
                                                    double avg_doc_length,
                                                    bool notify_contributors,
                                                    bool record_traffic) {
   LevelOutcome outcome;
+  if (shard.runs.empty()) return outcome;
+
+  // One sort by (key, contributor) over the shard's runs. Ascending-key
+  // order is shard- and thread-count independent, so the reduced outcome
+  // is deterministic everywhere, and each key's contributions come out as
+  // one group in ascending peer order whatever order the tasks submitted
+  // them in. The sort moves compact slots that carry their own copy of
+  // the sort key, so comparisons never chase a pointer; the runs' cached
+  // hashes ride along for every downstream probe (ledger, fragment,
+  // overlay routing).
+  std::vector<SortSlot> order;
+  size_t total = 0;
+  for (const auto& run : shard.runs) total += run.size();
+  order.reserve(total);
+  bool any_redeliver = false;
+  for (auto& run : shard.runs) {
+    for (PendingContribution& c : run) {
+      order.push_back(SortSlot{c.key, c.contribution.peer, &c});
+      any_redeliver |= c.redeliver;
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [](const SortSlot& a, const SortSlot& b) {
+              if (a.key == b.key) return a.peer < b.peer;
+              return a.key < b.key;
+            });
   // The level barrier stands in for an ack protocol: contributions whose
   // transmission ran out of retries are redelivered here, BEFORE the
-  // classification scan, so the published index never misses a
-  // contribution that wasn't addressed to a dead peer.
-  DrainRedelivery(shard, record_traffic);
-  if (shard.pending.empty()) return outcome;
-
-  // Ascending-key order: shard- and thread-count independent, so the
-  // reduced outcome is deterministic everywhere. The pending table's
-  // cached hashes ride along — every downstream probe (ledger, fragment,
-  // overlay routing) reuses them instead of re-hashing the term array.
-  std::vector<std::pair<hdk::TermKey, uint64_t>> keys;
-  keys.reserve(shard.pending.size());
-  for (size_t i = 0; i < shard.pending.size(); ++i) {
-    keys.emplace_back(shard.pending.entry(i).first, shard.pending.hash_at(i));
+  // classification walk, each with its final delivery message, so the
+  // published index never misses a contribution that wasn't addressed to
+  // a dead peer. One addressed to a peer that has died meanwhile is lost.
+  if (any_redeliver) {
+    std::erase_if(order, [&](const SortSlot& slot) {
+      const PendingContribution& c = *slot.pending;
+      if (!c.redeliver) return false;
+      const PeerId dst = overlay_->Responsible(c.key_hash);
+      if (res_.injector != nullptr && res_.injector->PeerDead(dst)) {
+        lost_contributions_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      if (record_traffic) {
+        traffic_->Record(slot.peer, dst, net::MessageKind::kInsertPostings,
+                         TransmittedPostings(c.contribution.full.size(),
+                                             params),
+                         overlay_->Route(slot.peer, c.key_hash));
+      }
+      return false;
+    });
   }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // One reserve sized from this wave keeps the ledger rehash out of the
-  // per-key merge loop.
-  shard.ledger.reserve(shard.ledger.size() + keys.size());
 
-  for (const auto& [key, key_hash] : keys) {
-    std::vector<Contribution>& contributions =
-        shard.pending.find_hashed(key_hash, key)->second;
+  // One reserve sized from this wave's key count keeps the ledger rehash
+  // out of the per-key merge loop.
+  size_t keys = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    keys += i == 0 || !(order[i].key == order[i - 1].key);
+  }
+  shard.ledger.reserve(shard.ledger.size() + keys);
+
+  const auto by_peer = [](const Contribution& a, const Contribution& b) {
+    return a.peer < b.peer;
+  };
+  for (size_t first = 0, last = 0; first < order.size(); first = last) {
+    const hdk::TermKey& key = order[first].key;
+    const uint64_t key_hash = order[first].pending->key_hash;
+    last = first + 1;
+    while (last < order.size() && order[last].key == key) ++last;
+
     LedgerEntry& ledger =
         shard.ledger.try_emplace_hashed(key_hash, key).first->second;
     const bool was_published = !ledger.contributions.empty();
     const bool was_ndk = ledger.published_ndk;
 
-    std::vector<PeerId> new_contributors;
-    new_contributors.reserve(contributions.size());
-    for (Contribution& c : contributions) {
-      new_contributors.push_back(c.peer);
+    // The group and the ledger are both in ascending peer order: append
+    // the group and merge the two sorted halves.
+    const size_t old_count = ledger.contributions.size();
+    ledger.contributions.reserve(old_count + (last - first));
+    for (size_t i = first; i < last; ++i) {
+      Contribution& c = order[i].pending->contribution;
       FoldIntoCache(ledger, c.full, params, avg_doc_length);
       ledger.contributions.push_back(std::move(c));
     }
-    std::sort(ledger.contributions.begin(), ledger.contributions.end(),
-              [](const Contribution& a, const Contribution& b) {
-                return a.peer < b.peer;
-              });
+    std::inplace_merge(ledger.contributions.begin(),
+                       ledger.contributions.begin() + old_count,
+                       ledger.contributions.end(), by_peer);
 
     const bool is_ndk = Publish(shard, key, key_hash, ledger, params,
                                 avg_doc_length, record_traffic);
@@ -370,17 +401,20 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       // A key already known to be non-discriminative only informs its NEW
       // contributors (old ones expanded it when they were first notified);
       // a key that just crossed DFmax informs everyone who ever
-      // contributed, so that old peers expand it too.
+      // contributed, so that old peers expand it too. Both lists are in
+      // ascending peer order.
       std::vector<PeerId> recipients;
       if (was_ndk) {
-        recipients = std::move(new_contributors);
+        recipients.reserve(last - first);
+        for (size_t i = first; i < last; ++i) {
+          recipients.push_back(order[i].peer);
+        }
       } else {
         recipients.reserve(ledger.contributions.size());
         for (const Contribution& c : ledger.contributions) {
           recipients.push_back(c.peer);
         }
       }
-      std::sort(recipients.begin(), recipients.end());
       recipients.erase(std::unique(recipients.begin(), recipients.end()),
                        recipients.end());
       const PeerId owner = ResponsiblePeerHashed(key_hash);
@@ -426,7 +460,9 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       }
     }
   }
-  shard.pending.clear();
+  // The runs are spent: free them now rather than carry their capacity
+  // into the next level.
+  shard.runs.clear();
   return outcome;
 }
 
@@ -1363,7 +1399,7 @@ hdk::HdkIndexContents DistributedGlobalIndex::ExportContents() const {
 
 bool DistributedGlobalIndex::HasPendingContributions() const {
   for (const auto& shard : shards_) {
-    if (!shard->pending.empty() || !shard->redelivery.empty()) return true;
+    if (!shard->runs.empty()) return true;
   }
   return false;
 }
@@ -1382,7 +1418,7 @@ void DistributedGlobalIndex::AdoptShardState(
     size_t shard, hdk::KeyMap<LedgerEntry> ledger,
     std::vector<hdk::KeyMap<hdk::KeyEntry>> fragments) {
   Shard& s = *shards_[shard];
-  assert(s.ledger.empty() && s.pending.empty());
+  assert(s.ledger.empty() && s.runs.empty());
   assert(fragments.size() <= s.fragments.size());
   s.ledger = std::move(ledger);
   for (size_t owner = 0; owner < fragments.size(); ++owner) {

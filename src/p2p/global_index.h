@@ -30,18 +30,20 @@
 // peer, so a key's pending contributions, ledger entry and published
 // fragment slot all live on exactly one shard and never move between
 // shards (overlay growth re-places keys across PEERS, and that handover
-// happens within the key's shard). InsertPostings routes each
-// contribution to its shard under a per-shard mutex (the protocol's
-// parallel per-peer scan waves insert concurrently without a global
-// lock), and the heavy merge paths — EndLevel, Retruncate,
-// OnOverlayGrown, EraseKeysContaining and the in-place departure repair
-// — fan out shard-wise on the thread pool with zero cross-shard
-// contention. Every shard processes its keys in ascending-key order and
-// the per-shard partial outcomes are reduced in deterministic (ascending
-// key, then ascending peer) order, so published postings, notifications,
-// traffic counters and reclassification counts are identical for every
-// shard and thread count; with no pool the index runs one shard on the
-// caller — the exact serial path.
+// happens within the key's shard). InsertPostings appends each
+// contribution to the calling task's own run for the key's shard
+// (ContributionRuns: no lock, no hash probe, no per-key allocation), and
+// the task hands its runs to the index once, when it ends (Submit).
+// EndLevel sort-merges each shard's runs by (key, contributor) and frees
+// them. The heavy merge paths — EndLevel, Retruncate, OnOverlayGrown,
+// EraseKeysContaining and the in-place departure repair — fan out
+// shard-wise on the thread pool with zero cross-shard contention. Every
+// shard processes its keys in ascending-key order and the per-shard
+// partial outcomes are reduced in deterministic (ascending key, then
+// ascending peer) order, so published postings, notifications, traffic
+// counters and reclassification counts are identical for every shard and
+// thread count; with no pool the index runs one shard on the caller — the
+// exact serial path.
 #ifndef HDKP2P_P2P_GLOBAL_INDEX_H_
 #define HDKP2P_P2P_GLOBAL_INDEX_H_
 
@@ -121,6 +123,26 @@ class DistributedGlobalIndex {
   struct Contribution {
     PeerId peer = kInvalidPeer;
     index::PostingList full;
+  };
+
+  /// One contribution on its way from InsertPostings to the level barrier.
+  struct PendingContribution {
+    hdk::TermKey key;
+    /// The send ran out of attempts against a live owner: the barrier
+    /// redelivers it (one recorded message) before classifying.
+    bool redeliver = false;
+    uint64_t key_hash = 0;
+    Contribution contribution;
+  };
+
+  /// One task's contributions of the current level to one index, one run
+  /// per shard in append order. The task that fills it owns it, so
+  /// InsertPostings appends without a lock; Submit hands the runs to the
+  /// index once.
+  class ContributionRuns {
+   private:
+    friend class DistributedGlobalIndex;
+    std::vector<std::vector<PendingContribution>> by_shard_;
   };
 
   /// Everything ever contributed for one key, plus published-state flags
@@ -233,23 +255,34 @@ class DistributedGlobalIndex {
   /// contribution ledger (see the file comment). Returns the number of
   /// postings actually transmitted.
   ///
-  /// THREAD SAFETY: may be called concurrently (the parallel scan waves
-  /// do) once EnsureCapacity() has run for the current overlay size; the
-  /// contribution is buffered on its key's shard under the shard mutex.
+  /// The message is routed and billed here; the contribution is appended
+  /// to `runs`' run for the key's shard and reaches the index when the
+  /// caller Submits `runs`. `key_hash` = key.Hash64(): the scan wave reads
+  /// it out of the candidate map's hash cache, so overlay routing, shard
+  /// choice and the barrier's ledger probe all reuse one hash computation.
   ///
-  /// The hash-carrying overload takes `key_hash` = key.Hash64(): the scan
-  /// wave reads it out of the candidate map's hash cache, so overlay
-  /// routing, shard choice and the pending-buffer probe all reuse one
-  /// hash computation. The convenience overload hashes the key itself.
-  uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
-                          uint64_t key_hash, index::PostingList full_local,
+  /// THREAD SAFETY: may be called concurrently with distinct `runs` (the
+  /// parallel scan waves do, one per task) once EnsureCapacity() has run
+  /// for the current overlay size.
+  uint64_t InsertPostings(ContributionRuns& runs, PeerId src,
+                          const hdk::TermKey& key, uint64_t key_hash,
+                          index::PostingList full_local,
                           const HdkParams& params);
+
+  /// One insertion submitted on its own (serial callers and tests).
   uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
                           index::PostingList full_local,
                           const HdkParams& params) {
-    return InsertPostings(src, key, key.Hash64(), std::move(full_local),
-                          params);
+    ContributionRuns runs;
+    const uint64_t payload = InsertPostings(
+        runs, src, key, key.Hash64(), std::move(full_local), params);
+    Submit(std::move(runs));
+    return payload;
   }
+
+  /// Hands a task's runs to the index for the next EndLevel; `runs` is
+  /// left empty. Thread-safe: one short critical section per call.
+  void Submit(ContributionRuns&& runs);
 
   /// Classifies all keys that received contributions since the last
   /// EndLevel call: merges them into the ledger, re-derives the published
@@ -477,9 +510,8 @@ class DistributedGlobalIndex {
 
   // -- snapshot support (engine/engine_snapshot) -----------------------
 
-  /// True while contributions inserted since the last EndLevel call are
-  /// still buffered — a snapshot taken then would lose them, so saving is
-  /// refused.
+  /// True while submitted contributions await the next EndLevel call — a
+  /// snapshot taken then would lose them, so saving is refused.
   bool HasPendingContributions() const;
 
   /// Read access to one shard's ledger / one peer's fragment slice on one
@@ -506,19 +538,15 @@ class DistributedGlobalIndex {
                           uint64_t key_hash, hdk::KeyEntry entry);
 
  private:
-  /// One shard: the slice of the pending buffer, the ledger and the
-  /// per-peer fragment maps for the keys hashing to it — all flat tables
-  /// (hdk::KeyMap) whose entries cache the key's Hash64, so the merge
-  /// paths never re-hash a term array. The mutex guards `pending` against
-  /// concurrent InsertPostings; everything else is touched either from
-  /// serial sections or by exactly one worker during the shard-parallel
-  /// merge paths. `pending` is cleared (capacity kept) at the end of
-  /// every level: the table stays pre-sized at the prior wave's key
-  /// count, so later waves insert without mid-wave rehashes.
+  /// One shard: the submitted runs, the ledger and the per-peer fragment
+  /// maps for the keys hashing to it. The tables are flat (hdk::KeyMap)
+  /// and cache the key's Hash64, so the merge paths never re-hash a term
+  /// array. `runs` is appended to under `submit_mu_`; everything else is
+  /// touched either from serial sections or by exactly one worker during
+  /// the shard-parallel merge paths.
   struct Shard {
-    std::mutex insert_mu;
-    /// Contributions received since the last EndLevel call.
-    hdk::KeyMap<std::vector<Contribution>> pending;
+    /// Runs submitted since the last EndLevel call, which frees them.
+    std::vector<std::vector<PendingContribution>> runs;
     /// Full contribution history per key.
     hdk::KeyMap<LedgerEntry> ledger;
     /// peer -> this shard's slice of the peer's published fragment.
@@ -527,18 +555,6 @@ class DistributedGlobalIndex {
     /// from the primary fragments so ExportContents / StoredPostingsAt
     /// keep their primary-only semantics). Empty when replication == 1.
     std::vector<hdk::KeyMap<hdk::KeyEntry>> replicas;
-    /// Contributions whose transmission exhausted the retry budget
-    /// against a live peer — redelivered (one recorded message each) at
-    /// the next level barrier, where the published index catches up.
-    /// Guarded by insert_mu.
-    struct Redelivery {
-      PeerId src = kInvalidPeer;
-      hdk::TermKey key;
-      uint64_t key_hash = 0;
-      index::PostingList full;
-      uint64_t payload = 0;
-    };
-    std::vector<Redelivery> redelivery;
   };
 
   size_t ShardOf(uint64_t key_hash) const;
@@ -547,11 +563,6 @@ class DistributedGlobalIndex {
   bool FaultsActive() const {
     return res_.injector != nullptr && res_.injector->active();
   }
-
-  /// Drains the shard's barrier redelivery queue into `pending`: each
-  /// surviving item records its final delivery message; items addressed
-  /// to a peer that has died meanwhile are dropped and counted.
-  void DrainRedelivery(Shard& shard, bool record_traffic);
 
   /// Copies the freshly published `entry` of `key` to its replica
   /// holders (no-op when replication == 1). With `record_traffic` each
@@ -570,7 +581,7 @@ class DistributedGlobalIndex {
   const hdk::KeyEntry* PeekReplica(PeerId holder, uint64_t key_hash,
                                    const hdk::TermKey& key) const;
 
-  /// EndLevel over one shard's pending keys, ascending-key order.
+  /// EndLevel over one shard's submitted runs, ascending-key order.
   LevelOutcome EndLevelShard(Shard& shard, const HdkParams& params,
                              double avg_doc_length, bool notify_contributors,
                              bool record_traffic);
@@ -613,8 +624,10 @@ class DistributedGlobalIndex {
   uint64_t sync_epoch_ = 0;
   sync::SyncStats sync_stats_;
   sync::SyncTimings sync_timings_;
-  /// unique_ptr: Shard holds a mutex and must not move when the vector is
-  /// built. Fixed size after construction.
+  /// Guards every shard's `runs` while tasks Submit.
+  std::mutex submit_mu_;
+  /// One allocation per shard, so workers merging neighbouring shards do
+  /// not share cache lines. Fixed size after construction.
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

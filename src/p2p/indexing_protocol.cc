@@ -303,10 +303,11 @@ Status HdkIndexingProtocol::Depart(
       }
     }
 
-    // Re-admission, the shape of RunLevels' scan wave: level 1 rescans
-    // every survivor for the re-admitted terms, higher levels re-scan the
-    // delta of fresh knowledge. Each task owns its peer and counters,
-    // reduced in ascending peer order.
+    // Re-admission, the shape of RunLevels' scan wave: level 1 builds
+    // every survivor's lists of the re-admitted terms, higher levels
+    // re-scan the delta of fresh knowledge. Each task owns its peer,
+    // counters and contribution runs; counters reduce in ascending peer
+    // order.
     struct ScanTask {
       hdk::CandidateBuildStats generation;
       bool rescanned = false;
@@ -320,15 +321,17 @@ Status HdkIndexingProtocol::Depart(
       if (s == 1 ? readmitted.empty() : !peer.HasFreshKnowledge()) return;
       task.rescanned = true;
       hdk::KeyMap<index::PostingList> scanned =
-          s == 1 ? peer.BuildLevel1(store_, very_frequent_, &task.generation)
+          s == 1 ? peer.BuildLevel1(store_, very_frequent_, &task.generation,
+                                    &readmitted)
                  : peer.BuildLevelDelta(s, store_, &task.generation);
+      DistributedGlobalIndex::ContributionRuns runs;
       for (size_t ci = 0; ci < scanned.size(); ++ci) {
         auto& [key, pl] = scanned.entry(ci);
-        if (s == 1 && readmitted.count(key.term(0)) == 0) continue;
         ++task.keys_inserted;
         task.postings_inserted += InsertCandidate(
-            peer, s, key, scanned.hash_at(ci), std::move(pl));
+            runs, peer, s, key, scanned.hash_at(ci), std::move(pl));
       }
+      global_->Submit(std::move(runs));
     });
     for (size_t i = 0; i < tasks.size(); ++i) {
       const ScanTask& task = tasks[i];
@@ -382,16 +385,15 @@ Status HdkIndexingProtocol::Depart(
   return Status::OK();
 }
 
-uint64_t HdkIndexingProtocol::InsertCandidate(Peer& peer, uint32_t s,
-                                              const hdk::TermKey& key,
-                                              uint64_t key_hash,
-                                              index::PostingList full) {
+uint64_t HdkIndexingProtocol::InsertCandidate(
+    DistributedGlobalIndex::ContributionRuns& runs, Peer& peer, uint32_t s,
+    const hdk::TermKey& key, uint64_t key_hash, index::PostingList full) {
   // Keys below the top level can become expansion material later;
   // remember which local documents carry them (delta-scan targets).
   std::vector<DocId> key_docs;
   if (s < params_.s_max) key_docs = full.Documents();
   const uint64_t payload = global_->InsertPostings(
-      peer.id(), key, key_hash, std::move(full), params_);
+      runs, peer.id(), key, key_hash, std::move(full), params_);
   peer.MarkPublished(s, key, key_hash, std::move(key_docs));
   return payload;
 }
@@ -416,7 +418,9 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
     // Phase 1 (serial): which peers participate at this level. Within a
     // level, every peer's candidate set depends only on the state at
     // level entry (knowledge updates arrive after EndLevel), so the
-    // participants are independent of each other.
+    // participants are independent of each other. The joining peers'
+    // full scans go first, so the wave's longest tasks start first and
+    // the small delta scans fill in around them.
     struct ScanTask {
       Peer* peer = nullptr;
       bool is_new = false;
@@ -444,18 +448,20 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
       tasks.push_back(
           ScanTask{&peer, is_new, prev_candidates[peer.id()], 0, {}, 0, 0});
     }
+    std::stable_partition(tasks.begin(), tasks.end(),
+                          [](const ScanTask& task) { return task.is_new; });
 
     // Phase 2 (parallel): each task scans its peer's candidates AND
-    // inserts them straight into the global index — InsertPostings
-    // buffers each contribution on its key's shard under the shard
-    // mutex, so the whole wave proceeds without a global lock, and each
-    // task frees its candidate map before scanning the next peer (peak
-    // memory ~num_threads maps). Every mutation is either task-local
-    // (peer state, per-task counters), per-key commutative (shard
-    // buffers: EndLevel sorts contributors and folds order-independent
-    // merges) or aggregate-only (sharded traffic counters) — so any
-    // insertion interleaving yields the same observable state, and with
-    // no pool the loop IS the serial protocol in ascending peer order.
+    // inserts them — InsertPostings bills the message and appends the
+    // contribution to the task's own per-shard runs, which reach the
+    // index in one Submit when the task ends, so the wave shares no lock
+    // per key; each task frees its candidate map before the next one
+    // starts (peak memory ~num_threads maps). Every mutation is either
+    // task-local (peer state, per-task counters, runs), per-key
+    // commutative (EndLevel sorts each key's contributors and folds
+    // order-independent merges) or aggregate-only (sharded traffic
+    // counters) — so any task order and interleaving yields the same
+    // observable state.
     Stopwatch scan_watch;
     ParallelForEach(pool_, tasks.size(), [&](size_t i) {
       ScanTask& task = tasks[i];
@@ -470,20 +476,22 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
 
       // Hash-carrying insert wave: the candidate map caches each key's
       // Hash64, so the published-set probe, overlay routing, shard choice
-      // and pending-buffer probe all reuse it.
+      // and the barrier's ledger probe all reuse it.
+      DistributedGlobalIndex::ContributionRuns runs;
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         auto& [key, pl] = candidates.entry(ci);
         const uint64_t key_hash = candidates.hash_at(ci);
         if (!task.is_new && peer.HasPublished(s, key, key_hash)) continue;
         ++task.keys_inserted;
         task.postings_inserted +=
-            InsertCandidate(peer, s, key, key_hash, std::move(pl));
+            InsertCandidate(runs, peer, s, key, key_hash, std::move(pl));
       }
+      global_->Submit(std::move(runs));
     });
     phase_timings_.scan_seconds += scan_watch.ElapsedSeconds();
 
-    // Phase 3 (serial): reduce the per-task counters in ascending peer
-    // order.
+    // Phase 3 (serial): reduce the per-task counters (sums and per-peer
+    // slots, so the task order does not change them).
     for (const ScanTask& task : tasks) {
       prev_candidates[task.peer->id()] = task.candidates;
       level_stats.generation += task.generation;

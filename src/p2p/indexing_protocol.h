@@ -133,7 +133,7 @@ class HdkIndexingProtocol {
   ///                shard-buffered insertions) and the sharded global
   ///                index's merge and repair paths fan out on (outlives
   ///                the protocol); nullptr runs the exact serial path.
-  ///                Contributions land in per-key shard buffers and every
+  ///                Contributions land in per-task shard runs and every
   ///                level is classified in ascending-key order, so
   ///                parallel builds are posting-for-posting identical to
   ///                serial ones at any thread count.
@@ -249,10 +249,12 @@ class HdkIndexingProtocol {
 
   /// The per-candidate insert step shared by RunLevels and the departure
   /// re-admission: ships `peer`'s full local list for the size-`s` key to
-  /// the global index and records the key in the peer's published
-  /// bookkeeping. Safe to call concurrently for distinct peers once
-  /// EnsureCapacity() ran. Returns the postings transmitted.
-  uint64_t InsertCandidate(Peer& peer, uint32_t s, const hdk::TermKey& key,
+  /// the global index (appended to the calling task's `runs`) and records
+  /// the key in the peer's published bookkeeping. Safe to call
+  /// concurrently for distinct peers and runs once EnsureCapacity() ran.
+  /// Returns the postings transmitted.
+  uint64_t InsertCandidate(DistributedGlobalIndex::ContributionRuns& runs,
+                           Peer& peer, uint32_t s, const hdk::TermKey& key,
                            uint64_t key_hash, index::PostingList full);
 
   const HdkParams params_;

@@ -12,8 +12,9 @@ Peer::Peer(PeerId id, DocId first, DocId last, const HdkParams& params)
 hdk::KeyMap<index::PostingList> Peer::BuildLevel1(
     const corpus::DocumentStore& store,
     const TermIdSet& very_frequent,
-    hdk::CandidateBuildStats* stats) const {
-  return builder_.BuildLevel1(store, first_, last_, very_frequent, stats);
+    hdk::CandidateBuildStats* stats, const TermIdSet* only) const {
+  return builder_.BuildLevel1(store, first_, last_, very_frequent, stats,
+                              only);
 }
 
 hdk::KeyMap<index::PostingList> Peer::BuildLevel(

@@ -38,11 +38,13 @@ class Peer {
   uint64_t num_documents() const { return last_ - first_; }
 
   /// Local level-1 candidates: every non-very-frequent term of the local
-  /// documents with its local posting list.
+  /// documents with its local posting list (only the `only` terms' lists
+  /// when set; see CandidateBuilder::BuildLevel1).
   hdk::KeyMap<index::PostingList> BuildLevel1(
       const corpus::DocumentStore& store,
       const TermIdSet& very_frequent,
-      hdk::CandidateBuildStats* stats = nullptr) const;
+      hdk::CandidateBuildStats* stats = nullptr,
+      const TermIdSet* only = nullptr) const;
 
   /// Local level-s candidates (s >= 2) under the peer's current global
   /// knowledge (NDK notifications received so far). `expected_candidates`

@@ -1,8 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +64,48 @@ TEST(ThreadPoolTest, NullPoolIsSerial) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, SingleThreadPoolForEachRunsInAscendingOrder) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  ParallelForEach(&pool, 6, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(static_cast<int>(i));
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ThreadPoolTest, UnevenWorkVisitsEveryIndexExactlyOnce) {
+  // A few slow indices among many fast ones, the shape of a join wave
+  // (full scans of the joining peers beside small delta scans): indices
+  // are claimed one at a time, and none may be skipped or run twice.
+  ThreadPool pool(4);
+  for (size_t n : {1u, 3u, 4u, 5u, 20u, 301u}) {
+    std::vector<std::atomic<int>> visits(n);
+    ParallelForEach(&pool, n, [&](size_t i) {
+      if (i % 7 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+      ++visits[i];
+    });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "n " << n << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelChunksKeepsStaticChunkBounds) {
+  // Per-chunk accumulators (SearchBatch) rely on the chunk boundaries
+  // depending only on (n, num_threads).
+  ThreadPool pool(4);
+  std::vector<std::pair<size_t, size_t>> bounds(pool.num_threads());
+  ParallelChunks(&pool, 10, [&](size_t begin, size_t end, size_t chunk) {
+    bounds[chunk] = {begin, end};
+  });
+  EXPECT_EQ(bounds, (std::vector<std::pair<size_t, size_t>>{
+                        {0, 3}, {3, 6}, {6, 8}, {8, 10}}));
 }
 
 TEST(ThreadPoolTest, ChunkAccumulatorsReduceDeterministically) {

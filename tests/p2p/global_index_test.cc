@@ -129,6 +129,39 @@ TEST_F(GlobalIndexTest, LateContributionToKnownNdkNotifiesOnlyNewcomer) {
   EXPECT_EQ(outcome.notifications[0].second, (std::vector<PeerId>{1}));
 }
 
+TEST_F(GlobalIndexTest, SubmittedRunsStayPendingUntilEndLevelInAnyOrder) {
+  // Two tasks' runs for one key, the higher peer's submitted first: the
+  // message is billed at append time, the runs count as pending from
+  // Submit until the barrier, and the barrier merges the contributors in
+  // ascending peer order whatever order they arrived in.
+  const hdk::TermKey key{4};
+  std::vector<index::Posting> low_postings, high_postings;
+  for (DocId d = 0; d < 6; ++d) low_postings.push_back({d, 1, 10});
+  for (DocId d = 10; d < 16; ++d) high_postings.push_back({d, 1, 10});
+  DistributedGlobalIndex::ContributionRuns low, high;
+  index_.InsertPostings(high, 2, key, key.Hash64(),
+                        index::PostingList(high_postings), Params(10));
+  index_.InsertPostings(low, 0, key, key.Hash64(),
+                        index::PostingList(low_postings), Params(10));
+  EXPECT_EQ(traffic_.ByKind(net::MessageKind::kInsertPostings).messages, 2u);
+  EXPECT_FALSE(index_.HasPendingContributions());
+
+  index_.Submit(std::move(high));
+  EXPECT_TRUE(index_.HasPendingContributions());
+  index_.Submit(std::move(low));
+  const LevelOutcome outcome = index_.EndLevel(Params(10), 10.0);
+  EXPECT_FALSE(index_.HasPendingContributions());
+
+  ASSERT_EQ(outcome.notifications.size(), 1u);  // df 12 > 10
+  EXPECT_EQ(outcome.notifications[0].second, (std::vector<PeerId>{0, 2}));
+  const auto& ledger = index_.ShardLedger(0);
+  const auto it = ledger.find(key);
+  ASSERT_NE(it, ledger.end());
+  ASSERT_EQ(it->second.contributions.size(), 2u);
+  EXPECT_EQ(it->second.contributions[0].peer, 0u);
+  EXPECT_EQ(it->second.contributions[1].peer, 2u);
+}
+
 TEST_F(GlobalIndexTest, NotificationsCanBeDisabled) {
   hdk::TermKey key{3};
   std::vector<index::Posting> postings;
