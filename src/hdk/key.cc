@@ -76,4 +76,12 @@ std::string TermKey::ToString() const {
   return os.str();
 }
 
+bool TermKey::operator<(const TermKey& other) const {
+  if (size_ != other.size_) return size_ < other.size_;
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (terms_[i] != other.terms_[i]) return terms_[i] < other.terms_[i];
+  }
+  return false;
+}
+
 }  // namespace hdk::hdk

@@ -95,15 +95,8 @@ class TermKey {
   }
 
   /// Lexicographic order (size first, then terms) — deterministic
-  /// iteration order for experiments. Inline: the level barrier's sort
-  /// compares keys hundreds of thousands of times per level.
-  bool operator<(const TermKey& other) const {
-    if (size_ != other.size_) return size_ < other.size_;
-    for (uint32_t i = 0; i < size_; ++i) {
-      if (terms_[i] != other.terms_[i]) return terms_[i] < other.terms_[i];
-    }
-    return false;
-  }
+  /// iteration order for experiments.
+  bool operator<(const TermKey& other) const;
 
   /// Hash functor for hash containers. Returns the full 64-bit identity
   /// hash: the flat tables cache it per entry and the hash-carrying call
