@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cow_vec.h"
 #include "common/flat_map.h"
 #include "common/hash.h"
 #include "engine/overlay_factory.h"
@@ -338,50 +337,6 @@ Status ReadFragmentMap(SectionCursor& cur, FragmentMap* out) {
   return Status::OK();
 }
 
-using PublishedDocsMap = hdk::KeyMap<CowVec<DocId>>;
-
-void WritePublishedDocsMap(SnapshotWriter& w, const PublishedDocsMap& map) {
-  WriteKeyMapKeys(w, map);
-  const size_t n = map.size();
-  std::vector<uint32_t> counts;
-  counts.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    counts.push_back(static_cast<uint32_t>(map.entry(i).second.size()));
-  }
-  w.WriteArray(counts);
-  for (size_t i = 0; i < n; ++i) {
-    const std::span<const DocId> docs = map.entry(i).second.span();
-    w.WriteBytes(docs.data(), docs.size() * sizeof(DocId));
-  }
-}
-
-Status ReadPublishedDocsMap(SectionCursor& cur, PublishedDocsMap* out) {
-  std::vector<hdk::TermKey> keys;
-  std::vector<uint64_t> hashes;
-  HDK_RETURN_NOT_OK(ReadKeyMapKeys(cur, &keys, &hashes));
-  const size_t n = keys.size();
-  std::vector<uint32_t> counts;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&counts));
-  if (counts.size() != n) {
-    return Status::IOError("snapshot: published-doc column sizes disagree");
-  }
-  static_assert(alignof(DocId) == 4,
-                "doc-id blob alignment mirrors the posting blobs");
-  std::vector<std::pair<hdk::TermKey, CowVec<DocId>>> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* bytes = nullptr;
-    HDK_RETURN_NOT_OK(
-        cur.ReadView(uint64_t{counts[i]} * sizeof(DocId), &bytes));
-    entries.emplace_back(keys[i],
-                         CowVec<DocId>::Borrowed(std::span<const DocId>(
-                             reinterpret_cast<const DocId*>(bytes),
-                             counts[i])));
-  }
-  out->AdoptRaw(std::move(entries), std::move(hashes));
-  return Status::OK();
-}
-
 // --- per-section writers / readers ---------------------------------------
 
 void WriteConfigSection(SnapshotWriter& w, const EngineConfig& config,
@@ -649,11 +604,6 @@ void WriteProtocolSection(SnapshotWriter& w,
     w.WriteU32(peer.last_doc());
     WriteTermIdSet(w, peer.oracle().expandable_terms());
     WriteKeySet(w, peer.oracle().ndks());
-    w.WriteU64(peer.published_keys().size());
-    for (const hdk::KeySet& level : peer.published_keys()) {
-      WriteKeySet(w, level);
-    }
-    WritePublishedDocsMap(w, peer.published_docs());
   }
   w.EndSection();
 }
@@ -718,21 +668,8 @@ Status ReadProtocolSection(const SnapshotReader& reader,
     hdk::SetNdkOracle oracle;
     oracle.Adopt(std::move(terms), std::move(ndks));
 
-    uint64_t num_published_levels = 0;
-    HDK_RETURN_NOT_OK(cur.ReadU64(&num_published_levels));
-    if (num_published_levels > 64) {
-      return Status::IOError("snapshot: implausible published level count");
-    }
-    std::vector<hdk::KeySet> published(num_published_levels);
-    for (hdk::KeySet& level : published) {
-      HDK_RETURN_NOT_OK(ReadKeySet(cur, &level));
-    }
-    hdk::KeyMap<CowVec<DocId>> published_docs;
-    HDK_RETURN_NOT_OK(ReadPublishedDocsMap(cur, &published_docs));
-
     p2p::Peer peer(id, first, last, config.hdk);
-    peer.RestoreLocalState(std::move(oracle), std::move(published),
-                           std::move(published_docs));
+    peer.RestoreLocalState(std::move(oracle));
     peers.push_back(std::move(peer));
   }
   HDK_RETURN_NOT_OK(cur.ExpectEnd());

@@ -17,9 +17,10 @@
 //   kStats        CollectionStats arrays (cf/df/rank frequencies)
 //   kOverlay      P-Grid trie paths / Chord ring placements
 //   kTraffic      merged traffic counters (total, per kind, per peer)
-//   kProtocol     per-peer local knowledge (NDK oracles, published keys)
-//                 + the cumulative indexing report
-//   kGlobalIndex  per-shard contribution ledger + published fragments
+//   kProtocol     per-peer local knowledge (NDK oracles) + the cumulative
+//                 indexing report
+//   kGlobalIndex  per-shard contribution ledger (which is also what each
+//                 peer contributed) + published fragments
 //   kEngine       rotation state + last growth/departure/membership stats
 //
 // Compatibility contract: the header's config hash covers the HDK

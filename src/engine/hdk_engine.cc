@@ -110,7 +110,7 @@ Status HdkSearchEngine::ApplyDeparture(PeerId peer) {
 
 Result<sync::SyncStats> HdkSearchEngine::RunAntiEntropy() {
   if (config_.replication <= 1) return sync::SyncStats{};
-  return global_->ReconcileReplicas(/*record_traffic=*/true);
+  return global_->ReconcileReplicas();
 }
 
 net::Resilience HdkSearchEngine::InstallResilience() {

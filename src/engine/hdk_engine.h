@@ -115,7 +115,7 @@ class HdkSearchEngine : public SearchEngine {
 
   /// One anti-entropy sweep over the replica pairs (all-zero stats when
   /// replication == 1). Delegates to
-  /// DistributedGlobalIndex::ReconcileReplicas with recorded traffic.
+  /// DistributedGlobalIndex::ReconcileReplicas.
   Result<sync::SyncStats> RunAntiEntropy() override;
 
   // -- HDK-specific observability --------------------------------------
@@ -227,9 +227,9 @@ class HdkSearchEngine : public SearchEngine {
   net::FaultInjector injector_;
   net::PeerHealth health_;
   /// Set only on snapshot-restored engines: keeps the snapshot's mmap
-  /// alive, because restored posting lists and published-doc lists
-  /// borrow their elements straight from the mapped file until first
-  /// mutation (see index::PostingList / CowVec).
+  /// alive, because restored posting lists (ledger contributions, merge
+  /// caches, fragments) borrow their elements straight from the mapped
+  /// file until first mutation (see index::PostingList).
   std::shared_ptr<store::SnapshotReader> snapshot_backing_;
   const corpus::DocumentStore* store_ = nullptr;
   std::unique_ptr<corpus::CollectionStats> stats_;

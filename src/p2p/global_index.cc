@@ -161,28 +161,19 @@ uint64_t DistributedGlobalIndex::InsertPostings(
   // key_hash IS the key's ring id: one hash drives routing, the
   // destination lookup, the shard choice and the barrier's ledger probe.
   const PeerId dst = overlay_->Responsible(key_hash);
-  const size_t hops = overlay_->Route(src, key_hash);
-  bool redeliver = false;
-  if (!FaultsActive()) {
-    traffic_->Record(src, dst, net::MessageKind::kInsertPostings, payload,
-                     hops);
-  } else {
-    net::Channel channel(traffic_, res_);
-    const net::SendOutcome sent = channel.SendAssured(
-        src, dst, net::MessageKind::kInsertPostings, payload, hops,
-        key_hash);
-    if (!sent.delivered) {
-      if (channel.PeerDead(dst)) {
-        // The responsible peer died unannounced: the contribution never
-        // reaches the ledger and is lost for good.
-        lost_contributions_.fetch_add(1, std::memory_order_relaxed);
-        return payload;
-      }
-      // Retry budget exhausted against a live peer: the level barrier's
-      // redelivery records the final (delivered) message.
-      redeliver = true;
-    }
+  const net::Channel channel(traffic_, res_);
+  const net::SendOutcome sent =
+      channel.SendAssured(src, dst, net::MessageKind::kInsertPostings,
+                          payload, overlay_->Route(src, key_hash), key_hash);
+  if (!sent.delivered && channel.PeerDead(dst)) {
+    // The responsible peer died unannounced: the contribution never
+    // reaches the ledger and is lost for good.
+    lost_contributions_.fetch_add(1, std::memory_order_relaxed);
+    return payload;
   }
+  // Undelivered against a live peer means the retry budget ran out: the
+  // level barrier's redelivery records the final (delivered) message.
+  const bool redeliver = !sent.delivered;
 
   if (runs.by_shard_.empty()) runs.by_shard_.resize(shards_.size());
   runs.by_shard_[ShardOf(key_hash)].push_back(PendingContribution{
@@ -200,11 +191,22 @@ void DistributedGlobalIndex::Submit(ContributionRuns&& runs) {
   runs.by_shard_.clear();
 }
 
-bool DistributedGlobalIndex::Publish(Shard& shard, const hdk::TermKey& key,
-                                     uint64_t key_hash, LedgerEntry& ledger,
-                                     const HdkParams& params,
-                                     double avg_doc_length,
-                                     bool record_traffic, bool* changed) {
+const index::PostingList* DistributedGlobalIndex::ContributionOf(
+    PeerId peer, const hdk::TermKey& key, uint64_t key_hash) const {
+  const auto& ledger = shards_[ShardOf(key_hash)]->ledger;
+  auto it = ledger.find_hashed(key_hash, key);
+  if (it == ledger.end()) return nullptr;
+  const std::vector<Contribution>& contributions = it->second.contributions;
+  auto c = std::lower_bound(
+      contributions.begin(), contributions.end(), peer,
+      [](const Contribution& c, PeerId p) { return c.peer < p; });
+  return c != contributions.end() && c->peer == peer ? &c->full : nullptr;
+}
+
+const hdk::KeyEntry& DistributedGlobalIndex::Publish(
+    Shard& shard, const hdk::TermKey& key, uint64_t key_hash,
+    LedgerEntry& ledger, const HdkParams& params, double avg_doc_length,
+    bool* changed) {
   const Freq trunc_limit = params.EffectiveNdkTruncation();
 
   hdk::KeyEntry entry;
@@ -224,7 +226,6 @@ bool DistributedGlobalIndex::Publish(Shard& shard, const hdk::TermKey& key,
   ledger.truncation_sensitive =
       !entry.is_hdk || ledger.merged_locals.size() < ledger.global_df;
 
-  const bool is_ndk = !entry.is_hdk;
   auto& fragment = shard.fragments[overlay_->Responsible(key_hash)];
   auto [it, inserted] = fragment.try_emplace_hashed(key_hash, key);
   hdk::KeyEntry& stored = it->second;
@@ -234,11 +235,10 @@ bool DistributedGlobalIndex::Publish(Shard& shard, const hdk::TermKey& key,
                stored.postings != entry.postings;
   }
   stored = std::move(entry);
-  PublishReplicas(shard, key, key_hash, stored, record_traffic);
-  return is_ndk;
+  return stored;
 }
 
-bool DistributedGlobalIndex::Rederive(
+const hdk::KeyEntry& DistributedGlobalIndex::Rederive(
     Shard& shard, size_t pos, const HdkParams& params, double avg_doc_length,
     hdk::KeyMap<DepartureBaseline::Change>* changes) {
   auto& [key, ledger] = shard.ledger.entry(pos);
@@ -250,16 +250,16 @@ bool DistributedGlobalIndex::Rederive(
     FoldIntoCache(ledger, c.full, params, avg_doc_length);
   }
   bool changed = false;
-  const bool is_ndk =
+  const hdk::KeyEntry& stored =
       Publish(shard, key, key_hash, ledger, params, avg_doc_length,
-              /*record_traffic=*/false, changes != nullptr ? &changed : nullptr);
+              changes != nullptr ? &changed : nullptr);
   if (changed) {
     DepartureBaseline::Change& change =
         changes->try_emplace_hashed(key_hash, key).first->second;
     change.changed = true;
     change.was_ndk = was_ndk;
   }
-  return is_ndk;
+  return stored;
 }
 
 void DistributedGlobalIndex::PublishReplicas(Shard& shard,
@@ -268,7 +268,6 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
                                              const hdk::KeyEntry& entry,
                                              bool record_traffic) {
   if (res_.replication <= 1) return;
-  if (replica_defer_) return;  // departure repair: reconciled afterwards
   if (shard.replicas.size() < shard.fragments.size()) {
     shard.replicas.resize(shard.fragments.size());
   }
@@ -364,6 +363,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
   const auto by_peer = [](const Contribution& a, const Contribution& b) {
     return a.peer < b.peer;
   };
+  const net::Channel channel(traffic_, res_);
   for (size_t first = 0, last = 0; first < order.size(); first = last) {
     const hdk::TermKey& key = order[first].key;
     const uint64_t key_hash = order[first].pending->key_hash;
@@ -388,8 +388,12 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
                        ledger.contributions.begin() + old_count,
                        ledger.contributions.end(), by_peer);
 
-    const bool is_ndk = Publish(shard, key, key_hash, ledger, params,
-                                avg_doc_length, record_traffic);
+    const hdk::KeyEntry& stored =
+        Publish(shard, key, key_hash, ledger, params, avg_doc_length);
+    if (record_traffic) {
+      PublishReplicas(shard, key, key_hash, stored, /*record_traffic=*/true);
+    }
+    const bool is_ndk = !stored.is_hdk;
     if (is_ndk) {
       ++outcome.ndks;
       if (was_published && !was_ndk) ++outcome.reclassified;
@@ -417,47 +421,33 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       }
       recipients.erase(std::unique(recipients.begin(), recipients.end()),
                        recipients.end());
+      // Notifications carry the key only, no postings. The owner knows
+      // the contributor directly (source address of the insertion), so
+      // each is a single overlay-external message: 1 hop. They are
+      // barrier-assured — a lost burst against a live contributor is
+      // redelivered right here (we ARE at the barrier); only a hard-dead
+      // contributor misses its expansion (it leaves the network when it
+      // is evicted).
       const PeerId owner = ResponsiblePeerHashed(key_hash);
-      if (!record_traffic || !FaultsActive()) {
-        for (PeerId contributor : recipients) {
-          // Notifications carry the key only, no postings. The owner
-          // knows the contributor directly (source address of the
-          // insertion), so this is a single overlay-external message:
-          // 1 hop.
-          if (record_traffic) {
-            traffic_->Record(owner, contributor,
-                             net::MessageKind::kNdkNotification,
-                             /*postings=*/0, /*hops=*/1);
-          }
-          ++outcome.notification_messages;
-        }
-        outcome.notifications.emplace_back(key, std::move(recipients));
-      } else {
-        // Faulty transport: notifications are barrier-assured — a lost
-        // burst against a live contributor is redelivered right here
-        // (we ARE at the barrier), only a hard-dead contributor misses
-        // its expansion (it leaves the network when it is evicted).
-        net::Channel channel(traffic_, res_);
-        std::vector<PeerId> reached;
-        reached.reserve(recipients.size());
-        for (PeerId contributor : recipients) {
+      std::erase_if(recipients, [&](PeerId contributor) {
+        if (record_traffic) {
           const net::SendOutcome sent = channel.SendAssured(
               owner, contributor, net::MessageKind::kNdkNotification,
               /*postings=*/0, /*hops=*/1, key_hash);
           if (!sent.delivered) {
             if (channel.PeerDead(contributor)) {
               lost_notifications_.fetch_add(1, std::memory_order_relaxed);
-              continue;
+              return true;
             }
             traffic_->Record(owner, contributor,
                              net::MessageKind::kNdkNotification,
                              /*postings=*/0, /*hops=*/1);
           }
-          reached.push_back(contributor);
-          ++outcome.notification_messages;
         }
-        outcome.notifications.emplace_back(key, std::move(reached));
-      }
+        ++outcome.notification_messages;
+        return false;
+      });
+      outcome.notifications.emplace_back(key, std::move(recipients));
     }
   }
   // The runs are spent: free them now rather than carry their capacity
@@ -554,7 +544,11 @@ void DistributedGlobalIndex::Retruncate(const HdkParams& params,
     Shard& shard = *shards_[i];
     for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
       if (shard.ledger.entry(pos).second.truncation_sensitive) {
-        Rederive(shard, pos, params, avg_doc_length, nullptr);
+        const hdk::KeyEntry& entry =
+            Rederive(shard, pos, params, avg_doc_length, nullptr);
+        PublishReplicas(shard, shard.ledger.entry(pos).first,
+                        shard.ledger.hash_at(pos), entry,
+                        /*record_traffic=*/false);
       }
     }
   });
@@ -580,7 +574,7 @@ uint64_t DistributedGlobalIndex::OnOverlayGrown() {
   // The salted replica placement changed with the overlay: the stale
   // copies stay in place and the recorded reconciliation repairs exactly
   // the keys whose holders changed.
-  ReconcileReplicas(/*record_traffic=*/true);
+  ReconcileReplicas();
   uint64_t total = 0;
   for (uint64_t m : migrated) total += m;
   return total;
@@ -590,10 +584,6 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
     BeginDeparture(PeerId departing, DepartureStats* stats) {
   DepartureBaseline baseline;
   baseline.shards.resize(shards_.size());
-  // The surviving holders keep their replica state through the repair
-  // (its publishes defer replica pushes), so the reconciliation after
-  // FinishDeparture ships only what the departure actually changed.
-  replica_defer_ = res_.replication > 1;
 
   std::vector<uint64_t> removed_contributions(shards_.size(), 0);
   std::vector<uint64_t> removed_postings(shards_.size(), 0);
@@ -673,7 +663,7 @@ DistributedGlobalIndex::LevelRepair DistributedGlobalIndex::RepairLevel(
       if (suspect && suspect(key)) {
         std::erase_if(ledger.contributions, [&](const Contribution& c) {
           if (keeps(c.peer, key)) return false;
-          part.retracted.emplace_back(c.peer, key);
+          ++part.retracted;
           if (facts && was_ndk) part.lost.emplace_back(c.peer, key);
           return true;
         });
@@ -689,7 +679,8 @@ DistributedGlobalIndex::LevelRepair DistributedGlobalIndex::RepairLevel(
       }
       // Reverse reclassification: the key is discriminative again, so
       // every surviving contributor loses it as expansion material.
-      if (!Rederive(shard, pos, params, avg_doc_length, &repair.changes) &&
+      if (Rederive(shard, pos, params, avg_doc_length, &repair.changes)
+              .is_hdk &&
           facts && was_ndk) {
         for (const Contribution& c : ledger.contributions) {
           part.lost.emplace_back(c.peer, key);
@@ -719,8 +710,7 @@ DistributedGlobalIndex::LevelRepair DistributedGlobalIndex::RepairLevel(
 
   LevelRepair out;
   for (LevelRepair& part : parts) {
-    std::move(part.retracted.begin(), part.retracted.end(),
-              std::back_inserter(out.retracted));
+    out.retracted += part.retracted;
     std::move(part.lost.begin(), part.lost.end(),
               std::back_inserter(out.lost));
   }
@@ -794,7 +784,6 @@ void DistributedGlobalIndex::FinishDeparture(DepartureBaseline baseline,
     stats->repaired_keys += part.repaired_keys;
     stats->moved_postings += part.moved_postings;
   }
-  replica_defer_ = false;
 }
 
 const hdk::KeyEntry* DistributedGlobalIndex::FetchFrom(
@@ -813,6 +802,9 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     // Perfect transport: the pre-fault fetch, message for message. (The
     // primary always answers, so replication never enters the path. Zero
     // simulated time passes, so the deadline and hedge knobs are inert.)
+    // Unlike the indexing sends, this hot path keeps its own branch
+    // instead of going through net::Channel: a variant without it lost
+    // 9-12% of hdkbench serve query_qps in 5 of 6 alternating pairs.
     const PeerId dst = overlay_->Responsible(ring_key);
     const size_t hops = overlay_->Route(src, ring_key);
     traffic_->Record(src, dst, net::MessageKind::kKeyProbe, /*postings=*/0,
@@ -994,8 +986,7 @@ void DistributedGlobalIndex::RebuildReplicas() {
   });
 }
 
-sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
-    bool record_traffic) {
+sync::SyncStats DistributedGlobalIndex::ReconcileReplicas() {
   sync::SyncStats stats;
   if (res_.replication <= 1 || overlay_->num_peers() < 2) return stats;
   EnsureCapacity();
@@ -1146,15 +1137,13 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
       auto leg = [&](PeerId src, PeerId dst, net::MessageKind kind,
                      uint64_t postings, uint64_t leg_idx,
                      uint64_t extra_bytes) {
-        if (record_traffic) {
-          const net::SendOutcome sent =
-              channel.SendReliable(src, dst, kind, postings, /*hops=*/1,
-                                   pair_salt + leg_idx, extra_bytes);
-          part.messages += 1 + sent.retries;
-          if (!sent.delivered) {
-            ++part.pairs_unreachable;
-            return false;
-          }
+        const net::SendOutcome sent =
+            channel.SendReliable(src, dst, kind, postings, /*hops=*/1,
+                                 pair_salt + leg_idx, extra_bytes);
+        part.messages += 1 + sent.retries;
+        if (!sent.delivered) {
+          ++part.pairs_unreachable;
+          return false;
         }
         return true;
       };

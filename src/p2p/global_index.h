@@ -21,9 +21,12 @@
 // LEDGER: each contributor's full (untruncated) local posting list. This is
 // simulation bookkeeping — in the real network that data simply stays on
 // the contributing peer, which re-sends or re-truncates on request; here it
-// lets the simulator recompute any published entry deterministically. The
-// published per-peer fragments and all recorded traffic continue to model
-// exactly what the protocol transmits and stores.
+// lets the simulator recompute any published entry deterministically. It
+// is also the one record of what each peer has contributed: the protocol
+// reads a peer's own keys and lists back through ContributionOf instead
+// of keeping a second copy on the Peer. The published per-peer fragments
+// and all recorded traffic continue to model exactly what the protocol
+// transmits and stores.
 //
 // SHARDING: the index is internally partitioned into N shards by the key's
 // placement hash — the same hash that assigns the key to its responsible
@@ -194,13 +197,13 @@ class DistributedGlobalIndex {
   };
 
   /// What one level of the in-place departure repair changed for the
-  /// surviving peers (see RepairLevel), as (peer, key) pairs.
+  /// surviving peers (see RepairLevel).
   struct LevelRepair {
     /// Surviving contributions dropped because the peer can no longer
     /// generate the key.
-    std::vector<std::pair<PeerId, hdk::TermKey>> retracted;
-    /// Facts a surviving contributor loses: the key is no longer a
-    /// non-discriminative key it contributes to.
+    uint64_t retracted = 0;
+    /// Facts a surviving contributor loses, as (peer, key) pairs: the key
+    /// is no longer a non-discriminative key it contributes to.
     std::vector<std::pair<PeerId, hdk::TermKey>> lost;
   };
 
@@ -284,6 +287,15 @@ class DistributedGlobalIndex {
   /// left empty. Thread-safe: one short critical section per call.
   void Submit(ContributionRuns&& runs);
 
+  /// `peer`'s full local list for `key` from the ledger, or nullptr when
+  /// the peer has no merged contribution to it (one still waiting in a run
+  /// for EndLevel does not count). `key_hash` = key.Hash64(). Safe to
+  /// call concurrently while nothing writes the ledger: the scan waves
+  /// only read it, and EndLevel and the repairs run between waves.
+  const index::PostingList* ContributionOf(PeerId peer,
+                                           const hdk::TermKey& key,
+                                           uint64_t key_hash) const;
+
   /// Classifies all keys that received contributions since the last
   /// EndLevel call: merges them into the ledger, re-derives the published
   /// entry (HDK full postings / NDK top-DFmax postings, score normalized
@@ -294,8 +306,9 @@ class DistributedGlobalIndex {
   /// key that is born non-discriminative) notifies ALL contributors.
   /// Notifications are pointless at the last level (size filtering stops
   /// expansion), so the protocol disables them there. The departure
-  /// repair passes `record_traffic = false` and accounts the genuinely
-  /// travelling notifications itself.
+  /// repair passes `record_traffic = false`: nothing is sent, replica
+  /// copies are left to the reconciliation after the repair, and the
+  /// repair accounts the genuinely travelling notifications itself.
   /// Runs shard-parallel on the pool; see the file comment for the
   /// determinism contract.
   LevelOutcome EndLevel(const HdkParams& params, double avg_doc_length,
@@ -314,9 +327,8 @@ class DistributedGlobalIndex {
   ///     every fragment entry whose responsible peer changed to its new
   ///     owner (the departed peer's whole fragment included), noting the
   ///     handovers for FinishDeparture to bill.
-  /// On a replicated index the replica copies stay as they were until
-  /// FinishDeparture, so the following reconciliation ships only what
-  /// the departure changed.
+  /// The repair never touches the replica copies, so the reconciliation
+  /// after FinishDeparture ships only what the departure changed.
   /// Fills `stats`' departed peer and its dropped ledger share.
   DepartureBaseline BeginDeparture(PeerId departing, DepartureStats* stats);
 
@@ -342,8 +354,8 @@ class DistributedGlobalIndex {
   /// moved (from the old owner, or from the lowest-id surviving
   /// contributor when the departed peer hosted it) or whose published
   /// content changed in place (from that contributor), carrying the
-  /// repaired entry's postings. Replica copies are live again afterwards;
-  /// the caller reconciles them (ReconcileReplicas). Runs shard-parallel
+  /// repaired entry's postings. The caller then reconciles the replica
+  /// copies (ReconcileReplicas). Runs shard-parallel
   /// and fills `stats`' erased, reverse-reclassified, migrated, repaired
   /// and moved-postings counters.
   void FinishDeparture(DepartureBaseline baseline, const HdkParams& params,
@@ -450,7 +462,7 @@ class DistributedGlobalIndex {
   /// pair is planned over its symmetric difference, which yields the
   /// same sketches. CountReplicaDivergence is the from-scratch backstop.
   /// The returned per-call stats are also accumulated into sync_stats().
-  sync::SyncStats ReconcileReplicas(bool record_traffic);
+  sync::SyncStats ReconcileReplicas();
 
   /// Brute-force divergence count (test/diagnostic helper, no traffic):
   /// the number of (holder, key) replica slots that differ from what
@@ -565,9 +577,12 @@ class DistributedGlobalIndex {
   }
 
   /// Copies the freshly published `entry` of `key` to its replica
-  /// holders (no-op when replication == 1). With `record_traffic` each
-  /// copy is one best-effort kReplicaPush from the owner, and a lost push
-  /// leaves the holder stale; without it the copies are written silently.
+  /// holders (no-op when replication == 1). Publish never does: EndLevel
+  /// pushes what it publishes, Retruncate copies silently, and the
+  /// departure repair leaves the copies to the reconciliation. With
+  /// `record_traffic` each copy is one best-effort kReplicaPush from the
+  /// owner, and a lost push leaves the holder stale; without it the copies
+  /// are written silently.
   void PublishReplicas(Shard& shard, const hdk::TermKey& key,
                        uint64_t key_hash, const hdk::KeyEntry& entry,
                        bool record_traffic);
@@ -589,22 +604,23 @@ class DistributedGlobalIndex {
   /// Recomputes the merge cache of the ledger entry at `pos` of `shard`
   /// from its whole contribution history under `avg_doc_length` and
   /// publishes it. With `changes` set, an entry whose published content
-  /// changed is noted there with its previous classification. Returns
-  /// whether the entry is an NDK.
-  bool Rederive(Shard& shard, size_t pos, const HdkParams& params,
-                double avg_doc_length,
-                hdk::KeyMap<DepartureBaseline::Change>* changes);
+  /// changed is noted there with its previous classification. Returns the
+  /// stored entry.
+  const hdk::KeyEntry& Rederive(
+      Shard& shard, size_t pos, const HdkParams& params,
+      double avg_doc_length,
+      hdk::KeyMap<DepartureBaseline::Change>* changes);
 
   /// Derives the published KeyEntry of `key` from the ledger cache —
   /// bit-identical to what a from-scratch build would publish — and
   /// stores it on the responsible fragment slot of `shard` (which must be
   /// the key's shard). `key_hash` = key.Hash64(), carried by the caller.
-  /// Returns whether the published entry is an NDK; `changed`, when set,
-  /// receives whether the stored entry's content differs from before.
-  bool Publish(Shard& shard, const hdk::TermKey& key, uint64_t key_hash,
-               LedgerEntry& ledger, const HdkParams& params,
-               double avg_doc_length, bool record_traffic = false,
-               bool* changed = nullptr);
+  /// Returns the stored entry; `changed`, when set, receives whether its
+  /// content differs from before. Replica copies are the caller's job.
+  const hdk::KeyEntry& Publish(Shard& shard, const hdk::TermKey& key,
+                               uint64_t key_hash, LedgerEntry& ledger,
+                               const HdkParams& params, double avg_doc_length,
+                               bool* changed = nullptr);
 
   const dht::Overlay* overlay_;
   net::TrafficRecorder* traffic_;
@@ -614,11 +630,6 @@ class DistributedGlobalIndex {
   std::atomic<uint64_t> lost_notifications_{0};
   std::atomic<uint64_t> missed_replica_pushes_{0};
   std::atomic<uint64_t> missed_replica_forgets_{0};
-  /// Set by BeginDeparture on a replicated index: the repair's publishes
-  /// leave the surviving replica maps untouched so the reconciliation
-  /// after FinishDeparture ships only what the departure changed instead
-  /// of re-shipping everything. Serial sections only.
-  bool replica_defer_ = false;
   /// Bumped per ReconcileReplicas call; salts the sync message fault
   /// decisions so successive sweeps draw independent loss outcomes.
   uint64_t sync_epoch_ = 0;

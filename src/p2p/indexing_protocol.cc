@@ -7,6 +7,18 @@
 
 namespace hdk::p2p {
 
+namespace {
+
+/// The delta scans' document lookup: `peer`'s own full list of a key,
+/// read back from the ledger.
+auto ContributionsOf(const DistributedGlobalIndex& global, PeerId peer) {
+  return [&global, peer](const hdk::TermKey& key) {
+    return global.ContributionOf(peer, key, key.Hash64());
+  };
+}
+
+}  // namespace
+
 uint64_t IndexingReport::TotalInsertedPostings() const {
   uint64_t total = 0;
   for (const auto& level : levels) total += level.postings_inserted;
@@ -270,19 +282,12 @@ Status HdkIndexingProtocol::Depart(
             ? std::function<bool(const hdk::TermKey&)>()
             : suspect,
         keeps);
-    // The survivors apply their share in parallel: retracted keys leave
-    // the published bookkeeping, lost facts leave the oracle with one
-    // reverse notice from the key's owner each.
-    using PeerKey = std::pair<PeerId, hdk::TermKey>;
-    std::vector<std::vector<const hdk::TermKey*>> retracted(peers_.size());
+    // The survivors apply their share in parallel: lost facts leave the
+    // oracle with one reverse notice from the key's owner each.
     std::vector<std::vector<const hdk::TermKey*>> lost(peers_.size());
-    for (const PeerKey& r : repair.retracted) {
-      retracted[r.first].push_back(&r.second);
-    }
-    for (const PeerKey& l : repair.lost) lost[l.first].push_back(&l.second);
+    for (const auto& [peer, key] : repair.lost) lost[peer].push_back(&key);
     ParallelForEach(pool_, peers_.size(), [&](size_t i) {
       Peer& peer = peers_[i];
-      for (const hdk::TermKey* key : retracted[i]) peer.Unpublish(s, *key);
       std::erase_if(lost[i], [&](const hdk::TermKey* key) {
         if (!peer.ForgetNdk(*key)) return true;
         traffic_->Record(global_->ResponsiblePeer(*key), peer.id(),
@@ -291,7 +296,7 @@ Status HdkIndexingProtocol::Depart(
         return false;
       });
     });
-    stats_out.retracted_keys += repair.retracted.size();
+    stats_out.retracted_keys += repair.retracted;
     for (const auto& forgotten : lost) {
       stats_out.forget_notifications += forgotten.size();
       for (const hdk::TermKey* key : forgotten) {
@@ -305,9 +310,9 @@ Status HdkIndexingProtocol::Depart(
 
     // Re-admission, the shape of RunLevels' scan wave: level 1 builds
     // every survivor's lists of the re-admitted terms, higher levels
-    // re-scan the delta of fresh knowledge. Each task owns its peer,
-    // counters and contribution runs; counters reduce in ascending peer
-    // order.
+    // re-scan the delta of fresh knowledge. Each task reads its peer and
+    // owns its counters and contribution runs; counters reduce in
+    // ascending peer order.
     struct ScanTask {
       hdk::CandidateBuildStats generation;
       bool rescanned = false;
@@ -316,20 +321,23 @@ Status HdkIndexingProtocol::Depart(
     };
     std::vector<ScanTask> tasks(peers_.size());
     ParallelForEach(pool_, peers_.size(), [&](size_t i) {
-      Peer& peer = peers_[i];
+      const Peer& peer = peers_[i];
       ScanTask& task = tasks[i];
       if (s == 1 ? readmitted.empty() : !peer.HasFreshKnowledge()) return;
       task.rescanned = true;
       hdk::KeyMap<index::PostingList> scanned =
           s == 1 ? peer.BuildLevel1(store_, very_frequent_, &task.generation,
                                     &readmitted)
-                 : peer.BuildLevelDelta(s, store_, &task.generation);
+                 : peer.BuildLevelDelta(s, store_,
+                                        ContributionsOf(*global_, peer.id()),
+                                        &task.generation);
       DistributedGlobalIndex::ContributionRuns runs;
       for (size_t ci = 0; ci < scanned.size(); ++ci) {
         auto& [key, pl] = scanned.entry(ci);
         ++task.keys_inserted;
-        task.postings_inserted += InsertCandidate(
-            runs, peer, s, key, scanned.hash_at(ci), std::move(pl));
+        task.postings_inserted +=
+            global_->InsertPostings(runs, peer.id(), key, scanned.hash_at(ci),
+                                    std::move(pl), params_);
       }
       global_->Submit(std::move(runs));
     });
@@ -376,26 +384,13 @@ Status HdkIndexingProtocol::Depart(
   // 5. The replica copies were left as they were: reconcile them against
   //    the repaired fragments (a no-op without replication).
   Stopwatch reconcile_watch;
-  stats_out.replica_sync = global_->ReconcileReplicas(/*record_traffic=*/true);
+  stats_out.replica_sync = global_->ReconcileReplicas();
   phase_timings_.departure_reconcile_seconds +=
       reconcile_watch.ElapsedSeconds();
 
   CountPublishedKeys();
   if (departure != nullptr) *departure = stats_out;
   return Status::OK();
-}
-
-uint64_t HdkIndexingProtocol::InsertCandidate(
-    DistributedGlobalIndex::ContributionRuns& runs, Peer& peer, uint32_t s,
-    const hdk::TermKey& key, uint64_t key_hash, index::PostingList full) {
-  // Keys below the top level can become expansion material later;
-  // remember which local documents carry them (delta-scan targets).
-  std::vector<DocId> key_docs;
-  if (s < params_.s_max) key_docs = full.Documents();
-  const uint64_t payload = global_->InsertPostings(
-      runs, peer.id(), key, key_hash, std::move(full), params_);
-  peer.MarkPublished(s, key, key_hash, std::move(key_docs));
-  return payload;
 }
 
 void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
@@ -456,35 +451,41 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
     // contribution to the task's own per-shard runs, which reach the
     // index in one Submit when the task ends, so the wave shares no lock
     // per key; each task frees its candidate map before the next one
-    // starts (peak memory ~num_threads maps). Every mutation is either
-    // task-local (peer state, per-task counters, runs), per-key
-    // commutative (EndLevel sorts each key's contributors and folds
-    // order-independent merges) or aggregate-only (sharded traffic
+    // starts (peak memory ~num_threads maps). The ledger is only read
+    // (a peer's own contributions; nothing writes it before EndLevel),
+    // and every mutation is either task-local (per-task counters, runs),
+    // per-key commutative (EndLevel sorts each key's contributors and
+    // folds order-independent merges) or aggregate-only (sharded traffic
     // counters) — so any task order and interleaving yields the same
     // observable state.
     Stopwatch scan_watch;
     ParallelForEach(pool_, tasks.size(), [&](size_t i) {
       ScanTask& task = tasks[i];
-      Peer& peer = *task.peer;
+      const Peer& peer = *task.peer;
       hdk::KeyMap<index::PostingList> candidates =
           s == 1 ? peer.BuildLevel1(store_, very_frequent_, &task.generation)
           : task.is_new
               ? peer.BuildLevel(s, store_, &task.generation,
                                 task.reserve_hint)
-              : peer.BuildLevelDelta(s, store_, &task.generation);
+              : peer.BuildLevelDelta(s, store_,
+                                     ContributionsOf(*global_, peer.id()),
+                                     &task.generation);
       task.candidates = candidates.size();
 
       // Hash-carrying insert wave: the candidate map caches each key's
-      // Hash64, so the published-set probe, overlay routing, shard choice
-      // and the barrier's ledger probe all reuse it.
+      // Hash64, so the already-contributed probe, overlay routing, shard
+      // choice and the barrier's ledger probe all reuse it.
       DistributedGlobalIndex::ContributionRuns runs;
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         auto& [key, pl] = candidates.entry(ci);
         const uint64_t key_hash = candidates.hash_at(ci);
-        if (!task.is_new && peer.HasPublished(s, key, key_hash)) continue;
+        if (!task.is_new &&
+            global_->ContributionOf(peer.id(), key, key_hash) != nullptr) {
+          continue;
+        }
         ++task.keys_inserted;
-        task.postings_inserted +=
-            InsertCandidate(runs, peer, s, key, key_hash, std::move(pl));
+        task.postings_inserted += global_->InsertPostings(
+            runs, peer.id(), key, key_hash, std::move(pl), params_);
       }
       global_->Submit(std::move(runs));
     });

@@ -11,7 +11,8 @@
 //     expands the key at level s+1.
 //
 // The protocol object is STATEFUL: after the initial Run() it retains every
-// peer's local knowledge (NDK oracle, published keys), so the network can
+// peer's local knowledge (NDK oracle; its contributions stay in the global
+// index's ledger), so the network can
 // Grow() — the paper's evolution experiment, where peers join in waves and
 // contribute new documents. A growth step runs the same level-wise protocol
 // but only over the delta:
@@ -22,7 +23,8 @@
 //     length are re-derived under the grown collection's avgdl,
 //   * joining peers run all levels over their own documents,
 //   * existing peers re-derive candidates only when they gained knowledge
-//     (a key of theirs crossed DFmax), and insert only unpublished keys,
+//     (a key of theirs crossed DFmax), and insert only keys they have not
+//     contributed yet,
 //   * the global index reclassifies keys whose df crossed DFmax and
 //     notifies every historical contributor so old peers expand them too.
 //
@@ -176,9 +178,9 @@ class HdkIndexingProtocol {
   /// departed peer contributed to, and the keys holding a contribution
   /// its survivor can no longer generate because it lost a fact below
   /// this level (a sub-key flipped back to HDK, or its contribution was
-  /// retracted). Retracted keys leave the survivor's published
-  /// bookkeeping, lost facts leave its oracle with one reverse notice
-  /// each, and terms that dropped back under Ff re-enter the key
+  /// retracted). Retracted contributions leave the ledger, lost facts
+  /// leave the survivor's oracle with one reverse notice each, and terms
+  /// that dropped back under Ff re-enter the key
   /// vocabulary via targeted delta scans (the only insertions that
   /// travel). The result is posting-for-posting identical to a
   /// from-scratch build over the surviving document ranges (asserted by
@@ -246,16 +248,6 @@ class HdkIndexingProtocol {
   /// candidate delta that knowledge makes newly generable.
   void RunLevels(const corpus::CollectionStats& stats, size_t first_new_peer,
                  GrowthStats* growth);
-
-  /// The per-candidate insert step shared by RunLevels and the departure
-  /// re-admission: ships `peer`'s full local list for the size-`s` key to
-  /// the global index (appended to the calling task's `runs`) and records
-  /// the key in the peer's published bookkeeping. Safe to call
-  /// concurrently for distinct peers and runs once EnsureCapacity() ran.
-  /// Returns the postings transmitted.
-  uint64_t InsertCandidate(DistributedGlobalIndex::ContributionRuns& runs,
-                           Peer& peer, uint32_t s, const hdk::TermKey& key,
-                           uint64_t key_hash, index::PostingList full);
 
   const HdkParams params_;
   const corpus::DocumentStore& store_;

@@ -1,7 +1,6 @@
 #include "p2p/peer.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace hdk::p2p {
 
@@ -26,16 +25,15 @@ hdk::KeyMap<index::PostingList> Peer::BuildLevel(
 
 hdk::KeyMap<index::PostingList> Peer::BuildLevelDelta(
     uint32_t s, const corpus::DocumentStore& store,
-    hdk::CandidateBuildStats* stats) const {
+    ContributionLookup contribution, hdk::CandidateBuildStats* stats) const {
   // Every window event of a NEW candidate lies in a document where one of
-  // its fresh sub-keys occurs — and the peer recorded those documents when
-  // it published the sub-key. The union is tiny: fresh facts are keys
-  // that only just crossed DFmax.
+  // its fresh sub-keys occurs — and the peer contributed each fresh
+  // sub-key with its full local list. The union is tiny: fresh facts are
+  // keys that only just crossed DFmax.
   std::vector<DocId> docs;
   auto append = [&](const hdk::TermKey& key) {
-    auto it = published_docs_.find(key);
-    if (it != published_docs_.end()) {
-      docs.insert(docs.end(), it->second.begin(), it->second.end());
+    if (const index::PostingList* list = contribution(key)) {
+      for (const index::Posting& p : list->postings()) docs.push_back(p.doc);
     }
   };
   for (TermId t : delta_.terms) append(hdk::TermKey{t});
@@ -60,15 +58,6 @@ void Peer::PurgeTerms(const TermIdSet& terms) {
   for (TermId t : terms) {
     delta_.PurgeTerm(t);
     oracle_.PurgeTerm(t);
-  }
-  for (hdk::KeySet& level : published_) {
-    for (auto it = level.begin(); it != level.end();) {
-      it = it->ContainsAny(terms) ? level.erase(it) : std::next(it);
-    }
-  }
-  for (auto it = published_docs_.begin(); it != published_docs_.end();) {
-    it = it->first.ContainsAny(terms) ? published_docs_.erase(it)
-                                      : std::next(it);
   }
 }
 

@@ -6,14 +6,18 @@
 // keys level by level, and maintains a local view of which of ITS submitted
 // keys turned out to be globally non-discriminative — exactly the knowledge
 // the paper says level-s computation needs ("the global document
-// frequencies of the local size 1 and size (s-1) NDKs").
+// frequencies of the local size 1 and size (s-1) NDKs"). Which keys the
+// peer has contributed, with their full local lists, is not kept here a
+// second time: the global index's contribution ledger holds exactly that
+// (DistributedGlobalIndex::ContributionOf), the simulator's stand-in for
+// data that stays on the contributing peer.
 #ifndef HDKP2P_P2P_PEER_H_
 #define HDKP2P_P2P_PEER_H_
 
 #include <vector>
 
-#include "common/cow_vec.h"
 #include "common/flat_map.h"
+#include "common/function_ref.h"
 #include "common/params.h"
 #include "common/types.h"
 #include "corpus/document.h"
@@ -55,11 +59,18 @@ class Peer {
       hdk::CandidateBuildStats* stats = nullptr,
       size_t expected_candidates = 0) const;
 
+  /// The peer's full local list of a key it contributed, or nullptr.
+  using ContributionLookup =
+      FunctionRef<const index::PostingList*(const hdk::TermKey&)>;
+
   /// Only the level-s candidates that the peer's FRESH knowledge (facts
   /// learned since the last protocol pass, see fresh_knowledge()) makes
-  /// newly generable — the incremental-growth work list.
+  /// newly generable — the incremental-growth work list. `contribution`
+  /// yields the peer's own list of a fresh sub-key, whose documents are
+  /// the only ones the scan revisits.
   hdk::KeyMap<index::PostingList> BuildLevelDelta(
       uint32_t s, const corpus::DocumentStore& store,
+      ContributionLookup contribution,
       hdk::CandidateBuildStats* stats = nullptr) const;
 
   /// Handles an NDK notification from the global index: the key this peer
@@ -75,8 +86,8 @@ class Peer {
   bool ForgetNdk(const hdk::TermKey& key) { return oracle_.Forget(key); }
 
   /// Forgets terms that became very frequent as the collection grew:
-  /// every known NDK and every published key containing one — a
-  /// from-scratch build over the grown collection never creates them.
+  /// every known NDK containing one — a from-scratch build over the grown
+  /// collection never creates them.
   void PurgeTerms(const TermIdSet& terms);
 
   /// Facts learned since the last protocol pass consumed them. Non-empty
@@ -86,61 +97,17 @@ class Peer {
   /// Called by the protocol once a Run/Grow pass has consumed the delta.
   void ClearFreshKnowledge() { delta_.Clear(); }
 
-  /// Bookkeeping of the keys this peer has already inserted into the
-  /// global index, per level. During incremental network growth an old
-  /// peer re-derives its candidate set under its GROWN oracle and inserts
-  /// only the delta — everything not yet published. For keys below the
-  /// top level the peer also remembers WHICH local documents carried the
-  /// key: when such a key later becomes expansion material (it crossed
-  /// DFmax), the delta scan only has to revisit those documents.
-  /// `key_hash` is the key's Hash64 — the scan wave already carries it
-  /// (cached in the candidate map), so the bookkeeping probes never
-  /// re-hash the term array.
-  bool HasPublished(uint32_t level, const hdk::TermKey& key,
-                    uint64_t key_hash) const {
-    return level - 1 < published_.size() &&
-           published_[level - 1].count_hashed(key_hash, key) > 0;
-  }
-  void MarkPublished(uint32_t level, const hdk::TermKey& key,
-                     uint64_t key_hash, std::vector<DocId> docs) {
-    if (published_.size() < level) published_.resize(level);
-    published_[level - 1].insert_hashed(key_hash, key);
-    if (!docs.empty()) {
-      published_docs_.try_emplace_hashed(key_hash, key).first->second =
-          std::move(docs);
-    }
-  }
-  /// The departure repair retracted the peer's contribution to `key`.
-  void Unpublish(uint32_t level, const hdk::TermKey& key) {
-    if (level - 1 < published_.size()) published_[level - 1].erase(key);
-    published_docs_.erase(key);
-  }
-
   /// The peer's accumulated global knowledge.
   const hdk::SetNdkOracle& oracle() const { return oracle_; }
 
   // -- snapshot support (engine/engine_snapshot) -----------------------
 
-  /// The published-key bookkeeping, read side: published_keys()[s - 1]
-  /// holds the level-s keys this peer inserted; published_docs() the
-  /// local documents remembered per published key.
-  const std::vector<hdk::KeySet>& published_keys() const {
-    return published_;
-  }
-  const hdk::KeyMap<CowVec<DocId>>& published_docs() const {
-    return published_docs_;
-  }
-
-  /// Restores the accumulated local state on a freshly constructed peer
-  /// (snapshot load). Fresh knowledge is intentionally absent: the
+  /// Restores the accumulated local knowledge on a freshly constructed
+  /// peer (snapshot load). Fresh knowledge is intentionally absent: the
   /// protocol consumes every delta before a pass ends, so a snapshot
   /// never carries one.
-  void RestoreLocalState(hdk::SetNdkOracle oracle,
-                         std::vector<hdk::KeySet> published,
-                         hdk::KeyMap<CowVec<DocId>> published_docs) {
+  void RestoreLocalState(hdk::SetNdkOracle oracle) {
     oracle_ = std::move(oracle);
-    published_ = std::move(published);
-    published_docs_ = std::move(published_docs);
   }
 
  private:
@@ -151,10 +118,6 @@ class Peer {
   hdk::CandidateBuilder builder_;
   hdk::SetNdkOracle oracle_;
   hdk::OracleDelta delta_;
-  /// published_[s - 1] = keys this peer inserted at level s.
-  std::vector<hdk::KeySet> published_;
-  /// Local documents carrying each published key (levels below smax).
-  hdk::KeyMap<CowVec<DocId>> published_docs_;
 };
 
 }  // namespace hdk::p2p

@@ -219,8 +219,7 @@ index::SearchResponse SingleTermP2PEngine::Search(
                                  average_document_length());
   index::ScoreAccumulator& scores = index::ScoreAccumulator::ForThread();
 
-  net::Channel channel(traffic_, res_);
-  const bool faulty = FaultsActive();
+  const net::Channel channel(traffic_, res_);
 
   for (TermId term : terms) {
     const RingId ring_key = HashU64(term);
@@ -234,34 +233,27 @@ index::SearchResponse SingleTermP2PEngine::Search(
         it == fragment.end() ? nullptr : &it->second;
     const uint64_t payload = pl != nullptr ? pl->size() : 0;
 
-    if (!faulty) {
-      traffic_->Record(origin, dst, net::MessageKind::kKeyProbe, 0, hops);
-      traffic_->Record(dst, origin, net::MessageKind::kPostingsResponse,
-                       payload, /*hops=*/1);
-    } else {
-      // Terms are single-homed in this baseline: when the owner stays
-      // unreachable after retries the term cannot contribute — the query
-      // degrades to the reachable terms.
-      const net::SendOutcome probe = channel.SendReliable(
-          origin, dst, net::MessageKind::kKeyProbe, 0, hops, ring_key);
-      exec.cost.retries += probe.retries;
-      exec.cost.latency_ticks += probe.latency_ticks;
-      if (!probe.delivered) {
-        exec.degraded = true;
-        ++exec.cost.keys_unreachable;
-        continue;
-      }
-      const net::SendOutcome resp =
-          channel.SendReliable(dst, origin,
-                               net::MessageKind::kPostingsResponse, payload,
-                               /*hops=*/1, ring_key);
-      exec.cost.retries += resp.retries;
-      exec.cost.latency_ticks += resp.latency_ticks;
-      if (!resp.delivered) {
-        exec.degraded = true;
-        ++exec.cost.keys_unreachable;
-        continue;
-      }
+    // Terms are single-homed in this baseline: when the owner stays
+    // unreachable after retries the term cannot contribute — the query
+    // degrades to the reachable terms.
+    const net::SendOutcome probe = channel.SendReliable(
+        origin, dst, net::MessageKind::kKeyProbe, 0, hops, ring_key);
+    exec.cost.retries += probe.retries;
+    exec.cost.latency_ticks += probe.latency_ticks;
+    if (!probe.delivered) {
+      exec.degraded = true;
+      ++exec.cost.keys_unreachable;
+      continue;
+    }
+    const net::SendOutcome resp =
+        channel.SendReliable(dst, origin, net::MessageKind::kPostingsResponse,
+                             payload, /*hops=*/1, ring_key);
+    exec.cost.retries += resp.retries;
+    exec.cost.latency_ticks += resp.latency_ticks;
+    if (!resp.delivered) {
+      exec.degraded = true;
+      ++exec.cost.keys_unreachable;
+      continue;
     }
     exec.cost.postings_fetched += payload;
     if (pl != nullptr) ++exec.cost.keys_fetched;
@@ -283,8 +275,7 @@ SingleTermP2PEngine::SearchConjunctive(PeerId origin,
   ConjunctiveExecution exec;
   const net::ScopedTally tally(traffic_);
 
-  net::Channel channel(traffic_, res_);
-  const bool faulty = FaultsActive();
+  const net::Channel channel(traffic_, res_);
   auto finalize = [&] {
     exec.messages = tally.counters().messages;
     exec.hops = tally.counters().hops;
@@ -295,10 +286,6 @@ SingleTermP2PEngine::SearchConjunctive(PeerId origin,
   // to).
   auto send = [&](PeerId src, PeerId dst, net::MessageKind kind,
                   uint64_t postings, uint64_t hops, uint64_t salt) {
-    if (!faulty) {
-      traffic_->Record(src, dst, kind, postings, hops);
-      return true;
-    }
     const net::SendOutcome out =
         channel.SendReliable(src, dst, kind, postings, hops, salt);
     exec.retries += out.retries;

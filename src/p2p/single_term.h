@@ -167,10 +167,6 @@ class SingleTermP2PEngine {
   /// to the overlay. Serial sections only (net/fault.h sizing contract).
   void EnsureCapacity();
 
-  bool FaultsActive() const {
-    return res_.injector != nullptr && res_.injector->active();
-  }
-
   const dht::Overlay* overlay_;
   net::TrafficRecorder* traffic_;
   net::Resilience res_;

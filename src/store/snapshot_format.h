@@ -39,7 +39,9 @@ inline constexpr char kSnapshotMagic[4] = {'H', 'D', 'K', 'S'};
 //      (the kind axis grew with the anti-entropy sync kinds)
 //   3  ledger and fragment flag columns zero-padded to 4 bytes, so the
 //      next map's posting blobs are 4-byte aligned
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+//   4  protocol section dropped each peer's published-key sets and
+//      published-doc map (the ledger already holds every contribution)
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// Section identifiers. Values are part of the wire format; never reuse
 /// a retired one.

@@ -10,9 +10,9 @@
 // one message or one counter fails here.
 //
 // The file also pins the per-peer protocol state a departure leaves
-// behind (oracle facts, published keys, published documents) against a
-// from-scratch build over the surviving ranges, and a snapshot round trip
-// of the churned engine.
+// behind (oracle facts, and the keys and lists each peer contributes to
+// the ledger) against a from-scratch build over the surviving ranges, and
+// a snapshot round trip of the churned engine.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -260,20 +260,29 @@ std::vector<hdk::TermKey> KeysOf(const hdk::KeySet& set) {
   return Sorted(std::vector<hdk::TermKey>(set.begin(), set.end()));
 }
 
-std::vector<std::pair<hdk::TermKey, std::vector<DocId>>> DocsOf(
-    const hdk::KeyMap<CowVec<DocId>>& docs) {
-  std::vector<std::pair<hdk::TermKey, std::vector<DocId>>> out;
-  for (const auto& [key, list] : docs) {
-    out.emplace_back(key, std::vector<DocId>(list.begin(), list.end()));
+/// One peer's ledger contributions: (key, documents of its full local
+/// list), in key order.
+using Contributed = std::vector<std::pair<hdk::TermKey, std::vector<DocId>>>;
+
+std::vector<Contributed> ContributionsByPeer(
+    const p2p::DistributedGlobalIndex& global, size_t num_peers) {
+  std::vector<Contributed> out(num_peers);
+  for (size_t shard = 0; shard < global.num_shards(); ++shard) {
+    for (const auto& [key, entry] : global.ShardLedger(shard)) {
+      for (const auto& c : entry.contributions) {
+        out.at(c.peer).emplace_back(key, c.full.Documents());
+      }
+    }
   }
-  return Sorted(std::move(out));
+  for (Contributed& peer : out) peer = Sorted(std::move(peer));
+  return out;
 }
 
 class DepartureStateTest : public ::testing::TestWithParam<size_t> {};
 
 // After the departures every survivor's local knowledge — oracle facts,
-// per-level published keys and published documents — is exactly what a
-// from-scratch build over the surviving ranges gives that peer.
+// and the keys and documents it contributes to the ledger — is exactly
+// what a from-scratch build over the surviving ranges gives that peer.
 TEST_P(DepartureStateTest, SurvivorStateEqualsFromScratchBuild) {
   const EngineConfig config =
       GoldenConfig(OverlayKind::kPGrid, 1, GetParam());
@@ -287,6 +296,10 @@ TEST_P(DepartureStateTest, SurvivorStateEqualsFromScratchBuild) {
   const auto churned_peers = run.engine->protocol().peers();
   const auto scratch_peers = (*scratch)->protocol().peers();
   ASSERT_EQ(churned_peers.size(), scratch_peers.size());
+  const std::vector<Contributed> churned_contributions =
+      ContributionsByPeer(run.engine->global_index(), churned_peers.size());
+  const std::vector<Contributed> scratch_contributions =
+      ContributionsByPeer((*scratch)->global_index(), scratch_peers.size());
   for (size_t i = 0; i < churned_peers.size(); ++i) {
     SCOPED_TRACE("peer " + std::to_string(i));
     const p2p::Peer& got = churned_peers[i];
@@ -295,13 +308,8 @@ TEST_P(DepartureStateTest, SurvivorStateEqualsFromScratchBuild) {
     EXPECT_EQ(TermsOf(got.oracle().expandable_terms()),
               TermsOf(want.oracle().expandable_terms()));
     EXPECT_EQ(KeysOf(got.oracle().ndks()), KeysOf(want.oracle().ndks()));
-    ASSERT_EQ(got.published_keys().size(), want.published_keys().size());
-    for (size_t s = 0; s < got.published_keys().size(); ++s) {
-      EXPECT_EQ(KeysOf(got.published_keys()[s]),
-                KeysOf(want.published_keys()[s]))
-          << "level " << s + 1;
-    }
-    EXPECT_EQ(DocsOf(got.published_docs()), DocsOf(want.published_docs()));
+    EXPECT_FALSE(churned_contributions[i].empty());
+    EXPECT_EQ(churned_contributions[i], scratch_contributions[i]);
     EXPECT_FALSE(got.HasFreshKnowledge());
   }
 }

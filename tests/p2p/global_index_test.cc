@@ -297,6 +297,56 @@ TEST_F(GlobalIndexTest, ExportContainsEverything) {
   EXPECT_NE(contents.Find(hdk::TermKey{2, 3}), nullptr);
 }
 
+TEST_F(GlobalIndexTest, ContributionOfReadsTheMergedLedger) {
+  const hdk::TermKey key{4, 9};
+  const index::PostingList from1({{1, 2, 5}, {3, 1, 5}});
+  const index::PostingList from3({{7, 1, 5}});
+  index_.InsertPostings(3, key, from3, Params(10));
+  index_.InsertPostings(1, key, from1, Params(10));
+  // Still in a run: nothing is in the ledger before the barrier.
+  EXPECT_EQ(index_.ContributionOf(1, key, key.Hash64()), nullptr);
+  EXPECT_EQ(index_.ContributionOf(3, key, key.Hash64()), nullptr);
+  index_.EndLevel(Params(10), 5.0);
+
+  const index::PostingList* got1 = index_.ContributionOf(1, key, key.Hash64());
+  const index::PostingList* got3 = index_.ContributionOf(3, key, key.Hash64());
+  ASSERT_NE(got1, nullptr);
+  ASSERT_NE(got3, nullptr);
+  EXPECT_EQ(*got1, from1);
+  EXPECT_EQ(*got3, from3);
+  // A peer that did not contribute, and a key nobody contributed.
+  EXPECT_EQ(index_.ContributionOf(0, key, key.Hash64()), nullptr);
+  EXPECT_EQ(index_.ContributionOf(2, key, key.Hash64()), nullptr);
+  const hdk::TermKey absent{4, 10};
+  EXPECT_EQ(index_.ContributionOf(1, absent, absent.Hash64()), nullptr);
+}
+
+TEST_F(GlobalIndexTest, ContributionOfFollowsDepartureRenumbering) {
+  const hdk::TermKey key{6};
+  const index::PostingList from0({{0, 1, 5}});
+  const index::PostingList from1({{4, 1, 5}});
+  const index::PostingList from3({{9, 1, 5}, {11, 3, 5}});
+  index_.InsertPostings(0, key, from0, Params(10));
+  index_.InsertPostings(1, key, from1, Params(10));
+  index_.InsertPostings(3, key, from3, Params(10));
+  index_.EndLevel(Params(10), 5.0);
+
+  // Peer 1 leaves: the overlay shrinks first, then the index drops its
+  // contribution and renumbers peer 3 down to 2.
+  ASSERT_TRUE(overlay_.RemovePeer(1).ok());
+  DepartureStats stats;
+  index_.BeginDeparture(1, &stats);
+  EXPECT_EQ(stats.removed_contributions, 1u);
+  const index::PostingList* survivor =
+      index_.ContributionOf(2, key, key.Hash64());
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(*survivor, from3);
+  ASSERT_NE(index_.ContributionOf(0, key, key.Hash64()), nullptr);
+  EXPECT_EQ(*index_.ContributionOf(0, key, key.Hash64()), from0);
+  EXPECT_EQ(index_.ContributionOf(1, key, key.Hash64()), nullptr);
+  EXPECT_EQ(index_.ContributionOf(3, key, key.Hash64()), nullptr);
+}
+
 TEST(ShardedGlobalIndexTest, DefaultShardCountHeuristic) {
   // No pool (or a single-thread pool) = the serial path: one shard.
   EXPECT_EQ(DistributedGlobalIndex::DefaultShardCount(nullptr), 1u);

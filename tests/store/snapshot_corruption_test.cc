@@ -172,6 +172,16 @@ TEST_F(SnapshotCorruptionTest, WrongFormatVersion) {
   ExpectRejected(bytes, "wrong format version", "version");
 }
 
+TEST_F(SnapshotCorruptionTest, PreviousFormatVersionIsRefused) {
+  // A file of the previous layout (v3 still carried per-peer published
+  // columns) is refused by version before any section is decoded.
+  std::vector<char> bytes = *bytes_;
+  const uint32_t previous = store::kSnapshotFormatVersion - 1;
+  std::memcpy(bytes.data() + offsetof(store::SnapshotHeader, format_version),
+              &previous, sizeof(previous));
+  ExpectRejected(bytes, "previous format version", "version");
+}
+
 TEST_F(SnapshotCorruptionTest, WrongConfigHashInHeader) {
   std::vector<char> bytes = *bytes_;
   uint64_t hash = 0;
