@@ -1037,10 +1037,10 @@ Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
     engine->next_origin_.Restore(
         static_cast<PeerId>(next_origin % num_peers));
   }
-  // The restored posting and published-doc lists borrow their elements
-  // straight from the mapping; hand the reader to the engine so it
-  // outlives them. Moving the reader moves the mapping handle, not the
-  // mapped address, so the borrowed views stay valid.
+  // The restored posting lists borrow their elements straight from the
+  // mapping; hand the reader to the engine so it outlives them. Moving
+  // the reader moves the mapping handle, not the mapped address, so the
+  // borrowed views stay valid.
   engine->snapshot_backing_ =
       std::make_shared<SnapshotReader>(std::move(reader));
   return engine;
