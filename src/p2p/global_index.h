@@ -355,9 +355,9 @@ class DistributedGlobalIndex {
   /// contributor when the departed peer hosted it) or whose published
   /// content changed in place (from that contributor), carrying the
   /// repaired entry's postings. The caller then reconciles the replica
-  /// copies (ReconcileReplicas). Runs shard-parallel
-  /// and fills `stats`' erased, reverse-reclassified, migrated, repaired
-  /// and moved-postings counters.
+  /// copies (ReconcileReplicas). Runs shard-parallel and fills `stats`'
+  /// erased, reverse-reclassified, migrated, repaired and moved-postings
+  /// counters.
   void FinishDeparture(DepartureBaseline baseline, const HdkParams& params,
                        double avg_doc_length, DepartureStats* stats);
 
