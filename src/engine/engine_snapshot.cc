@@ -121,9 +121,7 @@ Status ReadKeyMapKeys(SectionCursor& cur, std::vector<hdk::TermKey>* keys,
 /// any mutation copies-on-write (see index::PostingList).
 ///
 /// Posting columns are 4-byte aligned by construction: section payloads
-/// start 8-byte aligned and every column written before a posting blob
-/// is a multiple of 4 bytes (the u8 flag columns come LAST in each map's
-/// layout and are zero-padded to 4 bytes, see WriteFlagColumn).
+/// start 8-byte aligned and every column is a multiple of 4 bytes.
 static_assert(alignof(index::Posting) == 4,
               "posting-blob alignment argument above assumes this");
 
@@ -138,202 +136,203 @@ Status ReadPostingSlice(SectionCursor& cur, uint32_t count,
   return Status::OK();
 }
 
-/// Writes a map's trailing u8 flag column, zero-padded to a multiple of
-/// 4 bytes so the posting blobs of the map that follows stay aligned.
-void WriteFlagColumn(SnapshotWriter& w, const std::vector<uint8_t>& flags) {
-  constexpr uint8_t kPad[3] = {0, 0, 0};
-  w.WriteArray(flags);
-  w.WriteBytes(kPad, (4 - flags.size() % 4) % 4);
+// --- columnar writer / reader for a shard's key table --------------------
+
+using KeyTable = hdk::KeyMap<p2p::DistributedGlobalIndex::Published>;
+using Ledger = p2p::DistributedGlobalIndex::Ledger;
+
+void WritePostingBlob(SnapshotWriter& w, const index::PostingList& list) {
+  const auto postings = list.postings();
+  w.WriteBytes(postings.data(), postings.size() * sizeof(index::Posting));
 }
 
-/// Counterpart of WriteFlagColumn: reads `n` flags and skips the padding.
-Status ReadFlagColumn(SectionCursor& cur, size_t n, const char* map_kind,
-                      std::vector<uint8_t>* flags) {
-  HDK_RETURN_NOT_OK(cur.ReadArray(flags));
-  if (flags->size() != n) {
-    return Status::IOError(std::string("snapshot: ") + map_kind +
-                           " flag column size disagrees");
-  }
-  const uint8_t* padding = nullptr;
-  return cur.ReadView((4 - n % 4) % 4, &padding);
-}
-
-// --- columnar writers / readers for the three big map shapes -------------
-
-using LedgerMap = hdk::KeyMap<p2p::DistributedGlobalIndex::LedgerEntry>;
-
-void WriteLedgerMap(SnapshotWriter& w, const LedgerMap& map) {
-  WriteKeyMapKeys(w, map);
-  const size_t n = map.size();
-  std::vector<uint64_t> dfs;
-  std::vector<uint8_t> flags;
-  std::vector<uint32_t> merged_counts;
+/// One shard's key table, written once: keys, the contributor column,
+/// the published column, the NDK merged lists and the kept lists. An
+/// HDK's merged list is its published list, so it is not written twice.
+void WriteKeyTable(SnapshotWriter& w, const KeyTable& keys,
+                   const std::vector<Ledger>& ledger) {
+  WriteKeyMapKeys(w, keys);
+  const size_t n = keys.size();
   std::vector<uint32_t> contrib_counts;
   std::vector<uint32_t> contrib_peers;
-  std::vector<uint32_t> contrib_posting_counts;
-  dfs.reserve(n);
-  flags.reserve(n);
-  merged_counts.reserve(n);
+  std::vector<uint32_t> contrib_dfs;
+  std::vector<uint64_t> dfs;
+  std::vector<uint32_t> owners;
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> merged_counts;
+  std::vector<uint32_t> kept_index;
+  std::vector<uint32_t> kept_counts;
   contrib_counts.reserve(n);
+  dfs.reserve(n);
+  owners.reserve(n);
+  counts.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const auto& entry = map.entry(i).second;
-    dfs.push_back(entry.global_df);
-    flags.push_back(static_cast<uint8_t>((entry.published_ndk ? 1u : 0u) |
-                                         (entry.truncation_sensitive ? 2u
-                                                                     : 0u)));
-    merged_counts.push_back(
-        static_cast<uint32_t>(entry.merged_locals.postings().size()));
-    contrib_counts.push_back(
-        static_cast<uint32_t>(entry.contributions.size()));
-    for (const auto& contribution : entry.contributions) {
-      contrib_peers.push_back(contribution.peer);
-      contrib_posting_counts.push_back(
-          static_cast<uint32_t>(contribution.full.postings().size()));
+    const auto& slot = keys.entry(i).second;
+    const Ledger& side = ledger[i];
+    contrib_counts.push_back(static_cast<uint32_t>(side.contributors.size()));
+    size_t kept = 0;
+    for (const auto& c : side.contributors) {
+      if (kept < side.kept.size() && side.kept[kept].peer == c.peer) {
+        kept_index.push_back(static_cast<uint32_t>(contrib_peers.size()));
+        kept_counts.push_back(
+            static_cast<uint32_t>(side.kept[kept++].full.size()));
+      }
+      contrib_peers.push_back(c.peer);
+      contrib_dfs.push_back(c.local_df);
     }
-  }
-  w.WriteArray(dfs);
-  w.WriteArray(merged_counts);
-  for (size_t i = 0; i < n; ++i) {
-    const auto postings = map.entry(i).second.merged_locals.postings();
-    w.WriteBytes(postings.data(), postings.size() * sizeof(index::Posting));
+    dfs.push_back(slot.entry.global_df);
+    owners.push_back(slot.owner);
+    counts.push_back(static_cast<uint32_t>(slot.entry.postings.size()));
+    if (!slot.entry.is_hdk) {
+      merged_counts.push_back(static_cast<uint32_t>(side.merged.size()));
+    }
   }
   w.WriteArray(contrib_counts);
   w.WriteArray(contrib_peers);
-  w.WriteArray(contrib_posting_counts);
+  w.WriteArray(contrib_dfs);
+  w.WriteArray(dfs);
+  w.WriteArray(owners);
+  w.WriteArray(counts);
   for (size_t i = 0; i < n; ++i) {
-    for (const auto& contribution : map.entry(i).second.contributions) {
-      const auto postings = contribution.full.postings();
-      w.WriteBytes(postings.data(),
-                   postings.size() * sizeof(index::Posting));
+    WritePostingBlob(w, keys.entry(i).second.entry.postings);
+  }
+  w.WriteArray(merged_counts);
+  for (size_t i = 0; i < n; ++i) {
+    if (!keys.entry(i).second.entry.is_hdk) {
+      WritePostingBlob(w, ledger[i].merged);
     }
   }
-  // The u8 column goes last so every posting blob above stays 4-byte
-  // aligned (all preceding columns are multiples of 4 bytes).
-  WriteFlagColumn(w, flags);
+  w.WriteArray(kept_index);
+  w.WriteArray(kept_counts);
+  for (const Ledger& side : ledger) {
+    for (const auto& kept : side.kept) WritePostingBlob(w, kept.full);
+  }
 }
 
-Status ReadLedgerMap(SectionCursor& cur, LedgerMap* out) {
+/// Counterpart of WriteKeyTable. Beyond the layout it checks what the
+/// engine relies on: contributor ids below `num_peers` and ascending,
+/// local dfs summing to the global df, a kept list exactly for each local
+/// df above `df_max` and as long as it, and owners below `num_peers`.
+Status ReadKeyTable(SectionCursor& cur, uint64_t df_max, uint64_t num_peers,
+                    KeyTable* keys_out, std::vector<Ledger>* ledger) {
   std::vector<hdk::TermKey> keys;
   std::vector<uint64_t> hashes;
   HDK_RETURN_NOT_OK(ReadKeyMapKeys(cur, &keys, &hashes));
   const size_t n = keys.size();
+  std::vector<uint32_t> contrib_counts;
+  std::vector<uint32_t> contrib_peers;
+  std::vector<uint32_t> contrib_dfs;
   std::vector<uint64_t> dfs;
-  std::vector<uint32_t> merged_counts;
+  std::vector<uint32_t> owners;
+  std::vector<uint32_t> counts;
+  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_counts));
+  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_peers));
+  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_dfs));
   HDK_RETURN_NOT_OK(cur.ReadArray(&dfs));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&merged_counts));
-  if (dfs.size() != n || merged_counts.size() != n) {
-    return Status::IOError("snapshot: ledger column sizes disagree");
+  HDK_RETURN_NOT_OK(cur.ReadArray(&owners));
+  HDK_RETURN_NOT_OK(cur.ReadArray(&counts));
+  if (contrib_counts.size() != n || contrib_dfs.size() != contrib_peers.size() ||
+      dfs.size() != n || owners.size() != n || counts.size() != n) {
+    return Status::IOError("snapshot: key table column sizes disagree");
   }
   // reserve + emplace, not resize: these run to millions of entries, and
   // value-initializing them only to overwrite every field is a second
   // full pass over hundreds of megabytes.
-  std::vector<std::pair<hdk::TermKey, p2p::DistributedGlobalIndex::LedgerEntry>>
+  std::vector<std::pair<hdk::TermKey, p2p::DistributedGlobalIndex::Published>>
       entries;
   entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto& entry = entries.emplace_back(std::piecewise_construct,
-                                       std::forward_as_tuple(keys[i]),
-                                       std::forward_as_tuple())
-                      .second;
-    entry.global_df = dfs[i];
-    HDK_RETURN_NOT_OK(
-        ReadPostingSlice(cur, merged_counts[i], &entry.merged_locals));
-  }
-  std::vector<uint32_t> contrib_counts;
-  std::vector<uint32_t> contrib_peers;
-  std::vector<uint32_t> contrib_posting_counts;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_counts));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_peers));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_posting_counts));
-  if (contrib_counts.size() != n ||
-      contrib_peers.size() != contrib_posting_counts.size()) {
-    return Status::IOError("snapshot: contribution column sizes disagree");
-  }
+  ledger->clear();
+  ledger->reserve(n);
   size_t next = 0;
+  size_t ndks = 0;
+  size_t truncated = 0;
   for (size_t i = 0; i < n; ++i) {
-    auto& entry = entries[i].second;
-    if (contrib_counts[i] > contrib_peers.size() - next) {
+    if (contrib_counts[i] == 0 ||
+        contrib_counts[i] > contrib_peers.size() - next) {
       return Status::IOError(
-          "snapshot: contribution counts exceed the flattened columns");
+          "snapshot: contributor counts disagree with the contributor "
+          "column");
     }
-    entry.contributions.resize(contrib_counts[i]);
-    for (auto& contribution : entry.contributions) {
-      contribution.peer = contrib_peers[next];
-      HDK_RETURN_NOT_OK(ReadPostingSlice(cur, contrib_posting_counts[next],
-                                         &contribution.full));
-      ++next;
+    if (owners[i] >= num_peers) {
+      return Status::IOError("snapshot: key owner out of range");
     }
+    Ledger& side = ledger->emplace_back();
+    side.contributors.reserve(contrib_counts[i]);
+    uint64_t df_sum = 0;
+    for (uint32_t j = 0; j < contrib_counts[i]; ++j, ++next) {
+      const PeerId peer = contrib_peers[next];
+      if (peer >= num_peers || (j > 0 && peer <= contrib_peers[next - 1])) {
+        return Status::IOError(
+            "snapshot: contributor ids out of range or not ascending");
+      }
+      side.contributors.push_back({peer, contrib_dfs[next]});
+      df_sum += contrib_dfs[next];
+      truncated += contrib_dfs[next] > df_max;
+    }
+    if (df_sum != dfs[i]) {
+      return Status::IOError(
+          "snapshot: local dfs do not sum to the global df");
+    }
+    auto& published = entries.emplace_back(std::piecewise_construct,
+                                           std::forward_as_tuple(keys[i]),
+                                           std::forward_as_tuple())
+                          .second;
+    published.owner = owners[i];
+    published.entry.global_df = dfs[i];
+    published.entry.is_hdk = dfs[i] <= df_max;
+    ndks += !published.entry.is_hdk;
+    HDK_RETURN_NOT_OK(
+        ReadPostingSlice(cur, counts[i], &published.entry.postings));
   }
   if (next != contrib_peers.size()) {
     return Status::IOError(
-        "snapshot: contribution columns longer than their counts claim");
+        "snapshot: contributor column longer than its counts claim");
   }
-  std::vector<uint8_t> flags;
-  HDK_RETURN_NOT_OK(ReadFlagColumn(cur, n, "ledger", &flags));
+  std::vector<uint32_t> merged_counts;
+  HDK_RETURN_NOT_OK(cur.ReadArray(&merged_counts));
+  if (merged_counts.size() != ndks) {
+    return Status::IOError("snapshot: merged lists disagree with the NDKs");
+  }
+  size_t ndk = 0;
   for (size_t i = 0; i < n; ++i) {
-    entries[i].second.published_ndk = (flags[i] & 1u) != 0;
-    entries[i].second.truncation_sensitive = (flags[i] & 2u) != 0;
+    if (entries[i].second.entry.is_hdk) continue;
+    HDK_RETURN_NOT_OK(
+        ReadPostingSlice(cur, merged_counts[ndk++], &(*ledger)[i].merged));
   }
-  out->AdoptRaw(std::move(entries), std::move(hashes));
-  return Status::OK();
-}
-
-using FragmentMap = hdk::KeyMap<hdk::KeyEntry>;
-
-void WriteFragmentMap(SnapshotWriter& w, const FragmentMap& map) {
-  WriteKeyMapKeys(w, map);
-  const size_t n = map.size();
-  std::vector<uint64_t> dfs;
-  std::vector<uint8_t> flags;
-  std::vector<uint32_t> counts;
-  dfs.reserve(n);
-  flags.reserve(n);
-  counts.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const hdk::KeyEntry& entry = map.entry(i).second;
-    dfs.push_back(entry.global_df);
-    flags.push_back(entry.is_hdk ? 1 : 0);
-    counts.push_back(
-        static_cast<uint32_t>(entry.postings.postings().size()));
+  std::vector<uint32_t> kept_index;
+  std::vector<uint32_t> kept_counts;
+  HDK_RETURN_NOT_OK(cur.ReadArray(&kept_index));
+  HDK_RETURN_NOT_OK(cur.ReadArray(&kept_counts));
+  if (kept_index.size() != kept_counts.size() ||
+      kept_index.size() != truncated) {
+    return Status::IOError(
+        "snapshot: kept lists disagree with the truncated contributions");
   }
-  w.WriteArray(dfs);
-  w.WriteArray(counts);
-  for (size_t i = 0; i < n; ++i) {
-    const auto postings = map.entry(i).second.postings.postings();
-    w.WriteBytes(postings.data(), postings.size() * sizeof(index::Posting));
+  // Walk the contributor column once more, attaching each kept list to
+  // the contribution it names.
+  size_t kept = 0;
+  next = 0;
+  for (Ledger& side : *ledger) {
+    for (const auto& c : side.contributors) {
+      const bool has_kept = kept < kept_index.size() && kept_index[kept] == next;
+      ++next;
+      if (has_kept != (c.local_df > df_max)) {
+        return Status::IOError(
+            "snapshot: a kept list for a contribution sent whole, or none "
+            "for a truncated one");
+      }
+      if (!has_kept) continue;
+      if (kept_counts[kept] != c.local_df) {
+        return Status::IOError(
+            "snapshot: kept list length differs from its local df");
+      }
+      auto& kept_list = side.kept.emplace_back();
+      kept_list.peer = c.peer;
+      HDK_RETURN_NOT_OK(
+          ReadPostingSlice(cur, kept_counts[kept++], &kept_list.full));
+    }
   }
-  // u8 column last: keeps the posting blob 4-byte aligned.
-  WriteFlagColumn(w, flags);
-}
-
-Status ReadFragmentMap(SectionCursor& cur, FragmentMap* out) {
-  std::vector<hdk::TermKey> keys;
-  std::vector<uint64_t> hashes;
-  HDK_RETURN_NOT_OK(ReadKeyMapKeys(cur, &keys, &hashes));
-  const size_t n = keys.size();
-  std::vector<uint64_t> dfs;
-  std::vector<uint32_t> counts;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&dfs));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&counts));
-  if (dfs.size() != n || counts.size() != n) {
-    return Status::IOError("snapshot: fragment column sizes disagree");
-  }
-  std::vector<std::pair<hdk::TermKey, hdk::KeyEntry>> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    hdk::KeyEntry& entry = entries.emplace_back(std::piecewise_construct,
-                                                std::forward_as_tuple(keys[i]),
-                                                std::forward_as_tuple())
-                               .second;
-    entry.global_df = dfs[i];
-    HDK_RETURN_NOT_OK(ReadPostingSlice(cur, counts[i], &entry.postings));
-  }
-  std::vector<uint8_t> flags;
-  HDK_RETURN_NOT_OK(ReadFlagColumn(cur, n, "fragment", &flags));
-  for (size_t i = 0; i < n; ++i) {
-    entries[i].second.is_hdk = (flags[i] & 1u) != 0;
-  }
-  out->AdoptRaw(std::move(entries), std::move(hashes));
+  keys_out->AdoptRaw(std::move(entries), std::move(hashes));
   return Status::OK();
 }
 
@@ -687,16 +686,13 @@ void WriteGlobalIndexSection(SnapshotWriter& w,
   w.WriteU64(global.num_shards());
   w.WriteU64(num_peers);
   for (size_t shard = 0; shard < global.num_shards(); ++shard) {
-    WriteLedgerMap(w, global.ShardLedger(shard));
-    for (PeerId owner = 0; owner < num_peers; ++owner) {
-      WriteFragmentMap(w, global.ShardFragment(shard, owner));
-    }
+    WriteKeyTable(w, global.ShardKeys(shard), global.ShardLedger(shard));
   }
   w.EndSection();
 }
 
 Status ReadGlobalIndexSection(const SnapshotReader& reader,
-                              uint64_t expected_peers,
+                              uint64_t expected_peers, uint64_t df_max,
                               p2p::DistributedGlobalIndex* global) {
   HDK_ASSIGN_OR_RETURN(SectionCursor cur,
                        reader.Find(SectionId::kGlobalIndex));
@@ -713,33 +709,22 @@ Status ReadGlobalIndexSection(const SnapshotReader& reader,
         "section");
   }
   // The saved shard count is a property of the WRITER's thread pool; this
-  // index may shard differently. Equal counts adopt each shard's tables
+  // index may shard differently. Equal counts adopt each shard's table
   // wholesale; differing counts re-route entry by entry via the stored
   // placement hash — still no term array is ever re-hashed.
   const bool bulk = saved_shards == global->num_shards();
   for (uint64_t shard = 0; shard < saved_shards; ++shard) {
-    hdk::KeyMap<p2p::DistributedGlobalIndex::LedgerEntry> ledger;
-    HDK_RETURN_NOT_OK(ReadLedgerMap(cur, &ledger));
-    std::vector<hdk::KeyMap<hdk::KeyEntry>> fragments(num_peers);
-    for (auto& fragment : fragments) {
-      HDK_RETURN_NOT_OK(ReadFragmentMap(cur, &fragment));
-    }
+    KeyTable keys;
+    std::vector<Ledger> ledger;
+    HDK_RETURN_NOT_OK(ReadKeyTable(cur, df_max, num_peers, &keys, &ledger));
     if (bulk) {
-      global->AdoptShardState(shard, std::move(ledger),
-                              std::move(fragments));
-    } else {
-      for (size_t i = 0; i < ledger.size(); ++i) {
-        auto& [key, entry] = ledger.entry(i);
-        global->AdoptLedgerEntry(key, ledger.hash_at(i), std::move(entry));
-      }
-      for (PeerId owner = 0; owner < fragments.size(); ++owner) {
-        hdk::KeyMap<hdk::KeyEntry>& fragment = fragments[owner];
-        for (size_t i = 0; i < fragment.size(); ++i) {
-          auto& [key, entry] = fragment.entry(i);
-          global->AdoptFragmentEntry(owner, key, fragment.hash_at(i),
-                                     std::move(entry));
-        }
-      }
+      global->AdoptShardState(shard, std::move(keys), std::move(ledger));
+      continue;
+    }
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto& [key, published] = keys.entry(i);
+      global->AdoptEntry(key, keys.hash_at(i), std::move(published),
+                         std::move(ledger[i]));
     }
   }
   return cur.ExpectEnd();
@@ -934,29 +919,23 @@ Result<SnapshotDescription> DescribeEngineSnapshot(const std::string& path,
     }
     for (uint64_t shard = 0; shard < saved_shards; ++shard) {
       SnapshotDescription::Shard info;
-      hdk::KeyMap<p2p::DistributedGlobalIndex::LedgerEntry> ledger;
-      HDK_RETURN_NOT_OK(ReadLedgerMap(cur, &ledger));
-      info.ledger_keys = ledger.size();
-      for (const auto& [key, entry] : ledger) {
-        info.ledger_postings += entry.merged_locals.size();
-        for (const auto& contribution : entry.contributions) {
-          info.ledger_postings += contribution.full.size();
-        }
-      }
-      for (uint64_t owner = 0; owner < num_peers; ++owner) {
-        hdk::KeyMap<hdk::KeyEntry> fragment;
-        HDK_RETURN_NOT_OK(ReadFragmentMap(cur, &fragment));
-        info.fragment_keys += fragment.size();
-        for (const auto& [key, entry] : fragment) {
-          info.fragment_postings += entry.postings.size();
-        }
+      KeyTable keys;
+      std::vector<Ledger> ledger;
+      HDK_RETURN_NOT_OK(ReadKeyTable(cur, desc.params.df_max, num_peers,
+                                     &keys, &ledger));
+      info.keys = keys.size();
+      for (size_t pos = 0; pos < keys.size(); ++pos) {
+        const auto& published = keys.entry(pos).second;
+        const Ledger& side = ledger[pos];
+        info.published_postings += published.entry.postings.size();
+        info.ndk_merged_postings += side.merged.size();
+        info.contributor_records += side.contributors.size();
+        for (const auto& kept : side.kept) info.kept_postings += kept.full.size();
         if (overlay != nullptr) {
-          for (size_t pos = 0; pos < fragment.size(); ++pos) {
-            const dht::HolderSet holders = dht::ReplicaHolders(
-                *overlay, fragment.hash_at(pos), replication);
-            for (size_t i = 1; i < holders.size(); ++i) {
-              ++desc.replica_keys_per_peer[holders[i]];
-            }
+          const dht::HolderSet holders =
+              dht::ReplicaHolders(*overlay, keys.hash_at(pos), replication);
+          for (size_t i = 1; i < holders.size(); ++i) {
+            ++desc.replica_keys_per_peer[holders[i]];
           }
         }
       }
@@ -1010,10 +989,11 @@ Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
       engine->overlay_.get(), engine->traffic_.get(), engine->pool_.get(),
       /*num_shards=*/0, resilience);
   engine->global_->EnsureCapacity();
-  HDK_RETURN_NOT_OK(
-      ReadGlobalIndexSection(reader, num_peers, engine->global_.get()));
+  HDK_RETURN_NOT_OK(ReadGlobalIndexSection(reader, num_peers,
+                                           config.hdk.df_max,
+                                           engine->global_.get()));
   // Replicas are derived state: rebuilt traffic-free from the restored
-  // primary fragments.
+  // published entries.
   engine->global_->RebuildReplicas();
   HDK_RETURN_NOT_OK(ReadProtocolSection(reader, config, num_peers,
                                         engine->protocol_.get(),

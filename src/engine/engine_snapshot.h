@@ -19,8 +19,8 @@
 //   kTraffic      merged traffic counters (total, per kind, per peer)
 //   kProtocol     per-peer local knowledge (NDK oracles) + the cumulative
 //                 indexing report
-//   kGlobalIndex  per-shard contribution ledger (which is also what each
-//                 peer contributed) + published fragments
+//   kGlobalIndex  one key table per shard: published entries and owners,
+//                 contributor records, NDK merged lists, kept lists
 //   kEngine       rotation state + last growth/departure/membership stats
 //
 // Compatibility contract: the header's config hash covers the HDK
@@ -74,11 +74,14 @@ struct SnapshotDescription {
     uint64_t length = 0;
     uint64_t checksum = 0;
   };
+  /// One shard's key table, per structure (a posting is 12 bytes on
+  /// the wire, a contributor record 8).
   struct Shard {
-    uint64_t ledger_keys = 0;
-    uint64_t ledger_postings = 0;  // merged + per-contribution postings
-    uint64_t fragment_keys = 0;
-    uint64_t fragment_postings = 0;
+    uint64_t keys = 0;
+    uint64_t published_postings = 0;
+    uint64_t ndk_merged_postings = 0;
+    uint64_t kept_postings = 0;
+    uint64_t contributor_records = 0;
   };
 
   uint32_t format_version = 0;

@@ -15,6 +15,11 @@ namespace hdk::p2p {
 
 namespace {
 
+using Published = DistributedGlobalIndex::Published;
+using Ledger = DistributedGlobalIndex::Ledger;
+using Contributor = DistributedGlobalIndex::Contributor;
+using KeptList = DistributedGlobalIndex::KeptList;
+
 /// Content digest of one replica slot: covers the key's placement hash
 /// AND the published entry's content (df, classification, postings), so
 /// reconciliation detects stale copies — same key, outdated postings —
@@ -41,23 +46,86 @@ uint64_t TransmittedPostings(uint64_t local_df, const HdkParams& params) {
   return std::min<uint64_t>(local_df, params.EffectiveNdkTruncation());
 }
 
-/// Folds one contribution into the ledger entry's merge cache, with the
-/// sender-side truncation re-applied exactly as InsertPostings
-/// transmitted it.
-void FoldIntoCache(DistributedGlobalIndex::LedgerEntry& ledger,
-                   const index::PostingList& full, const HdkParams& params,
-                   double avg_doc_length) {
-  ledger.global_df += full.size();
-  if (full.size() <= params.df_max) {
-    ledger.merged_locals.Merge(full);
-    return;
+/// `list`'s top `limit` postings by TruncationScore under `avgdl`.
+index::PostingList TopBy(index::PostingList list, size_t limit,
+                         double avg_doc_length) {
+  list.TruncateTopBy(limit, [avg_doc_length](const index::Posting& p) {
+    return hdk::TruncationScore(p, avg_doc_length);
+  });
+  return list;
+}
+
+/// The key's merged list: an HDK publishes it, an NDK keeps it aside.
+index::PostingList& MergedOf(Published& slot, Ledger& ledger) {
+  return slot.entry.is_hdk ? slot.entry.postings : ledger.merged;
+}
+const index::PostingList& MergedOf(const Published& slot,
+                                   const Ledger& ledger) {
+  return slot.entry.is_hdk ? slot.entry.postings : ledger.merged;
+}
+
+/// Classifies the key by its global df and places its merged list: an
+/// HDK publishes it whole, an NDK keeps it and publishes its top.
+void Place(Published& slot, Ledger& ledger, index::PostingList merged,
+           const HdkParams& params, double avg_doc_length) {
+  hdk::KeyEntry& entry = slot.entry;
+  entry.is_hdk = entry.global_df <= params.df_max;
+  if (entry.is_hdk) {
+    entry.postings = std::move(merged);
+    ledger.merged = index::PostingList();
+  } else {
+    ledger.merged = std::move(merged);
+    entry.postings = TopBy(ledger.merged, params.EffectiveNdkTruncation(),
+                           avg_doc_length);
   }
-  index::PostingList truncated = full;
-  truncated.TruncateTopBy(params.EffectiveNdkTruncation(),
-                          [avg_doc_length](const index::Posting& p) {
-                            return hdk::TruncationScore(p, avg_doc_length);
-                          });
-  ledger.merged_locals.MergeFrom(std::move(truncated));
+}
+
+/// Re-derives the published entry under `avg_doc_length`: every locally
+/// truncated contribution's slice of the merged list is replaced by the
+/// re-truncation of its kept list, and the result is placed again. A
+/// kept list's documents all lie in its contributor's range, so the
+/// slice [front, back] holds no other contributor's posting.
+void Rederive(Published& slot, Ledger& ledger, const HdkParams& params,
+              double avg_doc_length) {
+  index::PostingList merged =
+      std::exchange(MergedOf(slot, ledger), index::PostingList());
+  for (const KeptList& kept : ledger.kept) {
+    const std::span<const index::Posting> full = kept.full.postings();
+    merged.EraseDocRange(full.front().doc, full.back().doc + 1);
+    merged.MergeFrom(
+        TopBy(kept.full, params.EffectiveNdkTruncation(), avg_doc_length));
+  }
+  Place(slot, ledger, std::move(merged), params, avg_doc_length);
+}
+
+/// Removes contributor `c`, whose documents are [first, last), from the
+/// key's merged list, global df and kept lists. The caller drops the
+/// record itself.
+void Withdraw(Published& slot, Ledger& ledger, const Contributor& c,
+              DocId first, DocId last) {
+  MergedOf(slot, ledger).EraseDocRange(first, last);
+  slot.entry.global_df -= c.local_df;
+  std::erase_if(ledger.kept,
+                [&](const KeptList& kept) { return kept.peer == c.peer; });
+}
+
+/// Appends a fresh slot for `key` to the table and its side column, or
+/// finds the existing one. Returns its position.
+size_t Emplace(hdk::KeyMap<Published>& keys, std::vector<Ledger>& ledger,
+               uint64_t key_hash, const hdk::TermKey& key) {
+  const auto it = keys.try_emplace_hashed(key_hash, key).first;
+  const size_t pos = static_cast<size_t>(it - keys.begin());
+  if (pos == ledger.size()) ledger.emplace_back();
+  return pos;
+}
+
+/// Swap-removes the slot at `pos` from the table and its side column
+/// alike: the entry moved into `pos` is the one examined next.
+void EraseSlot(hdk::KeyMap<Published>& keys, std::vector<Ledger>& ledger,
+               size_t pos) {
+  keys.erase(keys.begin() + pos);
+  if (pos + 1 != ledger.size()) ledger[pos] = std::move(ledger.back());
+  ledger.pop_back();
 }
 
 /// One contribution in the level barrier's sort: the sort key and where
@@ -67,33 +135,6 @@ struct SortSlot {
   PeerId peer = kInvalidPeer;
   DistributedGlobalIndex::PendingContribution* pending = nullptr;
 };
-
-/// Key-space handover within one shard: moves every fragment entry whose
-/// responsible peer changed to its new owner's slot, calling
-/// `moved(from, to, key, key_hash, entry)` before each move.
-template <typename Moved>
-void HandOver(const dht::Overlay& overlay,
-              std::vector<hdk::KeyMap<hdk::KeyEntry>>& fragments,
-              Moved&& moved) {
-  for (PeerId from = 0; from < fragments.size(); ++from) {
-    auto& fragment = fragments[from];
-    size_t pos = 0;
-    while (pos < fragment.size()) {
-      const uint64_t key_hash = fragment.hash_at(pos);
-      const PeerId to = overlay.Responsible(key_hash);
-      if (to == from) {
-        ++pos;
-        continue;
-      }
-      auto& [key, entry] = fragment.entry(pos);
-      moved(from, to, key, key_hash, entry);
-      fragments[to].try_emplace_hashed(key_hash, key).first->second =
-          std::move(entry);
-      // Swap-remove: the entry moved into `pos` is examined next.
-      fragment.erase(fragment.begin() + pos);
-    }
-  }
-}
 
 }  // namespace
 
@@ -131,17 +172,15 @@ size_t DistributedGlobalIndex::ShardOf(uint64_t key_hash) const {
 }
 
 void DistributedGlobalIndex::EnsureCapacity() {
-  if (shards_.front()->fragments.size() < overlay_->num_peers()) {
+  const size_t peers = overlay_->num_peers();
+  if (res_.replication > 1) {
     for (auto& shard : shards_) {
-      shard->fragments.resize(overlay_->num_peers());
-      if (res_.replication > 1) {
-        shard->replicas.resize(overlay_->num_peers());
-      }
+      if (shard->replicas.size() < peers) shard->replicas.resize(peers);
     }
-    traffic_->EnsurePeers(overlay_->num_peers());
   }
-  if (res_.injector != nullptr) res_.injector->EnsurePeers(overlay_->num_peers());
-  if (res_.health != nullptr) res_.health->EnsurePeers(overlay_->num_peers());
+  traffic_->EnsurePeers(peers);
+  if (res_.injector != nullptr) res_.injector->EnsurePeers(peers);
+  if (res_.health != nullptr) res_.health->EnsurePeers(peers);
 }
 
 PeerId DistributedGlobalIndex::ResponsiblePeer(const hdk::TermKey& key) const {
@@ -159,7 +198,7 @@ uint64_t DistributedGlobalIndex::InsertPostings(
   const uint64_t payload = TransmittedPostings(full_local.size(), params);
 
   // key_hash IS the key's ring id: one hash drives routing, the
-  // destination lookup, the shard choice and the barrier's ledger probe.
+  // destination lookup, the shard choice and the barrier's table probe.
   const PeerId dst = overlay_->Responsible(key_hash);
   const net::Channel channel(traffic_, res_);
   const net::SendOutcome sent =
@@ -167,7 +206,7 @@ uint64_t DistributedGlobalIndex::InsertPostings(
                           payload, overlay_->Route(src, key_hash), key_hash);
   if (!sent.delivered && channel.PeerDead(dst)) {
     // The responsible peer died unannounced: the contribution never
-    // reaches the ledger and is lost for good.
+    // reaches the key table and is lost for good.
     lost_contributions_.fetch_add(1, std::memory_order_relaxed);
     return payload;
   }
@@ -177,7 +216,7 @@ uint64_t DistributedGlobalIndex::InsertPostings(
 
   if (runs.by_shard_.empty()) runs.by_shard_.resize(shards_.size());
   runs.by_shard_[ShardOf(key_hash)].push_back(PendingContribution{
-      key, redeliver, key_hash, Contribution{src, std::move(full_local)}});
+      key, redeliver, src, key_hash, std::move(full_local)});
   return payload;
 }
 
@@ -191,75 +230,32 @@ void DistributedGlobalIndex::Submit(ContributionRuns&& runs) {
   runs.by_shard_.clear();
 }
 
-const index::PostingList* DistributedGlobalIndex::ContributionOf(
-    PeerId peer, const hdk::TermKey& key, uint64_t key_hash) const {
-  const auto& ledger = shards_[ShardOf(key_hash)]->ledger;
-  auto it = ledger.find_hashed(key_hash, key);
-  if (it == ledger.end()) return nullptr;
-  const std::vector<Contribution>& contributions = it->second.contributions;
-  auto c = std::lower_bound(
-      contributions.begin(), contributions.end(), peer,
-      [](const Contribution& c, PeerId p) { return c.peer < p; });
-  return c != contributions.end() && c->peer == peer ? &c->full : nullptr;
-}
-
-const hdk::KeyEntry& DistributedGlobalIndex::Publish(
-    Shard& shard, const hdk::TermKey& key, uint64_t key_hash,
-    LedgerEntry& ledger, const HdkParams& params, double avg_doc_length,
-    bool* changed) {
-  const Freq trunc_limit = params.EffectiveNdkTruncation();
-
-  hdk::KeyEntry entry;
-  entry.global_df = ledger.global_df;
-  entry.is_hdk = entry.global_df <= params.df_max;
-  entry.postings = ledger.merged_locals;  // copy: the cache lives on
-  if (!entry.is_hdk) {
-    entry.postings.TruncateTopBy(
-        trunc_limit, [avg_doc_length](const index::Posting& p) {
-          return hdk::TruncationScore(p, avg_doc_length);
-        });
+std::span<const index::Posting> DistributedGlobalIndex::ContributionOf(
+    PeerId peer, DocId first, DocId last, const hdk::TermKey& key,
+    uint64_t key_hash) const {
+  const Shard& shard = *shards_[ShardOf(key_hash)];
+  const auto it = shard.keys.find_hashed(key_hash, key);
+  if (it == shard.keys.end()) return {};
+  const Ledger& ledger = shard.ledger[it - shard.keys.begin()];
+  const auto by_peer = [](const auto& c, PeerId p) { return c.peer < p; };
+  const auto c = std::lower_bound(ledger.contributors.begin(),
+                                  ledger.contributors.end(), peer, by_peer);
+  if (c == ledger.contributors.end() || c->peer != peer) return {};
+  const auto kept = std::lower_bound(ledger.kept.begin(), ledger.kept.end(),
+                                     peer, by_peer);
+  if (kept != ledger.kept.end() && kept->peer == peer) {
+    return kept->full.postings();
   }
-
-  ledger.published_ndk = !entry.is_hdk;
-  // Some contribution was locally truncated iff the merged cache is
-  // shorter than the global df.
-  ledger.truncation_sensitive =
-      !entry.is_hdk || ledger.merged_locals.size() < ledger.global_df;
-
-  auto& fragment = shard.fragments[overlay_->Responsible(key_hash)];
-  auto [it, inserted] = fragment.try_emplace_hashed(key_hash, key);
-  hdk::KeyEntry& stored = it->second;
-  if (changed != nullptr) {
-    *changed = inserted || stored.global_df != entry.global_df ||
-               stored.is_hdk != entry.is_hdk ||
-               stored.postings != entry.postings;
-  }
-  stored = std::move(entry);
-  return stored;
-}
-
-const hdk::KeyEntry& DistributedGlobalIndex::Rederive(
-    Shard& shard, size_t pos, const HdkParams& params, double avg_doc_length,
-    hdk::KeyMap<DepartureBaseline::Change>* changes) {
-  auto& [key, ledger] = shard.ledger.entry(pos);
-  const uint64_t key_hash = shard.ledger.hash_at(pos);
-  const bool was_ndk = ledger.published_ndk;
-  ledger.global_df = 0;
-  ledger.merged_locals = index::PostingList();
-  for (const Contribution& c : ledger.contributions) {
-    FoldIntoCache(ledger, c.full, params, avg_doc_length);
-  }
-  bool changed = false;
-  const hdk::KeyEntry& stored =
-      Publish(shard, key, key_hash, ledger, params, avg_doc_length,
-              changes != nullptr ? &changed : nullptr);
-  if (changed) {
-    DepartureBaseline::Change& change =
-        changes->try_emplace_hashed(key_hash, key).first->second;
-    change.changed = true;
-    change.was_ndk = was_ndk;
-  }
-  return stored;
+  // Sent whole: the merged list's slice of the peer's range.
+  const std::span<const index::Posting> merged =
+      MergedOf(it->second, ledger).postings();
+  const auto doc_less = [](const index::Posting& p, DocId d) {
+    return p.doc < d;
+  };
+  const auto lo =
+      std::lower_bound(merged.begin(), merged.end(), first, doc_less);
+  const auto hi = std::lower_bound(lo, merged.end(), last, doc_less);
+  return {lo, hi};
 }
 
 void DistributedGlobalIndex::PublishReplicas(Shard& shard,
@@ -268,8 +264,8 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
                                              const hdk::KeyEntry& entry,
                                              bool record_traffic) {
   if (res_.replication <= 1) return;
-  if (shard.replicas.size() < shard.fragments.size()) {
-    shard.replicas.resize(shard.fragments.size());
+  if (shard.replicas.size() < overlay_->num_peers()) {
+    shard.replicas.resize(overlay_->num_peers());
   }
   const dht::HolderSet holders = HoldersFor(key_hash);
   const net::Channel channel(traffic_, res_);
@@ -310,8 +306,8 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
   // one group in ascending peer order whatever order the tasks submitted
   // them in. The sort moves compact slots that carry their own copy of
   // the sort key, so comparisons never chase a pointer; the runs' cached
-  // hashes ride along for every downstream probe (ledger, fragment,
-  // overlay routing).
+  // hashes ride along for every downstream probe (key table, overlay
+  // routing).
   std::vector<SortSlot> order;
   size_t total = 0;
   for (const auto& run : shard.runs) total += run.size();
@@ -319,7 +315,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
   bool any_redeliver = false;
   for (auto& run : shard.runs) {
     for (PendingContribution& c : run) {
-      order.push_back(SortSlot{c.key, c.contribution.peer, &c});
+      order.push_back(SortSlot{c.key, c.peer, &c});
       any_redeliver |= c.redeliver;
     }
   }
@@ -344,23 +340,23 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       }
       if (record_traffic) {
         traffic_->Record(slot.peer, dst, net::MessageKind::kInsertPostings,
-                         TransmittedPostings(c.contribution.full.size(),
-                                             params),
+                         TransmittedPostings(c.full.size(), params),
                          overlay_->Route(slot.peer, c.key_hash));
       }
       return false;
     });
   }
 
-  // One reserve sized from this wave's key count keeps the ledger rehash
+  // One reserve sized from this wave's key count keeps the table rehash
   // out of the per-key merge loop.
   size_t keys = 0;
   for (size_t i = 0; i < order.size(); ++i) {
     keys += i == 0 || !(order[i].key == order[i - 1].key);
   }
-  shard.ledger.reserve(shard.ledger.size() + keys);
+  shard.keys.reserve(shard.keys.size() + keys);
+  shard.ledger.reserve(shard.keys.size() + keys);
 
-  const auto by_peer = [](const Contribution& a, const Contribution& b) {
+  const auto by_peer = [](const auto& a, const auto& b) {
     return a.peer < b.peer;
   };
   const net::Channel channel(traffic_, res_);
@@ -370,30 +366,47 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
     last = first + 1;
     while (last < order.size() && order[last].key == key) ++last;
 
-    LedgerEntry& ledger =
-        shard.ledger.try_emplace_hashed(key_hash, key).first->second;
-    const bool was_published = !ledger.contributions.empty();
-    const bool was_ndk = ledger.published_ndk;
+    const size_t pos = Emplace(shard.keys, shard.ledger, key_hash, key);
+    Published& slot = shard.keys.entry(pos).second;
+    Ledger& ledger = shard.ledger[pos];
+    const bool was_published = !ledger.contributors.empty();
+    const bool was_ndk = was_published && !slot.entry.is_hdk;
 
-    // The group and the ledger are both in ascending peer order: append
-    // the group and merge the two sorted halves.
-    const size_t old_count = ledger.contributions.size();
-    ledger.contributions.reserve(old_count + (last - first));
+    // The group and the records are both in ascending peer order: append
+    // the group and merge the two sorted halves. A whole contribution
+    // merges into the merged list and is not kept; a locally truncated
+    // one merges its transmitted top and keeps its full list.
+    index::PostingList merged =
+        std::exchange(MergedOf(slot, ledger), index::PostingList());
+    const size_t old_count = ledger.contributors.size();
+    const size_t old_kept = ledger.kept.size();
+    ledger.contributors.reserve(old_count + (last - first));
     for (size_t i = first; i < last; ++i) {
-      Contribution& c = order[i].pending->contribution;
-      FoldIntoCache(ledger, c.full, params, avg_doc_length);
-      ledger.contributions.push_back(std::move(c));
+      PendingContribution& c = *order[i].pending;
+      const auto local_df = static_cast<uint32_t>(c.full.size());
+      ledger.contributors.push_back(Contributor{c.peer, local_df});
+      slot.entry.global_df += local_df;
+      if (local_df <= params.df_max) {
+        merged.MergeFrom(std::move(c.full));
+      } else {
+        merged.MergeFrom(TopBy(c.full, params.EffectiveNdkTruncation(),
+                               avg_doc_length));
+        ledger.kept.push_back(KeptList{c.peer, std::move(c.full)});
+      }
     }
-    std::inplace_merge(ledger.contributions.begin(),
-                       ledger.contributions.begin() + old_count,
-                       ledger.contributions.end(), by_peer);
+    std::inplace_merge(ledger.contributors.begin(),
+                       ledger.contributors.begin() + old_count,
+                       ledger.contributors.end(), by_peer);
+    std::inplace_merge(ledger.kept.begin(), ledger.kept.begin() + old_kept,
+                       ledger.kept.end(), by_peer);
+    Place(slot, ledger, std::move(merged), params, avg_doc_length);
+    slot.owner = overlay_->Responsible(key_hash);
 
-    const hdk::KeyEntry& stored =
-        Publish(shard, key, key_hash, ledger, params, avg_doc_length);
     if (record_traffic) {
-      PublishReplicas(shard, key, key_hash, stored, /*record_traffic=*/true);
+      PublishReplicas(shard, key, key_hash, slot.entry,
+                      /*record_traffic=*/true);
     }
-    const bool is_ndk = !stored.is_hdk;
+    const bool is_ndk = !slot.entry.is_hdk;
     if (is_ndk) {
       ++outcome.ndks;
       if (was_published && !was_ndk) ++outcome.reclassified;
@@ -414,8 +427,8 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
           recipients.push_back(order[i].peer);
         }
       } else {
-        recipients.reserve(ledger.contributions.size());
-        for (const Contribution& c : ledger.contributions) {
+        recipients.reserve(ledger.contributors.size());
+        for (const Contributor& c : ledger.contributors) {
           recipients.push_back(c.peer);
         }
       }
@@ -428,7 +441,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       // redelivered right here (we ARE at the barrier); only a hard-dead
       // contributor misses its expansion (it leaves the network when it
       // is evicted).
-      const PeerId owner = ResponsiblePeerHashed(key_hash);
+      const PeerId owner = slot.owner;
       std::erase_if(recipients, [&](PeerId contributor) {
         if (record_traffic) {
           const net::SendOutcome sent = channel.SendAssured(
@@ -495,19 +508,14 @@ uint64_t DistributedGlobalIndex::EraseKeysContaining(const TermIdSet& terms) {
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     size_t pos = 0;
-    while (pos < shard.ledger.size()) {
-      const hdk::TermKey& key = shard.ledger.entry(pos).first;
+    while (pos < shard.keys.size()) {
+      const hdk::TermKey& key = shard.keys.entry(pos).first;
       if (!key.ContainsAny(terms)) {
         ++pos;
         continue;
       }
-      const uint64_t key_hash = shard.ledger.hash_at(pos);
+      const uint64_t key_hash = shard.keys.hash_at(pos);
       const PeerId owner = overlay_->Responsible(key_hash);
-      if (owner < shard.fragments.size()) {
-        auto& fragment = shard.fragments[owner];
-        auto it = fragment.find_hashed(key_hash, key);
-        if (it != fragment.end()) fragment.erase(it);
-      }
       // Dropping a replica copy takes one best-effort forget notice per
       // holder. A LOST notice leaves the copy stale — the classic
       // silent-divergence source the anti-entropy sweep exists to heal.
@@ -527,8 +535,7 @@ uint64_t DistributedGlobalIndex::EraseKeysContaining(const TermIdSet& terms) {
         auto it = replica.find_hashed(key_hash, key);
         if (it != replica.end()) replica.erase(it);
       }
-      // Swap-remove: the entry moved into `pos` is examined next.
-      shard.ledger.erase(shard.ledger.begin() + pos);
+      EraseSlot(shard.keys, shard.ledger, pos);
       ++erased[i];
     }
   });
@@ -542,34 +549,35 @@ void DistributedGlobalIndex::Retruncate(const HdkParams& params,
   EnsureCapacity();
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
-    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
-      if (shard.ledger.entry(pos).second.truncation_sensitive) {
-        const hdk::KeyEntry& entry =
-            Rederive(shard, pos, params, avg_doc_length, nullptr);
-        PublishReplicas(shard, shard.ledger.entry(pos).first,
-                        shard.ledger.hash_at(pos), entry,
-                        /*record_traffic=*/false);
-      }
+    for (size_t pos = 0; pos < shard.keys.size(); ++pos) {
+      auto& [key, slot] = shard.keys.entry(pos);
+      if (slot.entry.is_hdk) continue;
+      Rederive(slot, shard.ledger[pos], params, avg_doc_length);
+      PublishReplicas(shard, key, shard.keys.hash_at(pos), slot.entry,
+                      /*record_traffic=*/false);
     }
   });
 }
 
 uint64_t DistributedGlobalIndex::OnOverlayGrown() {
   EnsureCapacity();
-  // Re-placement moves keys between PEER slots but never between shards
-  // (the shard is derived from the key's placement hash, not the peer),
-  // so each shard migrates independently.
+  // Re-placement moves keys between PEERS but never between shards (the
+  // shard is derived from the key's placement hash, not the peer), so
+  // each shard migrates independently.
   std::vector<uint64_t> migrated(shards_.size(), 0);
   ParallelForEach(pool_, shards_.size(), [&](size_t s) {
-    HandOver(*overlay_, shards_[s]->fragments,
-             [&](PeerId from, PeerId to, const hdk::TermKey&, uint64_t,
-                 const hdk::KeyEntry& entry) {
-               // Handover to the joining (or re-responsible) peer: one
-               // direct message carrying the published postings.
-               traffic_->Record(from, to, net::MessageKind::kMaintenance,
-                                entry.postings.size(), /*hops=*/1);
-               ++migrated[s];
-             });
+    hdk::KeyMap<Published>& keys = shards_[s]->keys;
+    for (size_t pos = 0; pos < keys.size(); ++pos) {
+      Published& slot = keys.entry(pos).second;
+      const PeerId to = overlay_->Responsible(keys.hash_at(pos));
+      if (to == slot.owner) continue;
+      // Handover to the joining (or re-responsible) peer: one direct
+      // message carrying the published postings.
+      traffic_->Record(slot.owner, to, net::MessageKind::kMaintenance,
+                       slot.entry.postings.size(), /*hops=*/1);
+      slot.owner = to;
+      ++migrated[s];
+    }
   });
   // The salted replica placement changed with the overlay: the stale
   // copies stay in place and the recorded reconciliation repairs exactly
@@ -581,7 +589,8 @@ uint64_t DistributedGlobalIndex::OnOverlayGrown() {
 }
 
 DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
-    BeginDeparture(PeerId departing, DepartureStats* stats) {
+    BeginDeparture(PeerId departing, DocId first, DocId last,
+                   DepartureStats* stats) {
   DepartureBaseline baseline;
   baseline.shards.resize(shards_.size());
 
@@ -590,51 +599,51 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     DepartureBaseline::ShardRepair& repair = baseline.shards[i];
+    if (departing < shard.replicas.size()) {
+      // Replica entries stay attached to their physical holders.
+      shard.replicas.erase(shard.replicas.begin() + departing);
+    }
 
-    // The departed peer's ledger share vanishes with it (in the real
-    // network its data simply stops being re-served); the survivors
-    // renumber past the freed id, mirroring the overlay.
-    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
-      auto& [key, ledger] = shard.ledger.entry(pos);
-      std::vector<Contribution>& contributions = ledger.contributions;
-      const size_t before = contributions.size();
-      std::erase_if(contributions, [&](Contribution& c) {
+    for (size_t pos = 0; pos < shard.keys.size(); ++pos) {
+      auto& [key, slot] = shard.keys.entry(pos);
+      Ledger& ledger = shard.ledger[pos];
+      // The departed peer's contribution vanishes with it (in the real
+      // network its data simply stops being re-served): its range leaves
+      // the merged list. The survivors renumber past the freed id,
+      // mirroring the overlay.
+      std::erase_if(ledger.contributors, [&](Contributor& c) {
         if (c.peer == departing) {
           ++removed_contributions[i];
-          removed_postings[i] += c.full.size();
+          removed_postings[i] += c.local_df;
+          Withdraw(slot, ledger, c, first, last);
+          if (repair.dirty.size() < key.size()) {
+            repair.dirty.resize(key.size());
+          }
+          repair.dirty[key.size() - 1].push_back(static_cast<uint32_t>(pos));
           return true;
         }
         if (c.peer > departing) --c.peer;
         return false;
       });
-      if (contributions.size() == before) continue;
-      if (repair.dirty.size() < key.size()) repair.dirty.resize(key.size());
-      repair.dirty[key.size() - 1].push_back(static_cast<uint32_t>(pos));
-    }
+      for (KeptList& kept : ledger.kept) {
+        if (kept.peer > departing) --kept.peer;
+      }
 
-    // The departed slot goes; ids above it renumber down by one. Replica
-    // entries stay attached to their physical holders. The departed
-    // fragment rotates past the survivors' slots, so the owner scan hands
-    // all of it over, and every handover is billed by FinishDeparture
-    // with the repaired entry.
-    assert(shard.fragments.size() == overlay_->num_peers() + 1);
-    const size_t survivors = shard.fragments.size() - 1;
-    std::rotate(shard.fragments.begin() + departing,
-                shard.fragments.begin() + departing + 1,
-                shard.fragments.end());
-    if (departing < shard.replicas.size()) {
-      shard.replicas.erase(shard.replicas.begin() + departing);
+      // The departed peer's whole fragment, and every entry whose
+      // responsible peer changed, goes to its new owner; FinishDeparture
+      // bills each handover with the repaired entry.
+      const PeerId from = slot.owner == departing ? kInvalidPeer
+                          : slot.owner > departing ? slot.owner - 1
+                                                   : slot.owner;
+      const uint64_t key_hash = shard.keys.hash_at(pos);
+      slot.owner = overlay_->Responsible(key_hash);
+      if (slot.owner != from) {
+        DepartureBaseline::Change& change =
+            repair.changes.try_emplace_hashed(key_hash, key).first->second;
+        change.migrated = true;
+        change.from = from;
+      }
     }
-    HandOver(*overlay_, shard.fragments,
-             [&](PeerId from, PeerId, const hdk::TermKey& key,
-                 uint64_t key_hash, const hdk::KeyEntry&) {
-               DepartureBaseline::Change& change =
-                   repair.changes.try_emplace_hashed(key_hash, key)
-                       .first->second;
-               change.migrated = true;
-               change.from = from < survivors ? from : kInvalidPeer;
-             });
-    shard.fragments.pop_back();
   });
   stats->departed = departing;
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -647,6 +656,7 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
 DistributedGlobalIndex::LevelRepair DistributedGlobalIndex::RepairLevel(
     DepartureBaseline& baseline, uint32_t level, const HdkParams& params,
     double avg_doc_length, bool facts,
+    std::span<const std::pair<DocId, DocId>> ranges,
     const std::function<bool(const hdk::TermKey&)>& suspect,
     const std::function<bool(PeerId, const hdk::TermKey&)>& keeps) {
   std::vector<LevelRepair> parts(shards_.size());
@@ -656,33 +666,40 @@ DistributedGlobalIndex::LevelRepair DistributedGlobalIndex::RepairLevel(
     LevelRepair& part = parts[i];
 
     auto repair_key = [&](size_t pos) {
-      auto& [key, ledger] = shard.ledger.entry(pos);
-      const uint64_t key_hash = shard.ledger.hash_at(pos);
-      const bool was_ndk = ledger.published_ndk;
+      auto& [key, slot] = shard.keys.entry(pos);
+      Ledger& ledger = shard.ledger[pos];
+      const uint64_t key_hash = shard.keys.hash_at(pos);
+      const bool was_ndk = !slot.entry.is_hdk;
       // Retraction: a survivor keeps only the keys it still generates.
       if (suspect && suspect(key)) {
-        std::erase_if(ledger.contributions, [&](const Contribution& c) {
+        std::erase_if(ledger.contributors, [&](const Contributor& c) {
           if (keeps(c.peer, key)) return false;
           ++part.retracted;
           if (facts && was_ndk) part.lost.emplace_back(c.peer, key);
+          Withdraw(slot, ledger, c, ranges[c.peer].first,
+                   ranges[c.peer].second);
           return true;
         });
       }
-      if (ledger.contributions.empty()) {
+      if (ledger.contributors.empty()) {
         // Nobody contributes any more: the key ceases to exist, and its
-        // owner drops the fragment entry without traffic.
-        auto& fragment = shard.fragments[overlay_->Responsible(key_hash)];
-        auto it = fragment.find_hashed(key_hash, key);
-        if (it != fragment.end()) fragment.erase(it);
+        // owner drops the entry without traffic. FinishDeparture erases
+        // the slot.
+        slot = Published();
+        ledger = Ledger();
         ++repair.erased_keys;
         return;
       }
+      // Every repaired key lost a contributor, so its content changed.
+      Rederive(slot, ledger, params, avg_doc_length);
+      DepartureBaseline::Change& change =
+          repair.changes.try_emplace_hashed(key_hash, key).first->second;
+      change.changed = true;
+      change.was_ndk = was_ndk;
       // Reverse reclassification: the key is discriminative again, so
       // every surviving contributor loses it as expansion material.
-      if (Rederive(shard, pos, params, avg_doc_length, &repair.changes)
-              .is_hdk &&
-          facts && was_ndk) {
-        for (const Contribution& c : ledger.contributions) {
+      if (slot.entry.is_hdk && facts && was_ndk) {
+        for (const Contributor& c : ledger.contributors) {
           part.lost.emplace_back(c.peer, key);
         }
       }
@@ -695,12 +712,13 @@ DistributedGlobalIndex::LevelRepair DistributedGlobalIndex::RepairLevel(
     // The keys holding a contribution its peer no longer generates. A
     // dirty key repaired above keeps only generable contributions, and an
     // erased one none, so neither comes up again.
-    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
-      const auto& [key, ledger] = shard.ledger.entry(pos);
+    for (size_t pos = 0; pos < shard.keys.size(); ++pos) {
+      const hdk::TermKey& key = shard.keys.entry(pos).first;
       if (key.size() != level || !suspect(key)) continue;
-      if (std::any_of(ledger.contributions.begin(),
-                      ledger.contributions.end(),
-                      [&](const Contribution& c) {
+      const std::vector<Contributor>& contributors =
+          shard.ledger[pos].contributors;
+      if (std::any_of(contributors.begin(), contributors.end(),
+                      [&](const Contributor& c) {
                         return !keeps(c.peer, key);
                       })) {
         repair_key(pos);
@@ -731,49 +749,55 @@ void DistributedGlobalIndex::FinishDeparture(DepartureBaseline baseline,
     DepartureStats& part = parts[i];
     part.erased_keys = repair.erased_keys;
 
-    // Emptied entries leave the ledger (swap-remove: the entry moved
-    // into `pos` is examined next).
-    for (size_t pos = 0; pos < shard.ledger.size();) {
-      if (shard.ledger.entry(pos).second.contributions.empty()) {
-        shard.ledger.erase(shard.ledger.begin() + pos);
-      } else {
-        ++pos;
+    for (size_t pos = 0; pos < shard.keys.size();) {
+      auto& [key, slot] = shard.keys.entry(pos);
+      Ledger& ledger = shard.ledger[pos];
+      // Emptied slots leave the table (swap-remove: the slot moved into
+      // `pos` is examined next).
+      if (ledger.contributors.empty()) {
+        EraseSlot(shard.keys, shard.ledger, pos);
+        continue;
       }
-    }
-    // The average document length shifted: re-derive every entry whose
-    // truncation depends on it, as Retruncate does on growth (a no-op for
-    // the entries the level repair already re-derived).
-    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
-      if (shard.ledger.entry(pos).second.truncation_sensitive) {
-        Rederive(shard, pos, params, avg_doc_length, &repair.changes);
+      // The average document length shifted: re-derive every NDK, as
+      // Retruncate does on growth (a no-op for the keys the level repair
+      // already re-derived). Its top is at most DFmax postings.
+      if (!slot.entry.is_hdk) {
+        const index::PostingList before = slot.entry.postings;
+        Rederive(slot, ledger, params, avg_doc_length);
+        if (!(slot.entry.postings == before)) {
+          DepartureBaseline::Change& change =
+              repair.changes.try_emplace_hashed(shard.keys.hash_at(pos), key)
+                  .first->second;
+          change.changed = true;
+          change.was_ndk = !slot.entry.is_hdk;
+        }
       }
+      ++pos;
     }
 
     // Bill every handover and in-place change with the repaired entry.
     for (size_t c = 0; c < repair.changes.size(); ++c) {
       const auto& [key, change] = repair.changes.entry(c);
       const uint64_t key_hash = repair.changes.hash_at(c);
-      const PeerId owner = overlay_->Responsible(key_hash);
-      const hdk::KeyEntry* entry = PeekPrimary(owner, key_hash, key);
-      if (entry == nullptr) continue;  // erased: counted above
-      if (change.changed && change.was_ndk && entry->is_hdk) {
+      const auto it = shard.keys.find_hashed(key_hash, key);
+      if (it == shard.keys.end()) continue;  // erased: counted above
+      const hdk::KeyEntry& entry = it->second.entry;
+      if (change.changed && change.was_ndk && entry.is_hdk) {
         ++part.reverse_reclassified;
       }
       // The new owner receives the entry from the old owner when it
       // survives; otherwise — and for an in-place re-derivation — it
       // re-pulls it from the lowest-id surviving contributor (the
-      // contributors' data stays available, exactly what the ledger
+      // contributors' data stays available, exactly what the table
       // models).
       PeerId src = change.from;
       if (src == kInvalidPeer) {
-        src = shard.ledger.find_hashed(key_hash, key)
-                  ->second.contributions.front()
-                  .peer;
+        src = shard.ledger[it - shard.keys.begin()].contributors.front().peer;
       }
       ++(change.migrated ? part.migrated_keys : part.repaired_keys);
-      traffic_->Record(src, owner, net::MessageKind::kMaintenance,
-                       entry->postings.size(), /*hops=*/1);
-      part.moved_postings += entry->postings.size();
+      traffic_->Record(src, it->second.owner, net::MessageKind::kMaintenance,
+                       entry.postings.size(), /*hops=*/1);
+      part.moved_postings += entry.postings.size();
     }
   });
 
@@ -796,7 +820,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     DeadlineBudget* budget) const {
   FetchResult result;
   // One Hash64 serves routing, the responsible-peer lookup, the shard
-  // choice and the fragment probe.
+  // choice and the table probe.
   const RingId ring_key = key.Hash64();
   if (!FaultsActive()) {
     // Perfect transport: the pre-fault fetch, message for message. (The
@@ -969,18 +993,15 @@ void DistributedGlobalIndex::RebuildReplicas() {
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     shard.replicas.clear();
-    shard.replicas.resize(shard.fragments.size());
-    for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      const auto& fragment = shard.fragments[owner];
-      for (size_t pos = 0; pos < fragment.size(); ++pos) {
-        const auto& [key, entry] = fragment.entry(pos);
-        const uint64_t key_hash = fragment.hash_at(pos);
-        const dht::HolderSet holders = HoldersFor(key_hash);
-        for (size_t h = 1; h < holders.size(); ++h) {
-          shard.replicas[holders[h]]
-              .try_emplace_hashed(key_hash, key)
-              .first->second = entry;
-        }
+    shard.replicas.resize(overlay_->num_peers());
+    for (size_t pos = 0; pos < shard.keys.size(); ++pos) {
+      const auto& [key, slot] = shard.keys.entry(pos);
+      const uint64_t key_hash = shard.keys.hash_at(pos);
+      const dht::HolderSet holders = HoldersFor(key_hash);
+      for (size_t h = 1; h < holders.size(); ++h) {
+        shard.replicas[holders[h]]
+            .try_emplace_hashed(key_hash, key)
+            .first->second = slot.entry;
       }
     }
   });
@@ -1000,8 +1021,8 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas() {
   }
 
   // One replica slot of a pair: its content digest and where its entry
-  // sits — position `pos` of the primary's fragment (desired side) or of
-  // the holder's replica map (actual side) in shard `shard`.
+  // sits — position `pos` of the key table (desired side) or of the
+  // holder's replica map (actual side) in shard `shard`.
   struct Slot {
     uint64_t digest;
     PeerId primary;
@@ -1013,7 +1034,7 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas() {
   assert(shards_.size() <= UINT16_MAX + 1);
 
   // Phase 1 (shard-parallel): collect what each holder SHOULD store
-  // (desired: fragments x salted placement) and what it DOES store
+  // (desired: published entries x salted placement) and what it DOES store
   // (actual: the replica maps). slots[s][h]: shard s's slots of holder h.
   Stopwatch collect_watch;
   std::vector<std::vector<std::vector<Slot>>> slots(shards_.size());
@@ -1021,19 +1042,17 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas() {
     const Shard& shard = *shards_[s];
     std::vector<std::vector<Slot>>& part = slots[s];
     part.resize(num_peers);
-    for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      const auto& fragment = shard.fragments[owner];
-      for (size_t pos = 0; pos < fragment.size(); ++pos) {
-        const hdk::KeyEntry& entry = fragment.entry(pos).second;
-        const dht::HolderSet holders = HoldersFor(fragment.hash_at(pos));
-        assert(holders[0] == owner);
-        const Slot slot{EntryDigest(fragment.hash_at(pos), entry), owner,
-                        static_cast<uint32_t>(pos),
-                        static_cast<uint32_t>(entry.postings.size()),
-                        static_cast<uint16_t>(s), false};
-        for (size_t i = 1; i < holders.size(); ++i) {
-          part[holders[i]].push_back(slot);
-        }
+    for (size_t pos = 0; pos < shard.keys.size(); ++pos) {
+      const Published& published = shard.keys.entry(pos).second;
+      const uint64_t key_hash = shard.keys.hash_at(pos);
+      const dht::HolderSet holders = HoldersFor(key_hash);
+      assert(holders[0] == published.owner);
+      const Slot slot{EntryDigest(key_hash, published.entry), published.owner,
+                      static_cast<uint32_t>(pos),
+                      static_cast<uint32_t>(published.entry.postings.size()),
+                      static_cast<uint16_t>(s), false};
+      for (size_t i = 1; i < holders.size(); ++i) {
+        part[holders[i]].push_back(slot);
       }
     }
     const size_t tracked = std::min<size_t>(shard.replicas.size(), num_peers);
@@ -1056,7 +1075,7 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas() {
   const sync::PairPlan identical_plan = sync::PlanPairSync({}, {}, cfg);
 
   // Phase 2 (holder-parallel): reconcile each (primary, holder) pair.
-  // Worker h mutates only shard.replicas[h] (fragments are read-only),
+  // Worker h mutates only shard.replicas[h] (the key table is read-only),
   // so workers never touch the same map; fault decisions are pure hashes
   // salted by (epoch, pair, leg), so the outcome is thread-independent.
   std::vector<sync::SyncStats> partials(num_peers);
@@ -1236,12 +1255,12 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas() {
       replica.erase(replica.begin() + slot.pos);
     }
     for (const Slot& slot : ships) {
-      const auto& fragment = shards_[slot.shard]->fragments[slot.primary];
+      const auto& keys = shards_[slot.shard]->keys;
       shards_[slot.shard]
           ->replicas[holder]
-          .try_emplace_hashed(fragment.hash_at(slot.pos),
-                              fragment.entry(slot.pos).first)
-          .first->second = fragment.entry(slot.pos).second;
+          .try_emplace_hashed(keys.hash_at(slot.pos),
+                              keys.entry(slot.pos).first)
+          .first->second = keys.entry(slot.pos).second.entry;
     }
   });
   sync_timings_.pairs_seconds += pairs_watch.ElapsedSeconds();
@@ -1259,16 +1278,13 @@ uint64_t DistributedGlobalIndex::CountReplicaDivergence() const {
   // old and new digests each differ).
   std::vector<std::tuple<PeerId, uint64_t, uint64_t>> want, have;
   for (const auto& shard : shards_) {
-    for (PeerId owner = 0; owner < shard->fragments.size(); ++owner) {
-      const auto& fragment = shard->fragments[owner];
-      for (size_t pos = 0; pos < fragment.size(); ++pos) {
-        const uint64_t key_hash = fragment.hash_at(pos);
-        const uint64_t digest =
-            EntryDigest(key_hash, fragment.entry(pos).second);
-        const dht::HolderSet holders = HoldersFor(key_hash);
-        for (size_t i = 1; i < holders.size(); ++i) {
-          want.emplace_back(holders[i], key_hash, digest);
-        }
+    for (size_t pos = 0; pos < shard->keys.size(); ++pos) {
+      const uint64_t key_hash = shard->keys.hash_at(pos);
+      const uint64_t digest =
+          EntryDigest(key_hash, shard->keys.entry(pos).second.entry);
+      const dht::HolderSet holders = HoldersFor(key_hash);
+      for (size_t i = 1; i < holders.size(); ++i) {
+        want.emplace_back(holders[i], key_hash, digest);
       }
     }
     for (PeerId holder = 0; holder < shard->replicas.size(); ++holder) {
@@ -1308,18 +1324,17 @@ const hdk::KeyEntry* DistributedGlobalIndex::Peek(
 const hdk::KeyEntry* DistributedGlobalIndex::PeekPrimary(
     PeerId owner, uint64_t key_hash, const hdk::TermKey& key) const {
   const Shard& shard = *shards_[ShardOf(key_hash)];
-  if (owner >= shard.fragments.size()) return nullptr;
-  const auto& fragment = shard.fragments[owner];
-  auto it = fragment.find_hashed(key_hash, key);
-  return it == fragment.end() ? nullptr : &it->second;
+  const auto it = shard.keys.find_hashed(key_hash, key);
+  return it == shard.keys.end() || it->second.owner != owner
+             ? nullptr
+             : &it->second.entry;
 }
 
 uint64_t DistributedGlobalIndex::StoredPostingsAt(PeerId peer) const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
-    if (peer >= shard->fragments.size()) continue;
-    for (const auto& [key, entry] : shard->fragments[peer]) {
-      total += entry.postings.size();
+    for (const auto& [key, slot] : shard->keys) {
+      if (slot.owner == peer) total += slot.entry.postings.size();
     }
   }
   return total;
@@ -1328,10 +1343,8 @@ uint64_t DistributedGlobalIndex::StoredPostingsAt(PeerId peer) const {
 uint64_t DistributedGlobalIndex::TotalStoredPostings() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
-    for (const auto& fragment : shard->fragments) {
-      for (const auto& [key, entry] : fragment) {
-        total += entry.postings.size();
-      }
+    for (const auto& [key, slot] : shard->keys) {
+      if (slot.owner != kInvalidPeer) total += slot.entry.postings.size();
     }
   }
   return total;
@@ -1340,9 +1353,7 @@ uint64_t DistributedGlobalIndex::TotalStoredPostings() const {
 uint64_t DistributedGlobalIndex::KeysAt(PeerId peer) const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
-    if (peer < shard->fragments.size()) {
-      total += shard->fragments[peer].size();
-    }
+    for (const auto& [key, slot] : shard->keys) total += slot.owner == peer;
   }
   return total;
 }
@@ -1350,7 +1361,9 @@ uint64_t DistributedGlobalIndex::KeysAt(PeerId peer) const {
 uint64_t DistributedGlobalIndex::TotalKeys() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
-    for (const auto& fragment : shard->fragments) total += fragment.size();
+    for (const auto& [key, slot] : shard->keys) {
+      total += slot.owner != kInvalidPeer;
+    }
   }
   return total;
 }
@@ -1359,14 +1372,13 @@ void DistributedGlobalIndex::CountKeys(uint32_t level, uint64_t* hdks,
                                        uint64_t* ndks) const {
   uint64_t h = 0, n = 0;
   for (const auto& shard : shards_) {
-    for (const auto& fragment : shard->fragments) {
-      for (const auto& [key, entry] : fragment) {
-        if (level != 0 && key.size() != level) continue;
-        if (entry.is_hdk) {
-          ++h;
-        } else {
-          ++n;
-        }
+    for (const auto& [key, slot] : shard->keys) {
+      if (slot.owner == kInvalidPeer) continue;
+      if (level != 0 && key.size() != level) continue;
+      if (slot.entry.is_hdk) {
+        ++h;
+      } else {
+        ++n;
       }
     }
   }
@@ -1377,10 +1389,8 @@ void DistributedGlobalIndex::CountKeys(uint32_t level, uint64_t* hdks,
 hdk::HdkIndexContents DistributedGlobalIndex::ExportContents() const {
   hdk::HdkIndexContents out;
   for (const auto& shard : shards_) {
-    for (const auto& fragment : shard->fragments) {
-      for (const auto& [key, entry] : fragment) {
-        out.Put(key, entry);
-      }
+    for (const auto& [key, slot] : shard->keys) {
+      if (slot.owner != kInvalidPeer) out.Put(key, slot.entry);
     }
   }
   return out;
@@ -1393,42 +1403,33 @@ bool DistributedGlobalIndex::HasPendingContributions() const {
   return false;
 }
 
-const hdk::KeyMap<DistributedGlobalIndex::LedgerEntry>&
+const hdk::KeyMap<DistributedGlobalIndex::Published>&
+DistributedGlobalIndex::ShardKeys(size_t shard) const {
+  return shards_[shard]->keys;
+}
+
+const std::vector<DistributedGlobalIndex::Ledger>&
 DistributedGlobalIndex::ShardLedger(size_t shard) const {
   return shards_[shard]->ledger;
 }
 
-const hdk::KeyMap<hdk::KeyEntry>& DistributedGlobalIndex::ShardFragment(
-    size_t shard, PeerId owner) const {
-  return shards_[shard]->fragments[owner];
-}
-
-void DistributedGlobalIndex::AdoptShardState(
-    size_t shard, hdk::KeyMap<LedgerEntry> ledger,
-    std::vector<hdk::KeyMap<hdk::KeyEntry>> fragments) {
+void DistributedGlobalIndex::AdoptShardState(size_t shard,
+                                             hdk::KeyMap<Published> keys,
+                                             std::vector<Ledger> ledger) {
   Shard& s = *shards_[shard];
-  assert(s.ledger.empty() && s.runs.empty());
-  assert(fragments.size() <= s.fragments.size());
+  assert(s.keys.empty() && s.runs.empty());
+  assert(keys.size() == ledger.size());
+  s.keys = std::move(keys);
   s.ledger = std::move(ledger);
-  for (size_t owner = 0; owner < fragments.size(); ++owner) {
-    s.fragments[owner] = std::move(fragments[owner]);
-  }
 }
 
-void DistributedGlobalIndex::AdoptLedgerEntry(const hdk::TermKey& key,
-                                              uint64_t key_hash,
-                                              LedgerEntry entry) {
+void DistributedGlobalIndex::AdoptEntry(const hdk::TermKey& key,
+                                        uint64_t key_hash,
+                                        Published published, Ledger ledger) {
   Shard& s = *shards_[ShardOf(key_hash)];
-  s.ledger.try_emplace_hashed(key_hash, key).first->second = std::move(entry);
-}
-
-void DistributedGlobalIndex::AdoptFragmentEntry(PeerId owner,
-                                                const hdk::TermKey& key,
-                                                uint64_t key_hash,
-                                                hdk::KeyEntry entry) {
-  Shard& s = *shards_[ShardOf(key_hash)];
-  s.fragments[owner].try_emplace_hashed(key_hash, key).first->second =
-      std::move(entry);
+  const size_t pos = Emplace(s.keys, s.ledger, key_hash, key);
+  s.keys.entry(pos).second = std::move(published);
+  s.ledger[pos] = std::move(ledger);
 }
 
 }  // namespace hdk::p2p

@@ -17,23 +17,33 @@
 //     so that the grown index is posting-for-posting identical to a
 //     from-scratch build over the larger collection.
 //
-// To support the growth path the index keeps, per key, the CONTRIBUTION
-// LEDGER: each contributor's full (untruncated) local posting list. This is
-// simulation bookkeeping — in the real network that data simply stays on
-// the contributing peer, which re-sends or re-truncates on request; here it
-// lets the simulator recompute any published entry deterministically. It
-// is also the one record of what each peer has contributed: the protocol
-// reads a peer's own keys and lists back through ContributionOf instead
-// of keeping a second copy on the Peer. The published per-peer fragments
-// and all recorded traffic continue to model exactly what the protocol
+// ONE KEY TABLE PER SHARD holds everything the index knows about a key.
+// The hot part of a slot is what FetchFrom probes: the published entry
+// (global df, classification, postings) and its owner, the responsible
+// peer whose fragment holds it. A side column keeps the contributor
+// records — (peer, local df) in ascending peer order — and, for an NDK,
+// the merged list the published entry is cut from. Each posting is stored
+// once:
+//   * an HDK's published list IS the merge of its contributions;
+//   * an NDK keeps the merged list and publishes its top DFmax;
+//   * a contribution sent whole (local df <= DFmax) is not kept at all:
+//     peers own disjoint document ranges, so it is the merged list
+//     restricted to its contributor's range (ContributionOf);
+//   * only a locally truncated contribution keeps its full local list,
+//     because a shift of the average document length re-truncates it.
+// In the real network a contributor's lists stay on the contributor; the
+// table is the simulator's record of them, and the protocol reads a peer's
+// own keys back through ContributionOf instead of keeping a second copy on
+// the Peer. A departure removes the departed range from each merged list
+// in place. All recorded traffic models exactly what the protocol
 // transmits and stores.
 //
 // SHARDING: the index is internally partitioned into N shards by the key's
 // placement hash — the same hash that assigns the key to its responsible
-// peer, so a key's pending contributions, ledger entry and published
-// fragment slot all live on exactly one shard and never move between
-// shards (overlay growth re-places keys across PEERS, and that handover
-// happens within the key's shard). InsertPostings appends each
+// peer, so a key's pending contributions and its table slot live on
+// exactly one shard and never move between shards (overlay growth
+// re-places keys across PEERS, and that handover only rewrites the
+// slot's owner). InsertPostings appends each
 // contribution to the calling task's own run for the key's shard
 // (ContributionRuns: no lock, no hash probe, no per-key allocation), and
 // the task hands its runs to the index once, when it ends (Submit).
@@ -55,6 +65,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -89,7 +100,7 @@ struct LevelOutcome {
 /// What one departure repair did (observability for benches and tests).
 struct DepartureStats {
   PeerId departed = kInvalidPeer;
-  /// The departed peer's dropped ledger share.
+  /// The departed peer's dropped contributions (records and postings).
   uint64_t removed_contributions = 0;
   uint64_t removed_postings = 0;
   /// Keys that ceased to exist (no surviving contributor).
@@ -122,20 +133,16 @@ struct DepartureStats {
 /// The DHT-distributed global index.
 class DistributedGlobalIndex {
  public:
-  /// One contributor's full local posting list (local df == full.size()).
-  struct Contribution {
-    PeerId peer = kInvalidPeer;
-    index::PostingList full;
-  };
-
   /// One contribution on its way from InsertPostings to the level barrier.
   struct PendingContribution {
     hdk::TermKey key;
     /// The send ran out of attempts against a live owner: the barrier
     /// redelivers it (one recorded message) before classifying.
     bool redeliver = false;
+    PeerId peer = kInvalidPeer;
     uint64_t key_hash = 0;
-    Contribution contribution;
+    /// The contributor's full local list (local df == full.size()).
+    index::PostingList full;
   };
 
   /// One task's contributions of the current level to one index, one run
@@ -148,27 +155,42 @@ class DistributedGlobalIndex {
     std::vector<std::vector<PendingContribution>> by_shard_;
   };
 
-  /// Everything ever contributed for one key, plus published-state flags
-  /// and the incrementally maintained merge of the locally-truncated
-  /// contributions (what publishing derives the fragment entry from —
-  /// caching it makes EndLevel cost proportional to the NEW contributions
-  /// instead of the key's whole history). Public because the snapshot
-  /// codec (engine/engine_snapshot) persists ledger entries verbatim.
-  struct LedgerEntry {
-    std::vector<Contribution> contributions;  // ascending peer id
-    Freq global_df = 0;
-    index::PostingList merged_locals;
-    bool published_ndk = false;
-    /// True when some truncation (local or global) shapes the published
-    /// entry — only those entries depend on avgdl.
-    bool truncation_sensitive = false;
+  /// The published part of a key-table slot: the entry FetchFrom returns
+  /// and the peer whose fragment holds it. `owner` is kInvalidPeer while
+  /// a departure repair has erased the key (FinishDeparture drops it).
+  struct Published {
+    hdk::KeyEntry entry;
+    PeerId owner = kInvalidPeer;
+  };
+
+  /// One contributor of a key and its local document frequency.
+  struct Contributor {
+    PeerId peer = kInvalidPeer;
+    uint32_t local_df = 0;
+  };
+
+  /// The full local list of a locally truncated contribution (local df >
+  /// DFmax): the one contribution an avgdl shift re-truncates.
+  struct KeptList {
+    PeerId peer = kInvalidPeer;
+    index::PostingList full;
+  };
+
+  /// The side column of a key-table slot. The merged list — the union of
+  /// every transmitted list — is the published list of an HDK and
+  /// `merged` of an NDK (empty for an HDK). Public because the snapshot
+  /// codec (engine/engine_snapshot) persists the table verbatim.
+  struct Ledger {
+    std::vector<Contributor> contributors;  // ascending peer id
+    std::vector<KeptList> kept;             // ascending peer id
+    index::PostingList merged;
   };
 
   /// An in-place departure repair from BeginDeparture to FinishDeparture.
-  /// The ledger and the fragments stay where they are; the baseline only
-  /// remembers what the repair still has to revisit (the keys the
-  /// departed peer contributed to) and to bill (fragment handovers and
-  /// entries whose published content changed).
+  /// The key table stays where it is; the baseline only remembers what
+  /// the repair still has to revisit (the keys the departed peer
+  /// contributed to) and to bill (fragment handovers and entries whose
+  /// published content changed).
   struct DepartureBaseline {
     /// A published key the departure moved or re-derived, billed by
     /// FinishDeparture.
@@ -182,11 +204,11 @@ class DistributedGlobalIndex {
       bool changed = false;
       bool was_ndk = false;
     };
-    /// One shard's slice. Ledger positions are stable through the
-    /// repair: emptied entries are only erased by FinishDeparture, and
+    /// One shard's slice. Table positions are stable through the
+    /// repair: emptied slots are only erased by FinishDeparture, and
     /// re-admission keys are appended.
     struct ShardRepair {
-      /// dirty[s - 1]: ledger positions of the size-s keys the departed
+      /// dirty[s - 1]: table positions of the size-s keys the departed
       /// peer contributed to.
       std::vector<std::vector<uint32_t>> dirty;
       hdk::KeyMap<Change> changes;
@@ -241,7 +263,7 @@ class DistributedGlobalIndex {
   PeerId ResponsiblePeer(const hdk::TermKey& key) const;
   PeerId ResponsiblePeerHashed(uint64_t key_hash) const;
 
-  /// Grows the per-peer fragment slots, the traffic recorder's peer
+  /// Grows the per-peer replica maps, the traffic recorder's peer
   /// counters and the fault injector's and health tracker's per-peer
   /// state (net/fault.h sizing contract) to the overlay's current size.
   /// Serial sections only; the protocol calls it once before fanning
@@ -254,15 +276,15 @@ class DistributedGlobalIndex {
   /// Sender-side truncation of locally non-discriminative keys (local df >
   /// DFmax) to the local top-DFmax by TruncationScore is applied here: the
   /// recorded InsertPostings message carries only the truncated list,
-  /// exactly as in the paper's protocol. The full list is retained in the
-  /// contribution ledger (see the file comment). Returns the number of
-  /// postings actually transmitted.
+  /// exactly as in the paper's protocol. The key table keeps the full
+  /// list only when it was truncated (see the file comment). Returns the
+  /// number of postings actually transmitted.
   ///
   /// The message is routed and billed here; the contribution is appended
   /// to `runs`' run for the key's shard and reaches the index when the
   /// caller Submits `runs`. `key_hash` = key.Hash64(): the scan wave reads
   /// it out of the candidate map's hash cache, so overlay routing, shard
-  /// choice and the barrier's ledger probe all reuse one hash computation.
+  /// choice and the barrier's table probe all reuse one hash computation.
   ///
   /// THREAD SAFETY: may be called concurrently with distinct `runs` (the
   /// parallel scan waves do, one per task) once EnsureCapacity() has run
@@ -287,19 +309,23 @@ class DistributedGlobalIndex {
   /// left empty. Thread-safe: one short critical section per call.
   void Submit(ContributionRuns&& runs);
 
-  /// `peer`'s full local list for `key` from the ledger, or nullptr when
-  /// the peer has no merged contribution to it (one still waiting in a run
-  /// for EndLevel does not count). `key_hash` = key.Hash64(). Safe to
-  /// call concurrently while nothing writes the ledger: the scan waves
-  /// only read it, and EndLevel and the repairs run between waves.
-  const index::PostingList* ContributionOf(PeerId peer,
-                                           const hdk::TermKey& key,
-                                           uint64_t key_hash) const;
+  /// `peer`'s full local list for `key`, or an empty span when the peer
+  /// has no merged contribution to it (one still waiting in a run for
+  /// EndLevel does not count; a contribution is never empty). [first,
+  /// last) is the peer's document range: a contribution sent whole is
+  /// the merged list restricted to it, a truncated one its kept list.
+  /// `key_hash` = key.Hash64(). Safe to call concurrently while nothing
+  /// writes the table: the scan waves only read it, and EndLevel and the
+  /// repairs run between waves.
+  std::span<const index::Posting> ContributionOf(PeerId peer, DocId first,
+                                                 DocId last,
+                                                 const hdk::TermKey& key,
+                                                 uint64_t key_hash) const;
 
   /// Classifies all keys that received contributions since the last
-  /// EndLevel call: merges them into the ledger, re-derives the published
-  /// entry (HDK full postings / NDK top-DFmax postings, score normalized
-  /// with `avg_doc_length`), places it on the responsible peer's fragment
+  /// EndLevel call: merges them into the key's merged list, re-derives the
+  /// published entry (HDK full postings / NDK top-DFmax postings, score
+  /// normalized with `avg_doc_length`), gives it to the responsible peer
   /// and — when `notify_contributors` is set — sends NdkNotification
   /// messages. A key already published as NDK notifies only its NEW
   /// contributors; a key that just crossed DFmax (HDK -> NDK, or a new
@@ -319,37 +345,43 @@ class DistributedGlobalIndex {
 
   /// Begins an in-place departure repair. Must be called AFTER the
   /// overlay dropped peer `departing` (and renumbered the ids above it
-  /// down by one). One shard-parallel pass:
-  ///   * removes the departed peer's contributions from the ledger,
-  ///     renumbers the surviving contributors past it and notes every
-  ///     key it touched as dirty at that key's level;
-  ///   * drops the departed peer's fragment and replica slots and hands
-  ///     every fragment entry whose responsible peer changed to its new
-  ///     owner (the departed peer's whole fragment included), noting the
-  ///     handovers for FinishDeparture to bill.
+  /// down by one); [first, last) is the departed peer's document range.
+  /// One shard-parallel pass:
+  ///   * removes the departed peer's contributions — its record, its
+  ///     local df and its range of the merged list — renumbers the
+  ///     surviving contributors past it and notes every key it touched as
+  ///     dirty at that key's level;
+  ///   * drops the departed peer's replica slots and hands every entry
+  ///     whose responsible peer changed to its new owner (the departed
+  ///     peer's whole fragment included), noting the handovers for
+  ///     FinishDeparture to bill.
   /// The repair never touches the replica copies, so the reconciliation
   /// after FinishDeparture ships only what the departure changed.
-  /// Fills `stats`' departed peer and its dropped ledger share.
-  DepartureBaseline BeginDeparture(PeerId departing, DepartureStats* stats);
+  /// Fills `stats`' departed peer and its dropped contribution share.
+  DepartureBaseline BeginDeparture(PeerId departing, DocId first, DocId last,
+                                   DepartureStats* stats);
 
   /// Repairs the size-`level` keys in place. A key is dirty when the
   /// departed peer contributed to it, or — when `suspect` is set — when
   /// `suspect(key)` holds and some contributor no longer `keeps(peer,
   /// key)` (it lost a fact the key's generation needs). For each dirty
-  /// key the contributions `keeps` rejects are retracted, and the entry
-  /// is re-derived under `avg_doc_length` and republished, or erased when
-  /// no contributor is left. `facts` says whether the contributors of a
-  /// non-discriminative key at this level hold it as a fact (every level
-  /// below s_max). Nothing is recorded on the wire; `keeps` and `suspect`
-  /// are called concurrently and must only read. Runs shard-parallel.
+  /// key the contributions `keeps` rejects are retracted (their ranges
+  /// leave the merged list; `ranges[p]` is surviving peer p's document
+  /// range), and the entry is re-derived under `avg_doc_length` and
+  /// republished, or erased when no contributor is left. `facts` says
+  /// whether the contributors of a non-discriminative key at this level
+  /// hold it as a fact (every level below s_max). Nothing is recorded on
+  /// the wire; `keeps` and `suspect` are called concurrently and must
+  /// only read. Runs shard-parallel.
   LevelRepair RepairLevel(
       DepartureBaseline& baseline, uint32_t level, const HdkParams& params,
       double avg_doc_length, bool facts,
+      std::span<const std::pair<DocId, DocId>> ranges,
       const std::function<bool(const hdk::TermKey&)>& suspect,
       const std::function<bool(PeerId, const hdk::TermKey&)>& keeps);
 
   /// Ends the repair: re-derives every remaining avgdl-dependent entry
-  /// under `avg_doc_length`, erases the emptied ledger entries and bills
+  /// under `avg_doc_length`, erases the emptied slots and bills
   /// the churn traffic — one kMaintenance message per key whose fragment
   /// moved (from the old owner, or from the lowest-id surviving
   /// contributor when the departed peer hosted it) or whose published
@@ -361,8 +393,8 @@ class DistributedGlobalIndex {
   void FinishDeparture(DepartureBaseline baseline, const HdkParams& params,
                        double avg_doc_length, DepartureStats* stats);
 
-  /// Removes every key containing one of `terms` from the ledger and the
-  /// fragments in one pass — used when terms cross the very-frequent
+  /// Removes every key containing one of `terms` from the key table in
+  /// one pass — used when terms cross the very-frequent
   /// threshold Ff as the collection grows (a from-scratch build over the
   /// grown collection excludes them from the key vocabulary). Like the Ff
   /// cutoff itself, this is treated as global preprocessing outside the
@@ -370,9 +402,11 @@ class DistributedGlobalIndex {
   uint64_t EraseKeysContaining(const TermIdSet& terms);
 
   /// Re-derives every published entry whose truncation depends on the
-  /// average document length (local or global posting-list truncation
-  /// active). Called when the collection grew and avgdl shifted, so that
-  /// the published state matches what a from-scratch build over the grown
+  /// average document length — the NDKs: each locally truncated
+  /// contribution's slice of the merged list is replaced by the
+  /// re-truncation of its kept list, then the top DFmax is re-cut.
+  /// Called when the collection grew and avgdl shifted, so that the
+  /// published state matches what a from-scratch build over the grown
   /// collection would produce. Simulation bookkeeping; no traffic.
   /// Runs shard-parallel.
   void Retruncate(const HdkParams& params, double avg_doc_length);
@@ -439,15 +473,15 @@ class DistributedGlobalIndex {
   /// for a fixed overlay.
   dht::HolderSet HoldersFor(uint64_t key_hash) const;
 
-  /// Re-derives every replica map from the primary fragments (no
+  /// Re-derives every replica map from the published entries (no
   /// traffic). Called after bulk state adoption (snapshot load); a no-op
   /// when replication == 1.
   void RebuildReplicas();
 
   // -- anti-entropy replica sync (sync/) --------------------------------
 
-  /// Reconciles every (primary, holder) replica pair against the primary
-  /// fragments: each pair exchanges a strata estimator + invertible Bloom
+  /// Reconciles every (primary, holder) replica pair against the published
+  /// entries: each pair exchanges a strata estimator + invertible Bloom
   /// filter and ships only the decoded difference, falling back to a full
   /// bucket re-send when the sketch fails to decode. Joins and departures
   /// run it after their repair; RunAntiEntropy runs it on demand. Pairs
@@ -486,7 +520,7 @@ class DistributedGlobalIndex {
 
   /// Indexing-side losses that became permanent: contributions /
   /// NDK notifications addressed to a hard-dead peer. They are dropped
-  /// before reaching the ledger, so evicting the peer later does not
+  /// before reaching the key table, so evicting the peer later does not
   /// bring them back (see ROADMAP item 1(a)).
   uint64_t lost_contributions() const {
     return lost_contributions_.load(std::memory_order_relaxed);
@@ -526,45 +560,44 @@ class DistributedGlobalIndex {
   /// snapshot taken then would lose them, so saving is refused.
   bool HasPendingContributions() const;
 
-  /// Read access to one shard's ledger / one peer's fragment slice on one
-  /// shard (serial sections only). The snapshot writer walks shards in
-  /// order, so the per-shard flat tables' deterministic insertion order
-  /// is the wire order.
-  const hdk::KeyMap<LedgerEntry>& ShardLedger(size_t shard) const;
-  const hdk::KeyMap<hdk::KeyEntry>& ShardFragment(size_t shard,
-                                                  PeerId owner) const;
+  /// Read access to one shard's key table and its side column (serial
+  /// sections only): ShardLedger(shard)[pos] belongs to
+  /// ShardKeys(shard).entry(pos). The snapshot writer walks shards in
+  /// order, so the flat table's deterministic insertion order is the wire
+  /// order.
+  const hdk::KeyMap<Published>& ShardKeys(size_t shard) const;
+  const std::vector<Ledger>& ShardLedger(size_t shard) const;
 
   /// Bulk state adoption for shard `shard` (snapshot load when the saved
-  /// shard count matches this index's): the tables are installed verbatim
-  /// — cached hashes included, so nothing re-hashes. EnsureCapacity()
-  /// must have run; the shard must still be empty.
-  void AdoptShardState(size_t shard, hdk::KeyMap<LedgerEntry> ledger,
-                       std::vector<hdk::KeyMap<hdk::KeyEntry>> fragments);
+  /// shard count matches this index's): the table is installed verbatim —
+  /// cached hashes included, so nothing re-hashes. `ledger` is the side
+  /// column, one element per table entry; the shard must still be empty.
+  void AdoptShardState(size_t shard, hdk::KeyMap<Published> keys,
+                       std::vector<Ledger> ledger);
 
   /// Per-entry adoption (snapshot load when the saved shard count differs:
   /// entries are re-routed to this index's shard of `key_hash`, still
   /// without re-hashing any term array).
-  void AdoptLedgerEntry(const hdk::TermKey& key, uint64_t key_hash,
-                        LedgerEntry entry);
-  void AdoptFragmentEntry(PeerId owner, const hdk::TermKey& key,
-                          uint64_t key_hash, hdk::KeyEntry entry);
+  void AdoptEntry(const hdk::TermKey& key, uint64_t key_hash,
+                  Published published, Ledger ledger);
 
  private:
-  /// One shard: the submitted runs, the ledger and the per-peer fragment
-  /// maps for the keys hashing to it. The tables are flat (hdk::KeyMap)
-  /// and cache the key's Hash64, so the merge paths never re-hash a term
-  /// array. `runs` is appended to under `submit_mu_`; everything else is
-  /// touched either from serial sections or by exactly one worker during
-  /// the shard-parallel merge paths.
+  /// One shard: the submitted runs, the key table and the per-holder
+  /// replica maps for the keys hashing to it. The tables are flat
+  /// (hdk::KeyMap) and cache the key's Hash64, so the merge paths never
+  /// re-hash a term array. `runs` is appended to under `submit_mu_`;
+  /// everything else is touched either from serial sections or by exactly
+  /// one worker during the shard-parallel merge paths.
   struct Shard {
     /// Runs submitted since the last EndLevel call, which frees them.
     std::vector<std::vector<PendingContribution>> runs;
-    /// Full contribution history per key.
-    hdk::KeyMap<LedgerEntry> ledger;
-    /// peer -> this shard's slice of the peer's published fragment.
-    std::vector<hdk::KeyMap<hdk::KeyEntry>> fragments;
+    /// The key table: every key's published entry and owner.
+    hdk::KeyMap<Published> keys;
+    /// Its side column: ledger[pos] belongs to keys.entry(pos), so every
+    /// insertion appends to both and every erase swap-removes from both.
+    std::vector<Ledger> ledger;
     /// peer -> this shard's slice of the peer's REPLICA copies (separate
-    /// from the primary fragments so ExportContents / StoredPostingsAt
+    /// from the published entries so ExportContents / StoredPostingsAt
     /// keep their primary-only semantics). Empty when replication == 1.
     std::vector<hdk::KeyMap<hdk::KeyEntry>> replicas;
   };
@@ -587,8 +620,8 @@ class DistributedGlobalIndex {
                        uint64_t key_hash, const hdk::KeyEntry& entry,
                        bool record_traffic);
 
-  /// Primary-fragment lookup on `owner`, the key's already resolved
-  /// responsible peer (nullptr when absent).
+  /// The published entry of `key` if `owner` holds it (nullptr when
+  /// absent or held elsewhere).
   const hdk::KeyEntry* PeekPrimary(PeerId owner, uint64_t key_hash,
                                    const hdk::TermKey& key) const;
 
@@ -600,27 +633,6 @@ class DistributedGlobalIndex {
   LevelOutcome EndLevelShard(Shard& shard, const HdkParams& params,
                              double avg_doc_length, bool notify_contributors,
                              bool record_traffic);
-
-  /// Recomputes the merge cache of the ledger entry at `pos` of `shard`
-  /// from its whole contribution history under `avg_doc_length` and
-  /// publishes it. With `changes` set, an entry whose published content
-  /// changed is noted there with its previous classification. Returns the
-  /// stored entry.
-  const hdk::KeyEntry& Rederive(
-      Shard& shard, size_t pos, const HdkParams& params,
-      double avg_doc_length,
-      hdk::KeyMap<DepartureBaseline::Change>* changes);
-
-  /// Derives the published KeyEntry of `key` from the ledger cache —
-  /// bit-identical to what a from-scratch build would publish — and
-  /// stores it on the responsible fragment slot of `shard` (which must be
-  /// the key's shard). `key_hash` = key.Hash64(), carried by the caller.
-  /// Returns the stored entry; `changed`, when set, receives whether its
-  /// content differs from before. Replica copies are the caller's job.
-  const hdk::KeyEntry& Publish(Shard& shard, const hdk::TermKey& key,
-                               uint64_t key_hash, LedgerEntry& ledger,
-                               const HdkParams& params, double avg_doc_length,
-                               bool* changed = nullptr);
 
   const dht::Overlay* overlay_;
   net::TrafficRecorder* traffic_;

@@ -10,10 +10,11 @@ namespace hdk::p2p {
 namespace {
 
 /// The delta scans' document lookup: `peer`'s own full list of a key,
-/// read back from the ledger.
-auto ContributionsOf(const DistributedGlobalIndex& global, PeerId peer) {
-  return [&global, peer](const hdk::TermKey& key) {
-    return global.ContributionOf(peer, key, key.Hash64());
+/// read back from the key table.
+auto ContributionsOf(const DistributedGlobalIndex& global, const Peer& peer) {
+  return [&global, &peer](const hdk::TermKey& key) {
+    return global.ContributionOf(peer.id(), peer.first_doc(), peer.last_doc(),
+                                 key, key.Hash64());
   };
 }
 
@@ -79,6 +80,19 @@ Result<std::unique_ptr<DistributedGlobalIndex>> HdkIndexingProtocol::Run(
       return Status::OutOfRange("invalid peer document range");
     }
     watermark = std::max(watermark, last);
+  }
+  // The key table derives a whole contribution from its contributor's
+  // document range (DistributedGlobalIndex::ContributionOf), so no two
+  // peers may share a document.
+  std::vector<std::pair<DocId, DocId>> sorted = peer_ranges;
+  std::sort(sorted.begin(), sorted.end());
+  DocId end = 0;
+  for (const auto& [first, last] : sorted) {
+    if (first == last) continue;
+    if (first < end) {
+      return Status::InvalidArgument("peer document ranges overlap");
+    }
+    end = last;
   }
   indexed_docs_ = watermark;
 
@@ -221,17 +235,19 @@ Status HdkIndexingProtocol::Depart(
 
   HDK_RETURN_NOT_OK(shrink_overlay());
 
-  // 1. The departed peer leaves the ledger, the fragments and the peer
-  //    set; everything else stays where it is. Survivors above it
-  //    renumber down by one, as the overlay did.
+  // 1. The departed peer leaves the key table and the peer set;
+  //    everything else stays where it is. Survivors above it renumber
+  //    down by one, as the overlay did.
   Stopwatch repair_watch;
   DepartureStats stats_out;
   DistributedGlobalIndex::DepartureBaseline baseline =
-      global_->BeginDeparture(departing, &stats_out);
+      global_->BeginDeparture(departing, peers_[departing].first_doc(),
+                              peers_[departing].last_doc(), &stats_out);
   peers_.erase(peers_.begin() + departing);
   for (size_t i = departing; i < peers_.size(); ++i) {
     peers_[i].set_id(static_cast<PeerId>(i));
   }
+  const std::vector<std::pair<DocId, DocId>> ranges = peer_ranges();
   report_.inserted_postings_per_peer.erase(
       report_.inserted_postings_per_peer.begin() + departing);
 
@@ -277,7 +293,7 @@ Status HdkIndexingProtocol::Depart(
     const bool facts = s < params_.s_max;
 
     DistributedGlobalIndex::LevelRepair repair = global_->RepairLevel(
-        baseline, s, params_, avgdl, facts,
+        baseline, s, params_, avgdl, facts, ranges,
         lost_terms.empty() && lost_keys.empty()
             ? std::function<bool(const hdk::TermKey&)>()
             : suspect,
@@ -329,7 +345,7 @@ Status HdkIndexingProtocol::Depart(
           s == 1 ? peer.BuildLevel1(store_, very_frequent_, &task.generation,
                                     &readmitted)
                  : peer.BuildLevelDelta(s, store_,
-                                        ContributionsOf(*global_, peer.id()),
+                                        ContributionsOf(*global_, peer),
                                         &task.generation);
       DistributedGlobalIndex::ContributionRuns runs;
       for (size_t ci = 0; ci < scanned.size(); ++ci) {
@@ -451,7 +467,7 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
     // contribution to the task's own per-shard runs, which reach the
     // index in one Submit when the task ends, so the wave shares no lock
     // per key; each task frees its candidate map before the next one
-    // starts (peak memory ~num_threads maps). The ledger is only read
+    // starts (peak memory ~num_threads maps). The key table is only read
     // (a peer's own contributions; nothing writes it before EndLevel),
     // and every mutation is either task-local (per-task counters, runs),
     // per-key commutative (EndLevel sorts each key's contributors and
@@ -468,19 +484,21 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
               ? peer.BuildLevel(s, store_, &task.generation,
                                 task.reserve_hint)
               : peer.BuildLevelDelta(s, store_,
-                                     ContributionsOf(*global_, peer.id()),
+                                     ContributionsOf(*global_, peer),
                                      &task.generation);
       task.candidates = candidates.size();
 
       // Hash-carrying insert wave: the candidate map caches each key's
       // Hash64, so the already-contributed probe, overlay routing, shard
-      // choice and the barrier's ledger probe all reuse it.
+      // choice and the barrier's table probe all reuse it.
       DistributedGlobalIndex::ContributionRuns runs;
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         auto& [key, pl] = candidates.entry(ci);
         const uint64_t key_hash = candidates.hash_at(ci);
         if (!task.is_new &&
-            global_->ContributionOf(peer.id(), key, key_hash) != nullptr) {
+            !global_->ContributionOf(peer.id(), peer.first_doc(),
+                                     peer.last_doc(), key, key_hash)
+                 .empty()) {
           continue;
         }
         ++task.keys_inserted;

@@ -11,8 +11,8 @@
 //     expands the key at level s+1.
 //
 // The protocol object is STATEFUL: after the initial Run() it retains every
-// peer's local knowledge (NDK oracle; its contributions stay in the global
-// index's ledger), so the network can
+// peer's local knowledge (NDK oracle; its contributions are recorded in the
+// global index's key table), so the network can
 // Grow() — the paper's evolution experiment, where peers join in waves and
 // contribute new documents. A growth step runs the same level-wise protocol
 // but only over the delta:
@@ -171,14 +171,15 @@ class HdkIndexingProtocol {
               GrowthStats* growth = nullptr);
 
   /// Departure (churn): peer `departing` leaves with its documents. The
-  /// repair works in place — the ledger, the fragments and the surviving
-  /// peers stay where they are. One pass drops the departed peer's
-  /// contributions and fragment and renumbers the peers above it; then,
+  /// repair works in place — the key table and the surviving peers stay
+  /// where they are. One pass drops the departed peer's contributions
+  /// (its document range leaves every merged list) and hands its fragment
+  /// over, and renumbers the peers above it; then,
   /// level by level, only the dirty keys are re-derived: the keys the
   /// departed peer contributed to, and the keys holding a contribution
   /// its survivor can no longer generate because it lost a fact below
   /// this level (a sub-key flipped back to HDK, or its contribution was
-  /// retracted). Retracted contributions leave the ledger, lost facts
+  /// retracted). Retracted contributions leave the key table, lost facts
   /// leave the survivor's oracle with one reverse notice each, and terms
   /// that dropped back under Ff re-enter the key
   /// vocabulary via targeted delta scans (the only insertions that

@@ -32,9 +32,7 @@ hdk::KeyMap<index::PostingList> Peer::BuildLevelDelta(
   // keys that only just crossed DFmax.
   std::vector<DocId> docs;
   auto append = [&](const hdk::TermKey& key) {
-    if (const index::PostingList* list = contribution(key)) {
-      for (const index::Posting& p : list->postings()) docs.push_back(p.doc);
-    }
+    for (const index::Posting& p : contribution(key)) docs.push_back(p.doc);
   };
   for (TermId t : delta_.terms) append(hdk::TermKey{t});
   if (s >= 3) {

@@ -8,12 +8,16 @@
 // the paper says level-s computation needs ("the global document
 // frequencies of the local size 1 and size (s-1) NDKs"). Which keys the
 // peer has contributed, with their full local lists, is not kept here a
-// second time: the global index's contribution ledger holds exactly that
-// (DistributedGlobalIndex::ContributionOf), the simulator's stand-in for
-// data that stays on the contributing peer.
+// second time: the global index's key table records each key's
+// contributors, and DistributedGlobalIndex::ContributionOf derives the
+// peer's list from it — the merged list restricted to the peer's
+// document range, or the kept list of a locally truncated contribution.
+// That is the simulator's stand-in for data that stays on the
+// contributing peer.
 #ifndef HDKP2P_P2P_PEER_H_
 #define HDKP2P_P2P_PEER_H_
 
+#include <span>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -59,9 +63,10 @@ class Peer {
       hdk::CandidateBuildStats* stats = nullptr,
       size_t expected_candidates = 0) const;
 
-  /// The peer's full local list of a key it contributed, or nullptr.
+  /// The peer's full local list of a key it contributed, or an empty
+  /// span.
   using ContributionLookup =
-      FunctionRef<const index::PostingList*(const hdk::TermKey&)>;
+      FunctionRef<std::span<const index::Posting>(const hdk::TermKey&)>;
 
   /// Only the level-s candidates that the peer's FRESH knowledge (facts
   /// learned since the last protocol pass, see fresh_knowledge()) makes

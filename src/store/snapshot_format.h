@@ -41,7 +41,7 @@ inline constexpr char kSnapshotMagic[4] = {'H', 'D', 'K', 'S'};
 //      next map's posting blobs are 4-byte aligned
 //   4  protocol section dropped each peer's published-key sets and
 //      published-doc map (the ledger already holds every contribution)
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// Section identifiers. Values are part of the wire format; never reuse
 /// a retired one.
@@ -51,7 +51,7 @@ enum class SectionId : uint32_t {
   kOverlay = 3,      // P-Grid paths / Chord placements
   kTraffic = 4,      // merged traffic counters
   kProtocol = 5,     // per-peer local state + cumulative report
-  kGlobalIndex = 6,  // per-shard ledger + published fragments
+  kGlobalIndex = 6,  // one key table per shard
   kEngine = 7,       // engine-level bookkeeping (rotation, last stats)
 };
 

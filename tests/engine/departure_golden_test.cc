@@ -11,7 +11,7 @@
 //
 // The file also pins the per-peer protocol state a departure leaves
 // behind (oracle facts, and the keys and lists each peer contributes to
-// the ledger) against a from-scratch build over the surviving ranges, and
+// the key table) against a from-scratch build over the surviving ranges, and
 // a snapshot round trip of the churned engine.
 #include <algorithm>
 #include <cstdint>
@@ -260,17 +260,26 @@ std::vector<hdk::TermKey> KeysOf(const hdk::KeySet& set) {
   return Sorted(std::vector<hdk::TermKey>(set.begin(), set.end()));
 }
 
-/// One peer's ledger contributions: (key, documents of its full local
-/// list), in key order.
+/// One peer's contributions: (key, documents of its full local list),
+/// in key order.
 using Contributed = std::vector<std::pair<hdk::TermKey, std::vector<DocId>>>;
 
-std::vector<Contributed> ContributionsByPeer(
-    const p2p::DistributedGlobalIndex& global, size_t num_peers) {
-  std::vector<Contributed> out(num_peers);
+std::vector<Contributed> ContributionsByPeer(const HdkSearchEngine& engine) {
+  const p2p::DistributedGlobalIndex& global = engine.global_index();
+  const std::vector<DocRange> ranges = engine.peer_ranges();
+  std::vector<Contributed> out(ranges.size());
   for (size_t shard = 0; shard < global.num_shards(); ++shard) {
-    for (const auto& [key, entry] : global.ShardLedger(shard)) {
-      for (const auto& c : entry.contributions) {
-        out.at(c.peer).emplace_back(key, c.full.Documents());
+    const auto& keys = global.ShardKeys(shard);
+    for (size_t pos = 0; pos < keys.size(); ++pos) {
+      const hdk::TermKey& key = keys.entry(pos).first;
+      for (const auto& c : global.ShardLedger(shard)[pos].contributors) {
+        std::vector<DocId> docs;
+        for (const index::Posting& p : global.ContributionOf(
+                 c.peer, ranges.at(c.peer).first, ranges.at(c.peer).second,
+                 key, keys.hash_at(pos))) {
+          docs.push_back(p.doc);
+        }
+        out.at(c.peer).emplace_back(key, std::move(docs));
       }
     }
   }
@@ -281,7 +290,7 @@ std::vector<Contributed> ContributionsByPeer(
 class DepartureStateTest : public ::testing::TestWithParam<size_t> {};
 
 // After the departures every survivor's local knowledge — oracle facts,
-// and the keys and documents it contributes to the ledger — is exactly
+// and the keys and documents it contributes to the key table — is exactly
 // what a from-scratch build over the surviving ranges gives that peer.
 TEST_P(DepartureStateTest, SurvivorStateEqualsFromScratchBuild) {
   const EngineConfig config =
@@ -297,9 +306,9 @@ TEST_P(DepartureStateTest, SurvivorStateEqualsFromScratchBuild) {
   const auto scratch_peers = (*scratch)->protocol().peers();
   ASSERT_EQ(churned_peers.size(), scratch_peers.size());
   const std::vector<Contributed> churned_contributions =
-      ContributionsByPeer(run.engine->global_index(), churned_peers.size());
+      ContributionsByPeer(*run.engine);
   const std::vector<Contributed> scratch_contributions =
-      ContributionsByPeer((*scratch)->global_index(), scratch_peers.size());
+      ContributionsByPeer(**scratch);
   for (size_t i = 0; i < churned_peers.size(); ++i) {
     SCOPED_TRACE("peer " + std::to_string(i));
     const p2p::Peer& got = churned_peers[i];

@@ -1,8 +1,17 @@
 #include "p2p/global_index.h"
 
+#include <filesystem>
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "../engine/churn_golden.h"
 #include "dht/pgrid.h"
+#include "engine/engine_snapshot.h"
+#include "engine/hdk_engine.h"
+#include "engine/membership.h"
+#include "engine/partition.h"
 
 namespace hdk::p2p {
 namespace {
@@ -15,6 +24,21 @@ class GlobalIndexTest : public ::testing::Test {
     HdkParams p;
     p.df_max = df_max;
     return p;
+  }
+
+  static std::vector<index::Posting> Postings(const index::PostingList& l) {
+    return {l.postings().begin(), l.postings().end()};
+  }
+
+  /// Peer `peer`'s contribution to `key`, where the peer owns documents
+  /// [100 r, 100 r + 100) for r = `range_of` (default: `peer` itself).
+  std::vector<index::Posting> ContributionOf(PeerId peer,
+                                            const hdk::TermKey& key,
+                                            PeerId range_of = kInvalidPeer) {
+    const DocId first = 100 * (range_of == kInvalidPeer ? peer : range_of);
+    const auto got =
+        index_.ContributionOf(peer, first, first + 100, key, key.Hash64());
+    return {got.begin(), got.end()};
   }
 
   dht::PGridOverlay overlay_;
@@ -154,12 +178,16 @@ TEST_F(GlobalIndexTest, SubmittedRunsStayPendingUntilEndLevelInAnyOrder) {
 
   ASSERT_EQ(outcome.notifications.size(), 1u);  // df 12 > 10
   EXPECT_EQ(outcome.notifications[0].second, (std::vector<PeerId>{0, 2}));
-  const auto& ledger = index_.ShardLedger(0);
-  const auto it = ledger.find(key);
-  ASSERT_NE(it, ledger.end());
-  ASSERT_EQ(it->second.contributions.size(), 2u);
-  EXPECT_EQ(it->second.contributions[0].peer, 0u);
-  EXPECT_EQ(it->second.contributions[1].peer, 2u);
+  const auto& keys = index_.ShardKeys(0);
+  const auto it = keys.find(key);
+  ASSERT_NE(it, keys.end());
+  const auto& contributors =
+      index_.ShardLedger(0)[it - keys.begin()].contributors;
+  ASSERT_EQ(contributors.size(), 2u);
+  EXPECT_EQ(contributors[0].peer, 0u);
+  EXPECT_EQ(contributors[0].local_df, 6u);
+  EXPECT_EQ(contributors[1].peer, 2u);
+  EXPECT_EQ(contributors[1].local_df, 6u);
 }
 
 TEST_F(GlobalIndexTest, NotificationsCanBeDisabled) {
@@ -297,54 +325,58 @@ TEST_F(GlobalIndexTest, ExportContainsEverything) {
   EXPECT_NE(contents.Find(hdk::TermKey{2, 3}), nullptr);
 }
 
-TEST_F(GlobalIndexTest, ContributionOfReadsTheMergedLedger) {
+TEST_F(GlobalIndexTest, ContributionOfDerivesWholeAndKeepsTruncated) {
+  // Peer p owns documents [100p, 100p + 100). Peers 1 and 3 send their
+  // lists whole; peer 2's local df 12 exceeds DFmax 10, so it sends its
+  // top 10 and the table keeps its full list.
   const hdk::TermKey key{4, 9};
-  const index::PostingList from1({{1, 2, 5}, {3, 1, 5}});
-  const index::PostingList from3({{7, 1, 5}});
+  const index::PostingList from1({{101, 2, 5}, {103, 1, 5}});
+  const index::PostingList from3({{307, 1, 5}});
+  std::vector<index::Posting> twelve;
+  for (DocId d = 200; d < 212; ++d) twelve.push_back({d, d - 199, 5});
+  const index::PostingList from2(twelve);
   index_.InsertPostings(3, key, from3, Params(10));
   index_.InsertPostings(1, key, from1, Params(10));
-  // Still in a run: nothing is in the ledger before the barrier.
-  EXPECT_EQ(index_.ContributionOf(1, key, key.Hash64()), nullptr);
-  EXPECT_EQ(index_.ContributionOf(3, key, key.Hash64()), nullptr);
+  index_.InsertPostings(2, key, from2, Params(10));
+  // Still in a run: nothing is in the table before the barrier.
+  EXPECT_TRUE(ContributionOf(1, key).empty());
+  EXPECT_TRUE(ContributionOf(3, key).empty());
   index_.EndLevel(Params(10), 5.0);
 
-  const index::PostingList* got1 = index_.ContributionOf(1, key, key.Hash64());
-  const index::PostingList* got3 = index_.ContributionOf(3, key, key.Hash64());
-  ASSERT_NE(got1, nullptr);
-  ASSERT_NE(got3, nullptr);
-  EXPECT_EQ(*got1, from1);
-  EXPECT_EQ(*got3, from3);
+  const hdk::KeyEntry* entry = index_.Peek(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->is_hdk);
+  EXPECT_EQ(entry->global_df, 15u);
+  EXPECT_EQ(ContributionOf(1, key), Postings(from1));
+  EXPECT_EQ(ContributionOf(2, key), Postings(from2));
+  EXPECT_EQ(ContributionOf(3, key), Postings(from3));
   // A peer that did not contribute, and a key nobody contributed.
-  EXPECT_EQ(index_.ContributionOf(0, key, key.Hash64()), nullptr);
-  EXPECT_EQ(index_.ContributionOf(2, key, key.Hash64()), nullptr);
+  EXPECT_TRUE(ContributionOf(0, key).empty());
   const hdk::TermKey absent{4, 10};
-  EXPECT_EQ(index_.ContributionOf(1, absent, absent.Hash64()), nullptr);
+  EXPECT_TRUE(ContributionOf(1, absent).empty());
 }
 
 TEST_F(GlobalIndexTest, ContributionOfFollowsDepartureRenumbering) {
   const hdk::TermKey key{6};
   const index::PostingList from0({{0, 1, 5}});
-  const index::PostingList from1({{4, 1, 5}});
-  const index::PostingList from3({{9, 1, 5}, {11, 3, 5}});
+  const index::PostingList from1({{104, 1, 5}});
+  const index::PostingList from3({{309, 1, 5}, {311, 3, 5}});
   index_.InsertPostings(0, key, from0, Params(10));
   index_.InsertPostings(1, key, from1, Params(10));
   index_.InsertPostings(3, key, from3, Params(10));
   index_.EndLevel(Params(10), 5.0);
 
   // Peer 1 leaves: the overlay shrinks first, then the index drops its
-  // contribution and renumbers peer 3 down to 2.
+  // contribution, its documents and renumbers peer 3 down to 2.
   ASSERT_TRUE(overlay_.RemovePeer(1).ok());
   DepartureStats stats;
-  index_.BeginDeparture(1, &stats);
+  index_.BeginDeparture(1, 100, 200, &stats);
   EXPECT_EQ(stats.removed_contributions, 1u);
-  const index::PostingList* survivor =
-      index_.ContributionOf(2, key, key.Hash64());
-  ASSERT_NE(survivor, nullptr);
-  EXPECT_EQ(*survivor, from3);
-  ASSERT_NE(index_.ContributionOf(0, key, key.Hash64()), nullptr);
-  EXPECT_EQ(*index_.ContributionOf(0, key, key.Hash64()), from0);
-  EXPECT_EQ(index_.ContributionOf(1, key, key.Hash64()), nullptr);
-  EXPECT_EQ(index_.ContributionOf(3, key, key.Hash64()), nullptr);
+  EXPECT_EQ(stats.removed_postings, 1u);
+  EXPECT_EQ(ContributionOf(2, key, /*range_of=*/3), Postings(from3));
+  EXPECT_EQ(ContributionOf(0, key), Postings(from0));
+  EXPECT_TRUE(ContributionOf(1, key, /*range_of=*/2).empty());
+  EXPECT_TRUE(ContributionOf(3, key).empty());
 }
 
 TEST(ShardedGlobalIndexTest, DefaultShardCountHeuristic) {
@@ -473,6 +505,128 @@ TEST(ShardedGlobalIndexTest, OverlayGrowthMigratesWithinShards) {
     EXPECT_NE(index.Peek(hdk::TermKey{t}), nullptr);
   }
 }
+
+// -- differential check: every contribution against the peer's own scan --
+
+/// (key, local list) of one peer, in key order.
+using LocalLists = std::map<hdk::TermKey, std::vector<index::Posting>>;
+
+/// Each peer's contributions as the key table derives them.
+std::vector<LocalLists> TableContributions(
+    const engine::HdkSearchEngine& engine) {
+  const DistributedGlobalIndex& global = engine.global_index();
+  const auto peers = engine.protocol().peers();
+  std::vector<LocalLists> out(peers.size());
+  for (size_t shard = 0; shard < global.num_shards(); ++shard) {
+    const auto& keys = global.ShardKeys(shard);
+    for (size_t pos = 0; pos < keys.size(); ++pos) {
+      const hdk::TermKey& key = keys.entry(pos).first;
+      for (const auto& c : global.ShardLedger(shard)[pos].contributors) {
+        const Peer& peer = peers[c.peer];
+        const auto list = global.ContributionOf(
+            c.peer, peer.first_doc(), peer.last_doc(), key, keys.hash_at(pos));
+        EXPECT_EQ(list.size(), c.local_df);
+        out[c.peer].emplace(key,
+                            std::vector<index::Posting>(list.begin(),
+                                                        list.end()));
+      }
+    }
+  }
+  return out;
+}
+
+/// Each peer's local lists computed from its documents: its candidates at
+/// every level under its current knowledge — exactly the keys a
+/// from-scratch build has it contribute.
+std::vector<LocalLists> ScannedLocalLists(
+    const engine::HdkSearchEngine& engine,
+    const corpus::DocumentStore& store, uint32_t s_max) {
+  std::vector<LocalLists> out;
+  for (const Peer& peer : engine.protocol().peers()) {
+    LocalLists& lists = out.emplace_back();
+    for (uint32_t s = 1; s <= s_max; ++s) {
+      const hdk::KeyMap<index::PostingList> candidates =
+          s == 1 ? peer.BuildLevel1(store, engine.protocol().very_frequent())
+                 : peer.BuildLevel(s, store);
+      for (const auto& [key, list] : candidates) {
+        lists.emplace(key, std::vector<index::Posting>(
+                               list.postings().begin(), list.postings().end()));
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectContributionsMatchScans(const engine::HdkSearchEngine& engine,
+                                   const corpus::DocumentStore& store,
+                                   uint32_t s_max, const char* stage) {
+  SCOPED_TRACE(stage);
+  const std::vector<LocalLists> got = TableContributions(engine);
+  const std::vector<LocalLists> want = ScannedLocalLists(engine, store, s_max);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t p = 0; p < got.size(); ++p) {
+    SCOPED_TRACE("peer " + std::to_string(p));
+    EXPECT_FALSE(got[p].empty());
+    EXPECT_TRUE(got[p] == want[p]);
+  }
+}
+
+class ContributionDifferentialTest : public ::testing::TestWithParam<size_t> {
+};
+
+// A build, a join that shifts avgdl (and re-truncates), a departure with
+// retractions, and a departure on a snapshot-loaded engine, whose merged
+// lists still borrow the mapped file (the copy-on-write path): after
+// each, ContributionOf equals every peer's own scan for every key.
+TEST_P(ContributionDifferentialTest, EveryContributionEqualsThePeersScan) {
+  engine::EngineConfig config;
+  config.hdk.df_max = 8;
+  config.hdk.very_frequent_threshold = 350;
+  config.hdk.window = 8;
+  config.hdk.s_max = 3;
+  config.num_threads = GetParam();
+  const uint32_t s_max = config.hdk.s_max;
+
+  corpus::SyntheticCorpus corpus = engine::ChurnCorpus();
+  corpus::DocumentStore store;
+  corpus.FillStore(300, &store);
+  auto built =
+      engine::HdkSearchEngine::Build(config, store, engine::SplitEvenly(300, 5));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  engine::HdkSearchEngine& engine = **built;
+  ExpectContributionsMatchScans(engine, store, s_max, "build");
+
+  corpus.FillStore(420, &store);
+  ASSERT_TRUE(
+      engine.ApplyMembership(store, engine::JoinWave(300, 2, 60)).ok());
+  ExpectContributionsMatchScans(engine, store, s_max, "join");
+
+  ASSERT_TRUE(
+      engine.ApplyMembership(store, {engine::MembershipEvent::Leave(5)}).ok());
+  EXPECT_GT(engine.last_departure().retracted_keys, 0u);
+  ExpectContributionsMatchScans(engine, store, s_max, "departure");
+
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("contribution_differential_" + std::to_string(GetParam()) + ".hdks"))
+          .string();
+  ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+  auto loaded = engine::LoadEngineSnapshot(config, store, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectContributionsMatchScans(**loaded, store, s_max, "load");
+  ASSERT_TRUE((*loaded)
+                  ->ApplyMembership(store, {engine::MembershipEvent::Leave(1)})
+                  .ok());
+  ExpectContributionsMatchScans(**loaded, store, s_max,
+                                "departure after load");
+  std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ContributionDifferentialTest,
+                         ::testing::Values<size_t>(1, 4),
+                         [](const auto& info) {
+                           return "threads_" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace hdk::p2p

@@ -70,21 +70,35 @@ int main(int argc, char** argv) {
                 s.id, s.name.c_str(), s.offset, s.length, s.checksum);
   }
 
+  // One key table per shard: published postings (an HDK's merged list
+  // is its published list), the NDKs' merged lists, the kept lists of
+  // locally truncated contributions and the contributor records.
   std::printf("\nglobal index: %zu shard(s)\n", d.shards.size());
-  std::printf("%6s %12s %16s %14s %18s\n", "shard", "ledger_keys",
-              "ledger_postings", "fragment_keys", "fragment_postings");
-  uint64_t keys = 0, postings = 0;
+  std::printf("%6s %10s %12s %12s %10s %14s\n", "shard", "keys",
+              "published", "ndk_merged", "kept", "contributors");
+  engine::SnapshotDescription::Shard total;
   for (size_t i = 0; i < d.shards.size(); ++i) {
     const auto& s = d.shards[i];
-    std::printf("%6zu %12" PRIu64 " %16" PRIu64 " %14" PRIu64 " %18" PRIu64
-                "\n",
-                i, s.ledger_keys, s.ledger_postings, s.fragment_keys,
-                s.fragment_postings);
-    keys += s.ledger_keys;
-    postings += s.ledger_postings;
+    std::printf("%6zu %10" PRIu64 " %12" PRIu64 " %12" PRIu64 " %10" PRIu64
+                " %14" PRIu64 "\n",
+                i, s.keys, s.published_postings, s.ndk_merged_postings,
+                s.kept_postings, s.contributor_records);
+    total.keys += s.keys;
+    total.published_postings += s.published_postings;
+    total.ndk_merged_postings += s.ndk_merged_postings;
+    total.kept_postings += s.kept_postings;
+    total.contributor_records += s.contributor_records;
   }
-  std::printf("\ntotal: %" PRIu64 " keys | %" PRIu64 " ledger postings\n",
-              keys, postings);
+  const auto mib = [](uint64_t bytes) { return bytes / (1024.0 * 1024.0); };
+  std::printf("\ntotal: %" PRIu64 " keys | postings: %" PRIu64
+              " published (%.1f MiB), %" PRIu64 " NDK merged (%.1f MiB), %"
+              PRIu64 " kept (%.1f MiB) | %" PRIu64
+              " contributor records (%.1f MiB)\n",
+              total.keys, total.published_postings,
+              mib(12 * total.published_postings), total.ndk_merged_postings,
+              mib(12 * total.ndk_merged_postings), total.kept_postings,
+              mib(12 * total.kept_postings), total.contributor_records,
+              mib(8 * total.contributor_records));
 
   if (!d.replica_keys_per_peer.empty()) {
     std::printf("\nreplica holders (replication %" PRIu32 "):\n",
