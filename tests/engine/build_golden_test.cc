@@ -111,13 +111,13 @@ struct Golden {
 // Recorded on the mutex-guarded pending-table insert path.
 constexpr Golden kGoldens[] = {
     {OverlayKind::kPGrid, false, 0x9e52188a75e7042fULL, 0x792db781a9f587cdULL,
-     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 0, 0, 4469216, 4475792},
+     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 0, 0, 2426408, 2427728},
     {OverlayKind::kChord, false, 0x9e52188a75e7042fULL, 0x3fb9c0e2573c38efULL,
-     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 0, 0, 4469216, 4475776},
+     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 0, 0, 2426400, 2427720},
     {OverlayKind::kPGrid, true, 0x9e52188a75e7042fULL, 0xae58f515496641cfULL,
-     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 0, 0, 4469216, 4475792},
+     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 0, 0, 2426408, 2427728},
     {OverlayKind::kChord, true, 0x9e52188a75e7042fULL, 0xf0b7b63adf06896fULL,
-     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 0, 0, 4469216, 4475776},
+     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 0, 0, 2426400, 2427720},
 };
 
 const char* OverlayName(OverlayKind overlay) {

@@ -170,13 +170,13 @@ struct Golden {
 // replaced; both must agree message for message.
 constexpr Golden kGoldens[] = {
     {OverlayKind::kPGrid, 1, 0xdf1f364b5ea85a81ULL, 0x0ee99e6383a1c9d9ULL,
-     0xd53bccbfe95a5233ULL, 0x2b32135d4f3e7b73ULL, 2658640, 2662720},
+     0xd53bccbfe95a5233ULL, 0x2b32135d4f3e7b73ULL, 1456504, 1457824},
     {OverlayKind::kChord, 1, 0xdf1f364b5ea85a81ULL, 0x46f9a7073e98c676ULL,
-     0xf140c83ecb2a972aULL, 0x2b32135d4f3e7b73ULL, 2658640, 2662728},
+     0xf140c83ecb2a972aULL, 0x2b32135d4f3e7b73ULL, 1456504, 1457824},
     {OverlayKind::kPGrid, 2, 0xdf1f364b5ea85a81ULL, 0xb71c51cf3e52d4a5ULL,
-     0xfedaa32d045952faULL, 0x2b32135d4f3e7b73ULL, 2658640, 2662720},
+     0xfedaa32d045952faULL, 0x2b32135d4f3e7b73ULL, 1456504, 1457824},
     {OverlayKind::kChord, 2, 0xdf1f364b5ea85a81ULL, 0x78e626065e8c1ee1ULL,
-     0xb0dcdb1a15e04690ULL, 0x2b32135d4f3e7b73ULL, 2658640, 2662728},
+     0xb0dcdb1a15e04690ULL, 0x2b32135d4f3e7b73ULL, 1456504, 1457824},
 };
 
 const char* OverlayName(OverlayKind overlay) {
