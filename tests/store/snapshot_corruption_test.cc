@@ -165,15 +165,73 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongFormatVersion) {
-  // A future version, and the previous layout (v3 still carried per-peer
-  // published columns), are refused before any section is decoded.
-  for (const uint32_t bogus : {store::kSnapshotFormatVersion + 7,
-                               store::kSnapshotFormatVersion - 1}) {
+  // A future version and the previous layouts (v4 kept a ledger map and
+  // per-peer fragment maps, v3 per-peer published columns) are refused
+  // before any section is decoded.
+  for (const uint32_t bogus : {store::kSnapshotFormatVersion + 7, 4u, 3u}) {
     std::vector<char> bytes = *bytes_;
     std::memcpy(bytes.data() + offsetof(store::SnapshotHeader, format_version),
                 &bogus, sizeof(bogus));
     ExpectRejected(bytes, "wrong format version", "version");
   }
+}
+
+/// Overwrites the u32 at element `element` of column `column` of the
+/// first shard's key table in the global-index section, then re-seals the
+/// section and table checksums, so only the loader's semantic checks
+/// stand between the edit and the engine. The table's columns, in order:
+/// hashes (u64), keys (28 bytes), contributor counts, contributor ids,
+/// local dfs (u32 each), global dfs (u64), owners (u32).
+std::vector<char> RewriteKeyTableU32(const std::vector<char>& original,
+                                     size_t column, uint64_t element,
+                                     uint32_t value) {
+  std::vector<char> bytes = original;
+  store::SnapshotHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (uint32_t s = 0; s < header.num_sections; ++s) {
+    const size_t at = sizeof(header) + s * sizeof(store::SectionEntry);
+    store::SectionEntry entry;
+    std::memcpy(&entry, bytes.data() + at, sizeof(entry));
+    if (entry.id != static_cast<uint32_t>(store::SectionId::kGlobalIndex)) {
+      continue;
+    }
+    constexpr size_t kElementBytes[] = {8, 28, 4, 4, 4, 8, 4};
+    // Past the shard and peer counts, each column is a u64 count plus
+    // its elements.
+    size_t offset = entry.offset + 2 * sizeof(uint64_t);
+    for (size_t c = 0; c < column; ++c) {
+      uint64_t count = 0;
+      std::memcpy(&count, bytes.data() + offset, sizeof(count));
+      offset += sizeof(count) + count * kElementBytes[c];
+    }
+    uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + offset, sizeof(count));
+    EXPECT_LT(element, count);
+    std::memcpy(bytes.data() + offset + sizeof(count) + element * 4, &value,
+                sizeof(value));
+    entry.checksum =
+        store::SnapshotChecksum(bytes.data() + entry.offset, entry.length);
+    std::memcpy(bytes.data() + at, &entry, sizeof(entry));
+    header.table_checksum = store::SnapshotChecksum(
+        bytes.data() + sizeof(header),
+        header.num_sections * sizeof(store::SectionEntry));
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    return bytes;
+  }
+  ADD_FAILURE() << "no global-index section";
+  return bytes;
+}
+
+TEST_F(SnapshotCorruptionTest, ResealedKeyTableFailsSemanticChecks) {
+  // Checksums intact, contents wrong: each edit would crash or corrupt
+  // the next Join or departure if the loader accepted it. The test
+  // engine has 4 peers.
+  ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/3, 0, 4),
+                 "contributor id past the peer count", "contributor ids");
+  ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/4, 0, 1000),
+                 "local df off the global df", "sum to the global df");
+  ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/6, 0, 4),
+                 "owner past the peer count", "owner out of range");
 }
 
 TEST_F(SnapshotCorruptionTest, WrongConfigHashInHeader) {
