@@ -128,12 +128,19 @@ void EraseSlot(hdk::KeyMap<Published>& keys, std::vector<Ledger>& ledger,
   ledger.pop_back();
 }
 
-/// One contribution in the level barrier's sort: the sort key and where
-/// the contribution waits in its run.
+/// One contribution in the level barrier's sort: the sort key, where the
+/// contribution waits in its run and where its postings start in the
+/// run's pool.
 struct SortSlot {
   hdk::TermKey key;
   PeerId peer = kInvalidPeer;
-  DistributedGlobalIndex::PendingContribution* pending = nullptr;
+  const DistributedGlobalIndex::PendingContribution* pending = nullptr;
+  const index::Posting* postings = nullptr;
+
+  /// The contributor's full local list, borrowed from the pool.
+  index::PostingList Full() const {
+    return index::PostingList::Borrowed({postings, pending->local_df});
+  }
 };
 
 }  // namespace
@@ -215,15 +222,20 @@ uint64_t DistributedGlobalIndex::InsertPostings(
   const bool redeliver = !sent.delivered;
 
   if (runs.by_shard_.empty()) runs.by_shard_.resize(shards_.size());
-  runs.by_shard_[ShardOf(key_hash)].push_back(PendingContribution{
-      key, redeliver, src, key_hash, std::move(full_local)});
+  ContributionRun& run = runs.by_shard_[ShardOf(key_hash)];
+  const std::span<const index::Posting> full = full_local.postings();
+  run.contributions.push_back(PendingContribution{
+      key, redeliver, src, key_hash,
+      static_cast<uint32_t>(run.postings.size()),
+      static_cast<uint32_t>(full.size())});
+  run.postings.insert(run.postings.end(), full.begin(), full.end());
   return payload;
 }
 
 void DistributedGlobalIndex::Submit(ContributionRuns&& runs) {
   std::lock_guard<std::mutex> lock(submit_mu_);
   for (size_t i = 0; i < runs.by_shard_.size(); ++i) {
-    if (!runs.by_shard_[i].empty()) {
+    if (!runs.by_shard_[i].contributions.empty()) {
       shards_[i]->runs.push_back(std::move(runs.by_shard_[i]));
     }
   }
@@ -310,12 +322,15 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
   // routing).
   std::vector<SortSlot> order;
   size_t total = 0;
-  for (const auto& run : shard.runs) total += run.size();
+  for (const ContributionRun& run : shard.runs) {
+    total += run.contributions.size();
+  }
   order.reserve(total);
   bool any_redeliver = false;
-  for (auto& run : shard.runs) {
-    for (PendingContribution& c : run) {
-      order.push_back(SortSlot{c.key, c.peer, &c});
+  for (const ContributionRun& run : shard.runs) {
+    for (const PendingContribution& c : run.contributions) {
+      order.push_back(
+          SortSlot{c.key, c.peer, &c, run.postings.data() + c.offset});
       any_redeliver |= c.redeliver;
     }
   }
@@ -340,7 +355,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       }
       if (record_traffic) {
         traffic_->Record(slot.peer, dst, net::MessageKind::kInsertPostings,
-                         TransmittedPostings(c.full.size(), params),
+                         TransmittedPostings(c.local_df, params),
                          overlay_->Route(slot.peer, c.key_hash));
       }
       return false;
@@ -382,16 +397,19 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
     const size_t old_kept = ledger.kept.size();
     ledger.contributors.reserve(old_count + (last - first));
     for (size_t i = first; i < last; ++i) {
-      PendingContribution& c = *order[i].pending;
-      const auto local_df = static_cast<uint32_t>(c.full.size());
+      const SortSlot& c = order[i];
+      const uint32_t local_df = c.pending->local_df;
       ledger.contributors.push_back(Contributor{c.peer, local_df});
       slot.entry.global_df += local_df;
       if (local_df <= params.df_max) {
-        merged.MergeFrom(std::move(c.full));
+        merged.Merge(c.Full());
       } else {
-        merged.MergeFrom(TopBy(c.full, params.EffectiveNdkTruncation(),
+        merged.MergeFrom(TopBy(c.Full(), params.EffectiveNdkTruncation(),
                                avg_doc_length));
-        ledger.kept.push_back(KeptList{c.peer, std::move(c.full)});
+        // Copied out of the pool, which the runs' release frees.
+        index::PostingList full;
+        full.Merge(c.Full());
+        ledger.kept.push_back(KeptList{c.peer, std::move(full)});
       }
     }
     std::inplace_merge(ledger.contributors.begin(),

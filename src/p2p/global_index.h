@@ -141,18 +141,29 @@ class DistributedGlobalIndex {
     bool redeliver = false;
     PeerId peer = kInvalidPeer;
     uint64_t key_hash = 0;
-    /// The contributor's full local list (local df == full.size()).
-    index::PostingList full;
+    /// The contributor's full local list: `local_df` postings from
+    /// `offset` of its run's posting pool.
+    uint32_t offset = 0;
+    uint32_t local_df = 0;
+  };
+
+  /// One task's contributions to one shard, in append order, with the
+  /// pool their lists are copied into. The barrier merges out of the pool
+  /// and frees it whole: a per-contribution list allocated by the scan
+  /// thread and freed by the merging one costs the merge a cross-thread
+  /// free per contribution.
+  struct ContributionRun {
+    std::vector<PendingContribution> contributions;
+    std::vector<index::Posting> postings;
   };
 
   /// One task's contributions of the current level to one index, one run
-  /// per shard in append order. The task that fills it owns it, so
-  /// InsertPostings appends without a lock; Submit hands the runs to the
-  /// index once.
+  /// per shard. The task that fills it owns it, so InsertPostings appends
+  /// without a lock; Submit hands the runs to the index once.
   class ContributionRuns {
    private:
     friend class DistributedGlobalIndex;
-    std::vector<std::vector<PendingContribution>> by_shard_;
+    std::vector<ContributionRun> by_shard_;
   };
 
   /// The published part of a key-table slot: the entry FetchFrom returns
@@ -590,7 +601,7 @@ class DistributedGlobalIndex {
   /// one worker during the shard-parallel merge paths.
   struct Shard {
     /// Runs submitted since the last EndLevel call, which frees them.
-    std::vector<std::vector<PendingContribution>> runs;
+    std::vector<ContributionRun> runs;
     /// The key table: every key's published entry and owner.
     hdk::KeyMap<Published> keys;
     /// Its side column: ledger[pos] belongs to keys.entry(pos), so every
