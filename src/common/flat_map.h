@@ -15,7 +15,7 @@
 //   * CACHED HASHES: the index keeps each entry's full 64-bit hash, so a
 //     rehash never touches the keys (tombstone-free: deletion
 //     backward-shifts the probe chain instead of leaving tombstones) and
-//     long-lived tables (the global index's ledger and fragments) never
+//     long-lived tables (the global index's key tables) never
 //     re-hash a TermKey's term array. `hash_at(i)` exposes the cached
 //     hash so call sites can carry it to the next table (shard routing,
 //     DHT placement) instead of recomputing it.
@@ -150,7 +150,7 @@ class FlatIndex {
     // cache, so the insert loop is bound by dependent cache misses.
     // Prefetching the home slot a fixed distance ahead overlaps those
     // misses; for million-key tables (the snapshot load path rebuilds
-    // every index of the global ledger) this is a 2x-3x faster rebuild.
+    // every index of the global key tables) this is a 2x-3x faster rebuild.
     constexpr size_t kPrefetchAhead = 16;
     const size_t n = hashes.size();
     for (size_t pos = 0; pos < n; ++pos) {

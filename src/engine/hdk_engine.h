@@ -177,7 +177,7 @@ class HdkSearchEngine : public SearchEngine {
   /// LIMITATION: the result equals a fault-free build over the survivors
   /// only if no contribution was routed to a peer while it was already
   /// dead. Such contributions (and NDK notifications) are dropped before
-  /// they reach the ledger — counted in global_index().
+  /// they reach the key table — counted in global_index().
   /// lost_contributions() / lost_notifications() — so the repair cannot
   /// re-route them and the evicted index misses their keys. ROADMAP item
   /// 1(a) tracks the fix.
@@ -227,8 +227,8 @@ class HdkSearchEngine : public SearchEngine {
   net::FaultInjector injector_;
   net::PeerHealth health_;
   /// Set only on snapshot-restored engines: keeps the snapshot's mmap
-  /// alive, because restored posting lists (ledger contributions, merge
-  /// caches, fragments) borrow their elements straight from the mapped
+  /// alive, because restored posting lists (published lists, NDK merged
+  /// lists, kept lists) borrow their elements straight from the mapped
   /// file until first mutation (see index::PostingList).
   std::shared_ptr<store::SnapshotReader> snapshot_backing_;
   const corpus::DocumentStore* store_ = nullptr;

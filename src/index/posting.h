@@ -63,8 +63,8 @@ class PostingList {
 
   /// Merge overload consuming `other`: when this list is empty the
   /// backing vector is stolen outright, otherwise the merge loop moves
-  /// postings out of `other`. The global index's ledger cache folds
-  /// freshly truncated (temporary) contribution lists through this path.
+  /// postings out of `other`. The global index merges each new
+  /// contribution into its key's merged list through this path.
   void MergeFrom(PostingList&& other);
 
   /// Keeps only the `limit` postings with the highest `score(posting)`,

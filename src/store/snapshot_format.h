@@ -41,6 +41,9 @@ inline constexpr char kSnapshotMagic[4] = {'H', 'D', 'K', 'S'};
 //      next map's posting blobs are 4-byte aligned
 //   4  protocol section dropped each peer's published-key sets and
 //      published-doc map (the ledger already holds every contribution)
+//   5  global-index section is one key table per shard: keys once,
+//      contributor records, published lists, NDK merged lists and the
+//      kept lists of locally truncated contributions; no flag columns
 inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// Section identifiers. Values are part of the wire format; never reuse
