@@ -146,66 +146,50 @@ void WritePostingBlob(SnapshotWriter& w, const index::PostingList& list) {
   w.WriteBytes(postings.data(), postings.size() * sizeof(index::Posting));
 }
 
-/// One shard's key table, written once: keys, the contributor column,
-/// the published column, the NDK merged lists and the kept lists. An
-/// HDK's merged list is its published list, so it is not written twice.
+/// One shard's key table, written once: the keys, then the count
+/// columns (contributors, global dfs, owners, published, NDK merged and
+/// kept list lengths), then each key's lists back to back — published,
+/// NDK merged, kept. An HDK's merged list is its published list, so it
+/// is not written twice.
 void WriteKeyTable(SnapshotWriter& w, const KeyTable& keys,
                    const std::vector<Ledger>& ledger) {
   WriteKeyMapKeys(w, keys);
-  const size_t n = keys.size();
-  std::vector<uint32_t> contrib_counts;
-  std::vector<uint32_t> contrib_peers;
-  std::vector<uint32_t> contrib_dfs;
+  std::vector<uint32_t> contrib_counts, contrib_peers, contrib_dfs, owners,
+      counts, merged_counts, kept_index, kept_counts;
   std::vector<uint64_t> dfs;
-  std::vector<uint32_t> owners;
-  std::vector<uint32_t> counts;
-  std::vector<uint32_t> merged_counts;
-  std::vector<uint32_t> kept_index;
-  std::vector<uint32_t> kept_counts;
-  contrib_counts.reserve(n);
-  dfs.reserve(n);
-  owners.reserve(n);
-  counts.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& slot = keys.entry(i).second;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const hdk::KeyEntry& entry = keys.entry(i).second.entry;
     const Ledger& side = ledger[i];
     contrib_counts.push_back(static_cast<uint32_t>(side.contributors.size()));
-    size_t kept = 0;
+    auto kept = side.kept.begin();
     for (const auto& c : side.contributors) {
-      if (kept < side.kept.size() && side.kept[kept].peer == c.peer) {
+      if (kept != side.kept.end() && kept->peer == c.peer) {
         kept_index.push_back(static_cast<uint32_t>(contrib_peers.size()));
-        kept_counts.push_back(
-            static_cast<uint32_t>(side.kept[kept++].full.size()));
+        kept_counts.push_back(static_cast<uint32_t>((kept++)->full.size()));
       }
       contrib_peers.push_back(c.peer);
       contrib_dfs.push_back(c.local_df);
     }
-    dfs.push_back(slot.entry.global_df);
-    owners.push_back(slot.owner);
-    counts.push_back(static_cast<uint32_t>(slot.entry.postings.size()));
-    if (!slot.entry.is_hdk) {
+    dfs.push_back(entry.global_df);
+    owners.push_back(keys.entry(i).second.owner);
+    counts.push_back(static_cast<uint32_t>(entry.postings.size()));
+    if (!entry.is_hdk) {
       merged_counts.push_back(static_cast<uint32_t>(side.merged.size()));
     }
   }
-  w.WriteArray(contrib_counts);
-  w.WriteArray(contrib_peers);
-  w.WriteArray(contrib_dfs);
+  for (const auto* column : {&contrib_counts, &contrib_peers, &contrib_dfs}) {
+    w.WriteArray(*column);
+  }
   w.WriteArray(dfs);
-  w.WriteArray(owners);
-  w.WriteArray(counts);
-  for (size_t i = 0; i < n; ++i) {
-    WritePostingBlob(w, keys.entry(i).second.entry.postings);
+  for (const auto* column :
+       {&owners, &counts, &merged_counts, &kept_index, &kept_counts}) {
+    w.WriteArray(*column);
   }
-  w.WriteArray(merged_counts);
-  for (size_t i = 0; i < n; ++i) {
-    if (!keys.entry(i).second.entry.is_hdk) {
-      WritePostingBlob(w, ledger[i].merged);
-    }
-  }
-  w.WriteArray(kept_index);
-  w.WriteArray(kept_counts);
-  for (const Ledger& side : ledger) {
-    for (const auto& kept : side.kept) WritePostingBlob(w, kept.full);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const hdk::KeyEntry& entry = keys.entry(i).second.entry;
+    WritePostingBlob(w, entry.postings);
+    if (!entry.is_hdk) WritePostingBlob(w, ledger[i].merged);
+    for (const auto& kept : ledger[i].kept) WritePostingBlob(w, kept.full);
   }
 }
 
@@ -219,20 +203,20 @@ Status ReadKeyTable(SectionCursor& cur, uint64_t df_max, uint64_t num_peers,
   std::vector<uint64_t> hashes;
   HDK_RETURN_NOT_OK(ReadKeyMapKeys(cur, &keys, &hashes));
   const size_t n = keys.size();
-  std::vector<uint32_t> contrib_counts;
-  std::vector<uint32_t> contrib_peers;
-  std::vector<uint32_t> contrib_dfs;
+  std::vector<uint32_t> contrib_counts, contrib_peers, contrib_dfs, owners,
+      counts, merged_counts, kept_index, kept_counts;
   std::vector<uint64_t> dfs;
-  std::vector<uint32_t> owners;
-  std::vector<uint32_t> counts;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_counts));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_peers));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&contrib_dfs));
+  for (auto* column : {&contrib_counts, &contrib_peers, &contrib_dfs}) {
+    HDK_RETURN_NOT_OK(cur.ReadArray(column));
+  }
   HDK_RETURN_NOT_OK(cur.ReadArray(&dfs));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&owners));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&counts));
+  for (auto* column :
+       {&owners, &counts, &merged_counts, &kept_index, &kept_counts}) {
+    HDK_RETURN_NOT_OK(cur.ReadArray(column));
+  }
   if (contrib_counts.size() != n || contrib_dfs.size() != contrib_peers.size() ||
-      dfs.size() != n || owners.size() != n || counts.size() != n) {
+      dfs.size() != n || owners.size() != n || counts.size() != n ||
+      kept_counts.size() != kept_index.size()) {
     return Status::IOError("snapshot: key table column sizes disagree");
   }
   // reserve + emplace, not resize: these run to millions of entries, and
@@ -243,9 +227,7 @@ Status ReadKeyTable(SectionCursor& cur, uint64_t df_max, uint64_t num_peers,
   entries.reserve(n);
   ledger->clear();
   ledger->reserve(n);
-  size_t next = 0;
-  size_t ndks = 0;
-  size_t truncated = 0;
+  size_t next = 0, ndk = 0, kept = 0;
   for (size_t i = 0; i < n; ++i) {
     if (contrib_counts[i] == 0 ||
         contrib_counts[i] > contrib_peers.size() - next) {
@@ -256,23 +238,6 @@ Status ReadKeyTable(SectionCursor& cur, uint64_t df_max, uint64_t num_peers,
     if (owners[i] >= num_peers) {
       return Status::IOError("snapshot: key owner out of range");
     }
-    Ledger& side = ledger->emplace_back();
-    side.contributors.reserve(contrib_counts[i]);
-    uint64_t df_sum = 0;
-    for (uint32_t j = 0; j < contrib_counts[i]; ++j, ++next) {
-      const PeerId peer = contrib_peers[next];
-      if (peer >= num_peers || (j > 0 && peer <= contrib_peers[next - 1])) {
-        return Status::IOError(
-            "snapshot: contributor ids out of range or not ascending");
-      }
-      side.contributors.push_back({peer, contrib_dfs[next]});
-      df_sum += contrib_dfs[next];
-      truncated += contrib_dfs[next] > df_max;
-    }
-    if (df_sum != dfs[i]) {
-      return Status::IOError(
-          "snapshot: local dfs do not sum to the global df");
-    }
     auto& published = entries.emplace_back(std::piecewise_construct,
                                            std::forward_as_tuple(keys[i]),
                                            std::forward_as_tuple())
@@ -280,57 +245,50 @@ Status ReadKeyTable(SectionCursor& cur, uint64_t df_max, uint64_t num_peers,
     published.owner = owners[i];
     published.entry.global_df = dfs[i];
     published.entry.is_hdk = dfs[i] <= df_max;
-    ndks += !published.entry.is_hdk;
     HDK_RETURN_NOT_OK(
         ReadPostingSlice(cur, counts[i], &published.entry.postings));
-  }
-  if (next != contrib_peers.size()) {
-    return Status::IOError(
-        "snapshot: contributor column longer than its counts claim");
-  }
-  std::vector<uint32_t> merged_counts;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&merged_counts));
-  if (merged_counts.size() != ndks) {
-    return Status::IOError("snapshot: merged lists disagree with the NDKs");
-  }
-  size_t ndk = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (entries[i].second.entry.is_hdk) continue;
-    HDK_RETURN_NOT_OK(
-        ReadPostingSlice(cur, merged_counts[ndk++], &(*ledger)[i].merged));
-  }
-  std::vector<uint32_t> kept_index;
-  std::vector<uint32_t> kept_counts;
-  HDK_RETURN_NOT_OK(cur.ReadArray(&kept_index));
-  HDK_RETURN_NOT_OK(cur.ReadArray(&kept_counts));
-  if (kept_index.size() != kept_counts.size() ||
-      kept_index.size() != truncated) {
-    return Status::IOError(
-        "snapshot: kept lists disagree with the truncated contributions");
-  }
-  // Walk the contributor column once more, attaching each kept list to
-  // the contribution it names.
-  size_t kept = 0;
-  next = 0;
-  for (Ledger& side : *ledger) {
-    for (const auto& c : side.contributors) {
-      const bool has_kept = kept < kept_index.size() && kept_index[kept] == next;
-      ++next;
-      if (has_kept != (c.local_df > df_max)) {
-        return Status::IOError(
-            "snapshot: a kept list for a contribution sent whole, or none "
-            "for a truncated one");
+    Ledger& side = ledger->emplace_back();
+    if (!published.entry.is_hdk) {
+      if (ndk == merged_counts.size()) {
+        return Status::IOError("snapshot: fewer merged lists than NDKs");
       }
-      if (!has_kept) continue;
-      if (kept_counts[kept] != c.local_df) {
-        return Status::IOError(
-            "snapshot: kept list length differs from its local df");
-      }
-      auto& kept_list = side.kept.emplace_back();
-      kept_list.peer = c.peer;
       HDK_RETURN_NOT_OK(
-          ReadPostingSlice(cur, kept_counts[kept++], &kept_list.full));
+          ReadPostingSlice(cur, merged_counts[ndk++], &side.merged));
     }
+    side.contributors.reserve(contrib_counts[i]);
+    uint64_t df_sum = 0;
+    for (uint32_t j = 0; j < contrib_counts[i]; ++j, ++next) {
+      const PeerId peer = contrib_peers[next];
+      const uint32_t local_df = contrib_dfs[next];
+      if (peer >= num_peers || (j > 0 && peer <= contrib_peers[next - 1])) {
+        return Status::IOError(
+            "snapshot: contributor ids out of range or not ascending");
+      }
+      side.contributors.push_back({peer, local_df});
+      df_sum += local_df;
+      const bool has_kept = kept < kept_index.size() && kept_index[kept] == next;
+      if (has_kept != (local_df > df_max) ||
+          (has_kept && kept_counts[kept] != local_df)) {
+        return Status::IOError(
+            "snapshot: kept lists must be exactly the truncated "
+            "contributions, each as long as its local df");
+      }
+      if (has_kept) {
+        auto& kept_list = side.kept.emplace_back();
+        kept_list.peer = peer;
+        HDK_RETURN_NOT_OK(
+            ReadPostingSlice(cur, kept_counts[kept++], &kept_list.full));
+      }
+    }
+    if (df_sum != dfs[i]) {
+      return Status::IOError(
+          "snapshot: local dfs do not sum to the global df");
+    }
+  }
+  if (next != contrib_peers.size() || ndk != merged_counts.size() ||
+      kept != kept_index.size()) {
+    return Status::IOError(
+        "snapshot: key table columns longer than its keys need");
   }
   keys_out->AdoptRaw(std::move(entries), std::move(hashes));
   return Status::OK();

@@ -228,7 +228,7 @@ TEST_F(SnapshotCorruptionTest, ResealedKeyTableFailsSemanticChecks) {
   // engine has 4 peers.
   ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/3, 0, 4),
                  "contributor id past the peer count", "contributor ids");
-  ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/4, 0, 1000),
+  ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/4, 0, 0),
                  "local df off the global df", "sum to the global df");
   ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/6, 0, 4),
                  "owner past the peer count", "owner out of range");
