@@ -43,12 +43,12 @@
 // peer, so a key's pending contributions and its table slot live on
 // exactly one shard and never move between shards (overlay growth
 // re-places keys across PEERS, and that handover only rewrites the
-// slot's owner). InsertPostings appends each
-// contribution to the calling task's own run for the key's shard
-// (ContributionRuns: no lock, no hash probe, no per-key allocation), and
-// the task hands its runs to the index once, when it ends (Submit).
-// EndLevel sort-merges each shard's runs by (key, contributor) and frees
-// them. The heavy merge paths — EndLevel, Retruncate, OnOverlayGrown,
+// slot's owner). InsertPostings appends each contribution to the calling
+// task's own run for the key's shard and copies its list into the run's
+// posting pool (ContributionRuns: no lock, no hash probe, no per-key
+// allocation), and the task hands its runs to the index once, when it
+// ends (Submit). EndLevel sort-merges each shard's runs by (key,
+// contributor) and frees them. The heavy merge paths — EndLevel, Retruncate, OnOverlayGrown,
 // EraseKeysContaining and the in-place departure repair — fan out
 // shard-wise on the thread pool with zero cross-shard contention. Every
 // shard processes its keys in ascending-key order and the per-shard
