@@ -164,6 +164,14 @@ TEST(IndexingProtocolTest, RejectsMismatchedPeerRanges) {
   // Out-of-range documents.
   std::vector<std::pair<DocId, DocId>> bad(4, {0, 1 << 30});
   EXPECT_FALSE(protocol.Run(bad, *fx.stats).ok());
+  // Two peers sharing documents 40-49: a contribution is derived from its
+  // peer's range, so ranges must be disjoint.
+  const auto overlapping = protocol.Run({{0, 50}, {40, 90}, {90, 90},
+                                         {90, 120}},
+                                        *fx.stats);
+  ASSERT_FALSE(overlapping.ok());
+  EXPECT_NE(overlapping.status().ToString().find("overlap"),
+            std::string::npos);
   // Empty peer set.
   EXPECT_FALSE(protocol.Run({}, *fx.stats).ok());
 }
