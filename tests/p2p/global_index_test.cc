@@ -379,6 +379,42 @@ TEST_F(GlobalIndexTest, ContributionOfFollowsDepartureRenumbering) {
   EXPECT_TRUE(ContributionOf(3, key).empty());
 }
 
+TEST_F(GlobalIndexTest, RetruncateEqualsABuildUnderTheNewAvgdl) {
+  // Peer 0's local df 12 exceeds DFmax 10, so it sends a top 10 and the
+  // table keeps its full list; peer 1 sends its list whole. A short
+  // average document length favours peer 0's short documents, a long one
+  // its high-tf long documents, so the kept contribution's truncation and
+  // the published top both change with avgdl.
+  const hdk::TermKey key{2, 5};
+  std::vector<index::Posting> mixed;
+  for (DocId d = 0; d < 6; ++d) mixed.push_back({d, 5, 1000});
+  for (DocId d = 6; d < 12; ++d) mixed.push_back({d, 2, 10});
+  const index::PostingList from0(mixed);
+  const index::PostingList from1({{100, 3, 50}, {101, 1, 50}, {102, 4, 50}});
+
+  index_.InsertPostings(0, key, from0, Params(10));
+  index_.InsertPostings(1, key, from1, Params(10));
+  index_.EndLevel(Params(10), 5.0);
+  const index::PostingList short_avgdl = index_.Peek(key)->postings;
+  index_.Retruncate(Params(10), 5000.0);
+
+  net::TrafficRecorder traffic;
+  DistributedGlobalIndex fresh(&overlay_, &traffic);
+  fresh.InsertPostings(0, key, from0, Params(10));
+  fresh.InsertPostings(1, key, from1, Params(10));
+  fresh.EndLevel(Params(10), 5000.0);
+
+  const hdk::KeyEntry* got = index_.Peek(key);
+  const hdk::KeyEntry* want = fresh.Peek(key);
+  ASSERT_NE(got, nullptr);
+  ASSERT_NE(want, nullptr);
+  EXPECT_FALSE(got->is_hdk);
+  EXPECT_EQ(got->global_df, 15u);
+  EXPECT_EQ(got->postings, want->postings);
+  EXPECT_FALSE(got->postings == short_avgdl);
+  EXPECT_EQ(ContributionOf(0, key), Postings(from0));
+}
+
 TEST(ShardedGlobalIndexTest, DefaultShardCountHeuristic) {
   // No pool (or a single-thread pool) = the serial path: one shard.
   EXPECT_EQ(DistributedGlobalIndex::DefaultShardCount(nullptr), 1u);
