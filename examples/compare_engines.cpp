@@ -1,5 +1,5 @@
-// Side-by-side comparison of the three retrieval architectures, selected
-// from the engine registry by name and driven purely through the unified
+// Side-by-side comparison of the three retrieval architectures, built
+// by spec name through MakeEngine and driven purely through the unified
 // SearchEngine interface:
 //   * "hdk"         — the paper's contribution,
 //   * "single-term" — naive distributed single-term baseline,

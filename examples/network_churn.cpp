@@ -43,7 +43,7 @@ int main() {
   config.num_threads = 1;
 
   // A result-cache decorator over the HDK engine, straight from a spec
-  // string — the composable registry seam.
+  // string.
   auto built = engine::MakeEngine(std::string_view("cached:128(hdk)"),
                                   config, store,
                                   engine::SplitEvenly(800, 4));

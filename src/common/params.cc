@@ -35,26 +35,4 @@ std::string HdkParams::ToString() const {
   return os.str();
 }
 
-Status ExperimentParams::Validate() const {
-  if (num_peers == 0) {
-    return Status::InvalidArgument("num_peers must be positive");
-  }
-  if (docs_per_peer == 0) {
-    return Status::InvalidArgument("docs_per_peer must be positive");
-  }
-  if (monthly_queries < 0) {
-    return Status::InvalidArgument("monthly_queries must be non-negative");
-  }
-  return Status::OK();
-}
-
-std::string ExperimentParams::ToString() const {
-  std::ostringstream os;
-  os << "ExperimentParams{peers=" << num_peers
-     << ", docs_per_peer=" << docs_per_peer
-     << ", seed=" << seed
-     << ", queries=" << num_queries << "}";
-  return os.str();
-}
-
 }  // namespace hdk

@@ -1,4 +1,4 @@
-// Model and experiment parameters (paper Section 3 and Table 2).
+// HDK model parameters (paper Section 3 and Table 2).
 #ifndef HDKP2P_COMMON_PARAMS_H_
 #define HDKP2P_COMMON_PARAMS_H_
 
@@ -48,28 +48,6 @@ struct HdkParams {
   Status Validate() const;
 
   /// Human-readable one-line summary.
-  std::string ToString() const;
-};
-
-/// Parameters of the experimental setup (paper Table 2).
-struct ExperimentParams {
-  /// Number of peers in the network (paper: 4, 8, ..., 28).
-  uint32_t num_peers = 4;
-
-  /// Documents contributed by each peer (paper: 5,000).
-  uint32_t docs_per_peer = 5000;
-
-  /// Master seed for corpus/query/network determinism.
-  uint64_t seed = 20070415;
-
-  /// Queries evaluated per retrieval experiment (paper: 3,000).
-  uint32_t num_queries = 3000;
-
-  /// Monthly query volume used by the Figure 8 traffic projection
-  /// (paper: 1.5e6 queries/month against monthly re-indexing).
-  double monthly_queries = 1.5e6;
-
-  Status Validate() const;
   std::string ToString() const;
 };
 

@@ -64,15 +64,6 @@ class CentralizedBm25Engine : public SearchEngine {
                          std::span<const MembershipEvent> events) override;
   using SearchEngine::ApplyMembership;
 
-  /// No network — a fault plan has nothing to break. Accepted as a
-  /// no-op so "faulty:...(bm25)" specs compose: the reference engine is
-  /// the always-reachable lower bound the faulted engines degrade
-  /// towards.
-  Status InstallFaultPlan(const net::FaultPlan& plan) override {
-    (void)plan;
-    return Status::OK();
-  }
-
   size_t num_peers() const override { return 1; }
   uint64_t num_documents() const override { return index_.num_documents(); }
   double StoredPostingsPerPeer() const override {

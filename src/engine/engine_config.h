@@ -31,8 +31,8 @@ struct EngineConfig {
   /// "Threading").
   size_t num_threads = 0;
   /// Fault-injection plan installed on the distributed backends'
-  /// transport at build time (see net/fault.h for the grammar; the
-  /// "faulty:seed=7,loss=0.01(hdk)" spec decorator overrides it). The
+  /// transport at build time (see net/fault.h for the grammar;
+  /// SearchEngine::InstallFaultPlan replaces it later). The
   /// default plan is inactive: the engine is byte-identical to a
   /// perfect-transport build. The single-term baseline applies it to the
   /// query path only (its terms are single-homed, so an unreachable owner

@@ -1,9 +1,6 @@
 #include "engine/engine_factory.h"
 
-#include <algorithm>
 #include <charconv>
-#include <map>
-#include <mutex>
 
 #include "engine/centralized.h"
 #include "engine/engine_snapshot.h"
@@ -21,11 +18,10 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-/// Built-in "cached" decorator: LRU capacity from the spec argument,
+/// The "cached" decorator: LRU capacity from the spec argument,
 /// kDefaultResultCacheCapacity otherwise.
 Result<std::unique_ptr<SearchEngine>> MakeCached(
-    std::unique_ptr<SearchEngine> inner, std::string_view arg,
-    const EngineConfig& /*config*/) {
+    std::unique_ptr<SearchEngine> inner, std::string_view arg) {
   size_t capacity = kDefaultResultCacheCapacity;
   if (!arg.empty()) {
     size_t parsed = 0;
@@ -43,35 +39,19 @@ Result<std::unique_ptr<SearchEngine>> MakeCached(
       std::make_unique<ResultCacheEngine>(std::move(inner), capacity));
 }
 
-/// Built-in "faulty" decorator: installs a fault plan on the wrapped
-/// engine's transport and returns the engine itself (the layer carries
-/// no state — fault injection lives in the backend). The argument is a
-/// net::FaultPlan spec ("faulty:seed=7,loss=0.01(hdk)"); with no
-/// argument the EngineConfig plan is (re-)installed.
-Result<std::unique_ptr<SearchEngine>> MakeFaulty(
-    std::unique_ptr<SearchEngine> inner, std::string_view arg,
-    const EngineConfig& config) {
-  net::FaultPlan plan = config.faults;
-  if (!arg.empty()) {
-    HDK_ASSIGN_OR_RETURN(plan, net::FaultPlan::Parse(arg));
+/// Wraps an already-built engine in `spec`'s decorator stack, innermost
+/// first: the shared tail of the build and snapshot-load paths.
+Result<std::unique_ptr<SearchEngine>> ApplyEngineDecorators(
+    const EngineSpec& spec, std::unique_ptr<SearchEngine> engine) {
+  for (auto it = spec.decorators.rbegin(); it != spec.decorators.rend();
+       ++it) {
+    if (it->name != "cached") {
+      return Status::InvalidArgument("EngineSpec: unknown decorator '" +
+                                     it->name + "'");
+    }
+    HDK_ASSIGN_OR_RETURN(engine, MakeCached(std::move(engine), it->arg));
   }
-  HDK_RETURN_NOT_OK(inner->InstallFaultPlan(plan));
-  return inner;
-}
-
-struct DecoratorRegistry {
-  std::mutex mu;
-  std::map<std::string, EngineDecoratorFactory, std::less<>> factories;
-
-  DecoratorRegistry() {
-    factories.emplace("cached", MakeCached);
-    factories.emplace("faulty", MakeFaulty);
-  }
-};
-
-DecoratorRegistry& Registry() {
-  static DecoratorRegistry* registry = new DecoratorRegistry();
-  return *registry;
+  return engine;
 }
 
 }  // namespace
@@ -96,25 +76,6 @@ std::optional<EngineKind> ParseEngineKind(std::string_view name) {
   if (name == "st") return EngineKind::kSingleTerm;
   if (name == "bm25") return EngineKind::kCentralized;
   return std::nullopt;
-}
-
-bool RegisterEngineDecorator(std::string_view name,
-                             EngineDecoratorFactory factory) {
-  DecoratorRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  return registry.factories.emplace(std::string(name), std::move(factory))
-      .second;
-}
-
-std::vector<std::string> RegisteredEngineDecorators() {
-  DecoratorRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  std::vector<std::string> names;
-  names.reserve(registry.factories.size());
-  for (const auto& [name, factory] : registry.factories) {
-    names.push_back(name);
-  }
-  return names;
 }
 
 Result<EngineSpec> EngineSpec::Parse(std::string_view spec) {
@@ -200,29 +161,6 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
   return Status::InvalidArgument("unknown engine kind");
 }
 
-Result<std::unique_ptr<SearchEngine>> ApplyEngineDecorators(
-    const EngineSpec& spec, const EngineConfig& config,
-    std::unique_ptr<SearchEngine> engine) {
-  // Innermost decorator wraps first.
-  for (auto it = spec.decorators.rbegin(); it != spec.decorators.rend();
-       ++it) {
-    EngineDecoratorFactory factory;
-    {
-      DecoratorRegistry& registry = Registry();
-      std::lock_guard<std::mutex> lock(registry.mu);
-      auto found = registry.factories.find(it->name);
-      if (found == registry.factories.end()) {
-        return Status::InvalidArgument(
-            "EngineSpec: unknown decorator '" + it->name + "'");
-      }
-      factory = found->second;
-    }
-    HDK_ASSIGN_OR_RETURN(engine,
-                         factory(std::move(engine), it->arg, config));
-  }
-  return engine;
-}
-
 Result<std::unique_ptr<SearchEngine>> MakeEngine(
     const EngineSpec& spec, const EngineConfig& config,
     const corpus::DocumentStore& store,
@@ -230,7 +168,7 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
   HDK_ASSIGN_OR_RETURN(
       std::unique_ptr<SearchEngine> engine,
       MakeEngine(spec.kind, config, store, std::move(peer_ranges)));
-  return ApplyEngineDecorators(spec, config, std::move(engine));
+  return ApplyEngineDecorators(spec, std::move(engine));
 }
 
 Result<std::unique_ptr<SearchEngine>> MakeEngine(
@@ -252,7 +190,7 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
   HDK_ASSIGN_OR_RETURN(
       std::unique_ptr<HdkSearchEngine> engine,
       LoadEngineSnapshot(config, store, snapshot.path));
-  return ApplyEngineDecorators(spec, config,
+  return ApplyEngineDecorators(spec,
                                std::unique_ptr<SearchEngine>(
                                    std::move(engine)));
 }

@@ -1,5 +1,5 @@
-// Engine registry: build any retrieval backend — optionally wrapped in a
-// stack of engine DECORATORS — behind the unified SearchEngine interface.
+// Engine factory: build any retrieval backend — optionally wrapped in
+// result caches — behind the unified SearchEngine interface.
 //
 // A spec string names the composition:
 //
@@ -8,15 +8,11 @@
 //   "cached:256(st)"       same, with an explicit capacity argument
 //   "cached(cached(hdk))"  decorators nest (outermost first)
 //
-// Decorators register themselves by name through RegisterEngineDecorator;
-// "cached" (engine/result_cache.h) ships built in, and future layers —
-// super-peer routing fronts (arXiv:1111.5518), posting caches
-// (arXiv:cs/0210010) — plug into the same seam.
+// "cached" (engine/result_cache.h) is the one decorator.
 #ifndef HDKP2P_ENGINE_ENGINE_FACTORY_H_
 #define HDKP2P_ENGINE_ENGINE_FACTORY_H_
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,28 +55,14 @@ struct EngineSpec {
   std::vector<Decorator> decorators;
 
   /// Parses "deco:arg(deco2(kind))"-style specs (kind aliases of
-  /// ParseEngineKind accepted). Unknown decorator or backend names and
-  /// malformed nesting are InvalidArgument.
+  /// ParseEngineKind accepted). Unknown backend names and malformed
+  /// nesting are InvalidArgument; an unknown decorator name parses and
+  /// fails at build time.
   static Result<EngineSpec> Parse(std::string_view spec);
 
   /// Canonical spec string ("cached:256(hdk)").
   std::string ToString() const;
 };
-
-/// Wraps `inner` according to one registered decorator; `arg` is the
-/// spec's per-decorator argument (may be empty).
-using EngineDecoratorFactory =
-    std::function<Result<std::unique_ptr<SearchEngine>>(
-        std::unique_ptr<SearchEngine> inner, std::string_view arg,
-        const EngineConfig& config)>;
-
-/// Registers a decorator under `name` (false if the name is taken). The
-/// built-in "cached" result cache is pre-registered.
-bool RegisterEngineDecorator(std::string_view name,
-                             EngineDecoratorFactory factory);
-
-/// Names of all registered decorators, sorted.
-std::vector<std::string> RegisteredEngineDecorators();
 
 /// Builds a bare engine of `kind` over the documents covered by
 /// `peer_ranges` (the centralized backend indexes the same ranges as
@@ -102,13 +84,6 @@ Result<std::unique_ptr<SearchEngine>> MakeEngine(
     std::string_view spec, const EngineConfig& config,
     const corpus::DocumentStore& store,
     std::vector<std::pair<DocId, DocId>> peer_ranges);
-
-/// Wraps an already-built engine in `spec`'s decorator stack (innermost
-/// decorator applied first) — the shared tail of every MakeEngine
-/// overload, exposed so snapshot loads compose decorators identically.
-Result<std::unique_ptr<SearchEngine>> ApplyEngineDecorators(
-    const EngineSpec& spec, const EngineConfig& config,
-    std::unique_ptr<SearchEngine> engine);
 
 /// Tag type selecting the snapshot-restoring MakeEngine overloads:
 /// MakeEngine("cached(hdk)", config, store, SnapshotFile{path}).

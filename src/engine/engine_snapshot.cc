@@ -14,6 +14,7 @@
 #include "common/flat_map.h"
 #include "common/hash.h"
 #include "engine/overlay_factory.h"
+#include "engine/partition.h"
 #include "dht/chord.h"
 #include "dht/pgrid.h"
 #include "hdk/candidate_builder.h"
@@ -312,48 +313,57 @@ void WriteConfigSection(SnapshotWriter& w, const EngineConfig& config,
   w.EndSection();
 }
 
+/// Decodes the config section into `saved`'s config fields (params,
+/// overlay kind and seed, peer count, indexed frontier).
+Status DecodeConfigSection(const SnapshotReader& reader,
+                           SnapshotDescription* saved) {
+  HDK_ASSIGN_OR_RETURN(SectionCursor cur,
+                       reader.Find(SectionId::kConfig));
+  HDK_RETURN_NOT_OK(cur.ReadU64(&saved->params.df_max));
+  HDK_RETURN_NOT_OK(cur.ReadU64(&saved->params.very_frequent_threshold));
+  HDK_RETURN_NOT_OK(cur.ReadU64(&saved->params.rare_threshold));
+  HDK_RETURN_NOT_OK(cur.ReadU32(&saved->params.window));
+  HDK_RETURN_NOT_OK(cur.ReadU32(&saved->params.s_max));
+  HDK_RETURN_NOT_OK(cur.ReadU64(&saved->params.ndk_truncation));
+  HDK_RETURN_NOT_OK(cur.ReadU8(&saved->overlay_kind));
+  HDK_RETURN_NOT_OK(cur.ReadU64(&saved->overlay_seed));
+  HDK_RETURN_NOT_OK(cur.ReadU64(&saved->num_peers));
+  HDK_RETURN_NOT_OK(cur.ReadU64(&saved->indexed_docs));
+  HDK_RETURN_NOT_OK(cur.ExpectEnd());
+  if (saved->num_peers == 0) {
+    return Status::IOError("snapshot: zero peers (corrupt config section)");
+  }
+  return Status::OK();
+}
+
 Status ReadConfigSection(const SnapshotReader& reader,
                          const EngineConfig& config,
                          const corpus::DocumentStore& store,
                          uint64_t* num_peers, uint64_t* indexed_docs) {
-  HDK_ASSIGN_OR_RETURN(SectionCursor cur,
-                       reader.Find(SectionId::kConfig));
-  HdkParams saved;
-  uint8_t overlay_kind = 0;
-  uint64_t overlay_seed = 0;
-  HDK_RETURN_NOT_OK(cur.ReadU64(&saved.df_max));
-  HDK_RETURN_NOT_OK(cur.ReadU64(&saved.very_frequent_threshold));
-  HDK_RETURN_NOT_OK(cur.ReadU64(&saved.rare_threshold));
-  HDK_RETURN_NOT_OK(cur.ReadU32(&saved.window));
-  HDK_RETURN_NOT_OK(cur.ReadU32(&saved.s_max));
-  HDK_RETURN_NOT_OK(cur.ReadU64(&saved.ndk_truncation));
-  HDK_RETURN_NOT_OK(cur.ReadU8(&overlay_kind));
-  HDK_RETURN_NOT_OK(cur.ReadU64(&overlay_seed));
-  HDK_RETURN_NOT_OK(cur.ReadU64(num_peers));
-  HDK_RETURN_NOT_OK(cur.ReadU64(indexed_docs));
-  HDK_RETURN_NOT_OK(cur.ExpectEnd());
+  SnapshotDescription saved;
+  HDK_RETURN_NOT_OK(DecodeConfigSection(reader, &saved));
   // The header's config hash already gates these; the field comparison is
   // defense in depth and yields a precise message on mismatch.
-  if (saved.df_max != config.hdk.df_max ||
-      saved.very_frequent_threshold != config.hdk.very_frequent_threshold ||
-      saved.rare_threshold != config.hdk.rare_threshold ||
-      saved.window != config.hdk.window ||
-      saved.s_max != config.hdk.s_max ||
-      saved.ndk_truncation != config.hdk.ndk_truncation ||
-      overlay_kind != static_cast<uint8_t>(config.overlay) ||
-      overlay_seed != config.overlay_seed) {
+  if (saved.params.df_max != config.hdk.df_max ||
+      saved.params.very_frequent_threshold !=
+          config.hdk.very_frequent_threshold ||
+      saved.params.rare_threshold != config.hdk.rare_threshold ||
+      saved.params.window != config.hdk.window ||
+      saved.params.s_max != config.hdk.s_max ||
+      saved.params.ndk_truncation != config.hdk.ndk_truncation ||
+      saved.overlay_kind != static_cast<uint8_t>(config.overlay) ||
+      saved.overlay_seed != config.overlay_seed) {
     return Status::IOError(
         "snapshot was written under different engine parameters");
   }
-  if (*num_peers == 0) {
-    return Status::IOError("snapshot: zero peers (corrupt config section)");
-  }
-  if (*indexed_docs > store.size()) {
+  if (saved.indexed_docs > store.size()) {
     return Status::IOError(
         "snapshot indexes more documents than the store holds (" +
-        std::to_string(*indexed_docs) + " > " +
+        std::to_string(saved.indexed_docs) + " > " +
         std::to_string(store.size()) + ")");
   }
+  *num_peers = saved.num_peers;
+  *indexed_docs = saved.indexed_docs;
   return Status::OK();
 }
 
@@ -607,7 +617,9 @@ Status ReadProtocolSection(const SnapshotReader& reader,
         "snapshot: protocol peer count disagrees with the config section");
   }
   std::vector<p2p::Peer> peers;
+  std::vector<DocRange> ranges;
   peers.reserve(num_peers);
+  ranges.reserve(num_peers);
   for (uint64_t i = 0; i < num_peers; ++i) {
     uint32_t id = 0;
     uint32_t first = 0;
@@ -615,9 +627,10 @@ Status ReadProtocolSection(const SnapshotReader& reader,
     HDK_RETURN_NOT_OK(cur.ReadU32(&id));
     HDK_RETURN_NOT_OK(cur.ReadU32(&first));
     HDK_RETURN_NOT_OK(cur.ReadU32(&last));
-    if (id != i || first > last) {
+    if (id != i) {
       return Status::IOError("snapshot: corrupt peer record");
     }
+    ranges.emplace_back(first, last);
     TermIdSet terms;
     hdk::KeySet ndks;
     HDK_RETURN_NOT_OK(ReadTermIdSet(cur, &terms));
@@ -630,6 +643,12 @@ Status ReadProtocolSection(const SnapshotReader& reader,
     peers.push_back(std::move(peer));
   }
   HDK_RETURN_NOT_OK(cur.ExpectEnd());
+  // Run admits only disjoint ranges inside the indexed frontier, and
+  // ContributionOf and the departure rescans read documents through them.
+  if (Status st = ValidateDisjointRanges(ranges, indexed_docs); !st.ok()) {
+    return Status::IOError("snapshot: corrupt peer ranges: " +
+                           st.message());
+  }
   return protocol->RestoreFromSnapshot(std::move(peers),
                                        std::move(very_frequent),
                                        std::move(report), timings,
@@ -649,18 +668,30 @@ void WriteGlobalIndexSection(SnapshotWriter& w,
   w.EndSection();
 }
 
+/// Opens the global-index section and decodes its header (the writer's
+/// shard count and peer count); the cursor is left at the first shard's
+/// key table.
+Result<SectionCursor> OpenGlobalIndexSection(const SnapshotReader& reader,
+                                             uint64_t* saved_shards,
+                                             uint64_t* num_peers) {
+  HDK_ASSIGN_OR_RETURN(SectionCursor cur,
+                       reader.Find(SectionId::kGlobalIndex));
+  HDK_RETURN_NOT_OK(cur.ReadU64(saved_shards));
+  HDK_RETURN_NOT_OK(cur.ReadU64(num_peers));
+  if (*saved_shards == 0 || *saved_shards > 4096) {
+    return Status::IOError("snapshot: implausible shard count");
+  }
+  return cur;
+}
+
 Status ReadGlobalIndexSection(const SnapshotReader& reader,
                               uint64_t expected_peers, uint64_t df_max,
                               p2p::DistributedGlobalIndex* global) {
-  HDK_ASSIGN_OR_RETURN(SectionCursor cur,
-                       reader.Find(SectionId::kGlobalIndex));
   uint64_t saved_shards = 0;
   uint64_t num_peers = 0;
-  HDK_RETURN_NOT_OK(cur.ReadU64(&saved_shards));
-  HDK_RETURN_NOT_OK(cur.ReadU64(&num_peers));
-  if (saved_shards == 0 || saved_shards > 4096) {
-    return Status::IOError("snapshot: implausible shard count");
-  }
+  HDK_ASSIGN_OR_RETURN(
+      SectionCursor cur,
+      OpenGlobalIndexSection(reader, &saved_shards, &num_peers));
   if (num_peers != expected_peers) {
     return Status::IOError(
         "snapshot: global-index peer count disagrees with the config "
@@ -688,12 +719,10 @@ Status ReadGlobalIndexSection(const SnapshotReader& reader,
   return cur.ExpectEnd();
 }
 
-void WriteEngineSection(SnapshotWriter& w, const HdkSearchEngine& engine,
-                        const p2p::GrowthStats& growth,
+void WriteEngineSection(SnapshotWriter& w, const p2p::GrowthStats& growth,
                         const p2p::DepartureStats& departure,
                         const HdkSearchEngine::MembershipSummary& membership,
                         PeerId next_origin) {
-  (void)engine;
   w.BeginSection(SectionId::kEngine);
   static_assert(std::is_trivially_copyable_v<p2p::GrowthStats> &&
                     sizeof(p2p::GrowthStats) == 9 * sizeof(uint64_t),
@@ -813,7 +842,7 @@ Status SaveEngineSnapshot(const HdkSearchEngine& engine,
   WriteTrafficSection(w, *engine.traffic_);
   WriteProtocolSection(w, *engine.protocol_);
   WriteGlobalIndexSection(w, *engine.global_, num_peers);
-  WriteEngineSection(w, engine, engine.last_growth_, engine.last_departure_,
+  WriteEngineSection(w, engine.last_growth_, engine.last_departure_,
                      engine.last_membership_, engine.next_origin_.value());
   return w.Commit(SnapshotConfigHash(engine.config_),
                   SnapshotStoreHash(*engine.store_), path);
@@ -835,21 +864,7 @@ Result<SnapshotDescription> DescribeEngineSnapshot(const std::string& path,
          entry.offset, entry.length, entry.checksum});
   }
 
-  {
-    HDK_ASSIGN_OR_RETURN(SectionCursor cur,
-                         reader.Find(SectionId::kConfig));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&desc.params.df_max));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&desc.params.very_frequent_threshold));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&desc.params.rare_threshold));
-    HDK_RETURN_NOT_OK(cur.ReadU32(&desc.params.window));
-    HDK_RETURN_NOT_OK(cur.ReadU32(&desc.params.s_max));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&desc.params.ndk_truncation));
-    HDK_RETURN_NOT_OK(cur.ReadU8(&desc.overlay_kind));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&desc.overlay_seed));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&desc.num_peers));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&desc.indexed_docs));
-    HDK_RETURN_NOT_OK(cur.ExpectEnd());
-  }
+  HDK_RETURN_NOT_OK(DecodeConfigSection(reader, &desc));
 
   // Replica accounting wants the writer's exact overlay (post-churn
   // placements differ from a fresh build); reconstruct it from the
@@ -866,15 +881,11 @@ Result<SnapshotDescription> DescribeEngineSnapshot(const std::string& path,
   }
 
   {
-    HDK_ASSIGN_OR_RETURN(SectionCursor cur,
-                         reader.Find(SectionId::kGlobalIndex));
     uint64_t saved_shards = 0;
     uint64_t num_peers = 0;
-    HDK_RETURN_NOT_OK(cur.ReadU64(&saved_shards));
-    HDK_RETURN_NOT_OK(cur.ReadU64(&num_peers));
-    if (saved_shards == 0 || saved_shards > 4096) {
-      return Status::IOError("snapshot: implausible shard count");
-    }
+    HDK_ASSIGN_OR_RETURN(
+        SectionCursor cur,
+        OpenGlobalIndexSection(reader, &saved_shards, &num_peers));
     for (uint64_t shard = 0; shard < saved_shards; ++shard) {
       SnapshotDescription::Shard info;
       KeyTable keys;

@@ -101,7 +101,7 @@ class HdkSearchEngine : public SearchEngine {
   }
 
   /// Installs (or replaces) the transport fault plan on the engine's
-  /// own injector — the "faulty:..." spec decorator routes here.
+  /// own injector.
   Status InstallFaultPlan(const net::FaultPlan& plan) override {
     injector_.Install(plan);
     return Status::OK();
@@ -174,13 +174,11 @@ class HdkSearchEngine : public SearchEngine {
   /// renumber later ones), which runs the in-place departure repair.
   /// Returns the number of evicted peers.
   ///
-  /// LIMITATION: the result equals a fault-free build over the survivors
-  /// only if no contribution was routed to a peer while it was already
-  /// dead. Such contributions (and NDK notifications) are dropped before
-  /// they reach the key table — counted in global_index().
-  /// lost_contributions() / lost_notifications() — so the repair cannot
-  /// re-route them and the evicted index misses their keys. ROADMAP item
-  /// 1(a) tracks the fix.
+  /// The result's contents equal a fault-free build over the survivors,
+  /// even when a peer died during the build: a contribution routed to a
+  /// dead owner, and an NDK notification sent to a dead contributor,
+  /// are recorded anyway (unbilled), so the departure repair re-routes
+  /// them like any other. Traffic differs from the clean build's.
   Result<size_t> EvictDeadPeers(const corpus::DocumentStore& store);
 
   net::TrafficRecorder& mutable_traffic() { return *traffic_; }

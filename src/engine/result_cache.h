@@ -1,8 +1,8 @@
-// ResultCacheEngine — the first engine decorator: a bounded LRU result
-// cache in front of any SearchEngine (the "cached(...)" spec of the
-// engine registry). Heavy-traffic workloads are Zipf-skewed (Section 4 of
-// the paper models exactly that), so a small cache in front of the
-// network absorbs the popular head: a hit answers from the cache with
+// ResultCacheEngine — the engine decorator: a bounded LRU result cache in
+// front of any SearchEngine (the "cached(...)" spec of
+// engine/engine_factory.h). Heavy-traffic workloads are Zipf-skewed
+// (Section 4 of the paper models exactly that), so a small cache in front
+// of the network absorbs the popular head: a hit answers from the cache with
 // ZERO network work, a miss runs the wrapped engine and remembers the
 // response. Hits and misses surface through QueryCost::cache_hits /
 // cache_misses, and every membership event invalidates the whole cache —

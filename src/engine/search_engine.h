@@ -12,9 +12,9 @@
 // invariant that the churned engine is posting-for-posting identical to a
 // from-scratch build over the surviving document ranges.
 //
-// Engines can also be composed from a string spec through the decorator
-// registry, e.g. "cached(hdk)" for a result-cache front over the HDK
-// engine — see engine/engine_factory.h.
+// Engines can also be composed from a string spec, e.g. "cached(hdk)"
+// for a result-cache front over the HDK engine — see
+// engine/engine_factory.h.
 //
 // Quickstart (see also examples/quickstart.cpp and README.md):
 //
@@ -189,9 +189,9 @@ class SearchEngine {
   virtual const net::TrafficRecorder* traffic() const { return nullptr; }
 
   /// Installs (or replaces) a fault-injection plan on the engine's
-  /// transport — the "faulty:seed=7,loss=0.01(hdk)" spec decorator
-  /// routes here (see net/fault.h for the plan grammar). An inactive
-  /// plan restores perfect transport. Backends without an injectable
+  /// transport (see net/fault.h for the plan grammar), replacing the one
+  /// EngineConfig::faults installed at build time. An inactive plan
+  /// restores perfect transport. Backends without an injectable
   /// transport return Unimplemented; decorators forward to the wrapped
   /// engine.
   virtual Status InstallFaultPlan(const net::FaultPlan& plan) {

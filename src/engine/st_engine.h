@@ -60,7 +60,7 @@ class SingleTermEngine : public SearchEngine {
   }
 
   /// Installs (or replaces) the transport fault plan on the engine's
-  /// own injector — the "faulty:..." spec decorator routes here.
+  /// own injector.
   Status InstallFaultPlan(const net::FaultPlan& plan) override {
     injector_.Install(plan);
     return Status::OK();

@@ -79,8 +79,8 @@ struct PeerLatency {
   bool operator==(const PeerLatency&) const = default;
 };
 
-/// Declarative fault schedule. Parsed from / serialized to the spec
-/// grammar used by the `faulty:` engine decorator:
+/// Declarative fault schedule. Parsed from / serialized to this spec
+/// grammar:
 ///
 ///   seed=7,loss=0.01,loss.KeyProbe=0.05,latency=3,kill=2@100
 ///

@@ -41,10 +41,12 @@ enum class MessageKind : uint8_t {
   kNdkNotification = 1,  // responsible peer -> contributor: expand this key
   kKeyProbe = 2,         // query peer -> responsible peer: lattice probe
   kPostingsResponse = 3, // responsible peer -> query peer: postings payload
-  kStatsQuery = 4,       // global statistics request
-  kStatsResponse = 5,
+  kStatsQuery = 4,       // never sent; kinds 4, 5 and 7 keep their
+  kStatsResponse = 5,    // numbers so that every other kind's index, and
+                         // with it every per-kind fingerprint and the
+                         // snapshot traffic section, stays stable
   kMaintenance = 6,      // overlay join/repair traffic
-  kBloomFilter = 7,      // Bloom-filter payload (ST conjunctive chain)
+  kBloomFilter = 7,      // never sent (see kStatsQuery)
   kReclassifyNotification = 8,  // responsible peer -> contributor: a key
                                 // this peer contributed is discriminative
                                 // again after churn (forget + retract)

@@ -194,10 +194,6 @@ PeerId DistributedGlobalIndex::ResponsiblePeer(const hdk::TermKey& key) const {
   return overlay_->Responsible(key.Hash64());
 }
 
-PeerId DistributedGlobalIndex::ResponsiblePeerHashed(uint64_t key_hash) const {
-  return overlay_->Responsible(key_hash);
-}
-
 uint64_t DistributedGlobalIndex::InsertPostings(
     ContributionRuns& runs, PeerId src, const hdk::TermKey& key,
     uint64_t key_hash, index::PostingList full_local,
@@ -211,15 +207,12 @@ uint64_t DistributedGlobalIndex::InsertPostings(
   const net::SendOutcome sent =
       channel.SendAssured(src, dst, net::MessageKind::kInsertPostings,
                           payload, overlay_->Route(src, key_hash), key_hash);
-  if (!sent.delivered && channel.PeerDead(dst)) {
-    // The responsible peer died unannounced: the contribution never
-    // reaches the key table and is lost for good.
-    lost_contributions_.fetch_add(1, std::memory_order_relaxed);
-    return payload;
-  }
   // Undelivered against a live peer means the retry budget ran out: the
-  // level barrier's redelivery records the final (delivered) message.
-  const bool redeliver = !sent.delivered;
+  // level barrier's redelivery records the final (delivered) message. A
+  // responsible peer that died unannounced still gets the contribution
+  // recorded in its key table, unbilled, so that evicting it later
+  // re-routes the key like any departure.
+  const bool redeliver = !sent.delivered && !channel.PeerDead(dst);
 
   if (runs.by_shard_.empty()) runs.by_shard_.resize(shards_.size());
   ContributionRun& run = runs.by_shard_[ShardOf(key_hash)];
@@ -342,24 +335,20 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
   // The level barrier stands in for an ack protocol: contributions whose
   // transmission ran out of retries are redelivered here, BEFORE the
   // classification walk, each with its final delivery message, so the
-  // published index never misses a contribution that wasn't addressed to
-  // a dead peer. One addressed to a peer that has died meanwhile is lost.
-  if (any_redeliver) {
-    std::erase_if(order, [&](const SortSlot& slot) {
+  // published index never misses a contribution. One whose owner has
+  // died meanwhile is kept without another message; evicting the owner
+  // re-routes it.
+  const net::Channel channel(traffic_, res_);
+  if (any_redeliver && record_traffic) {
+    for (const SortSlot& slot : order) {
       const PendingContribution& c = *slot.pending;
-      if (!c.redeliver) return false;
+      if (!c.redeliver) continue;
       const PeerId dst = overlay_->Responsible(c.key_hash);
-      if (res_.injector != nullptr && res_.injector->PeerDead(dst)) {
-        lost_contributions_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (record_traffic) {
-        traffic_->Record(slot.peer, dst, net::MessageKind::kInsertPostings,
-                         TransmittedPostings(c.local_df, params),
-                         overlay_->Route(slot.peer, c.key_hash));
-      }
-      return false;
-    });
+      if (channel.PeerDead(dst)) continue;
+      traffic_->Record(slot.peer, dst, net::MessageKind::kInsertPostings,
+                       TransmittedPostings(c.local_df, params),
+                       overlay_->Route(slot.peer, c.key_hash));
+    }
   }
 
   // One reserve sized from this wave's key count keeps the table rehash
@@ -374,7 +363,6 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
   const auto by_peer = [](const auto& a, const auto& b) {
     return a.peer < b.peer;
   };
-  const net::Channel channel(traffic_, res_);
   for (size_t first = 0, last = 0; first < order.size(); first = last) {
     const hdk::TermKey& key = order[first].key;
     const uint64_t key_hash = order[first].pending->key_hash;
@@ -456,28 +444,23 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       // the contributor directly (source address of the insertion), so
       // each is a single overlay-external message: 1 hop. They are
       // barrier-assured — a lost burst against a live contributor is
-      // redelivered right here (we ARE at the barrier); only a hard-dead
-      // contributor misses its expansion (it leaves the network when it
-      // is evicted).
-      const PeerId owner = slot.owner;
-      std::erase_if(recipients, [&](PeerId contributor) {
-        if (record_traffic) {
+      // redelivered right here (we ARE at the barrier). A hard-dead
+      // contributor still expands the key, unbilled, so that what it
+      // contributes stays the fault-free build's until it is evicted.
+      if (record_traffic) {
+        const PeerId owner = slot.owner;
+        for (PeerId contributor : recipients) {
           const net::SendOutcome sent = channel.SendAssured(
               owner, contributor, net::MessageKind::kNdkNotification,
               /*postings=*/0, /*hops=*/1, key_hash);
-          if (!sent.delivered) {
-            if (channel.PeerDead(contributor)) {
-              lost_notifications_.fetch_add(1, std::memory_order_relaxed);
-              return true;
-            }
+          if (!sent.delivered && !channel.PeerDead(contributor)) {
             traffic_->Record(owner, contributor,
                              net::MessageKind::kNdkNotification,
                              /*postings=*/0, /*hops=*/1);
           }
         }
-        ++outcome.notification_messages;
-        return false;
-      });
+      }
+      outcome.notification_messages += recipients.size();
       outcome.notifications.emplace_back(key, std::move(recipients));
     }
   }

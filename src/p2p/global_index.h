@@ -268,11 +268,8 @@ class DistributedGlobalIndex {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// The peer responsible for a key. The overload taking the key's
-  /// Hash64 (= its DHT ring id) lets hash-carrying call sites route
-  /// without re-hashing the term array.
+  /// The peer responsible for a key.
   PeerId ResponsiblePeer(const hdk::TermKey& key) const;
-  PeerId ResponsiblePeerHashed(uint64_t key_hash) const;
 
   /// Grows the per-peer replica maps, the traffic recorder's peer
   /// counters and the fault injector's and health tracker's per-peer
@@ -529,17 +526,6 @@ class DistributedGlobalIndex {
     return missed_replica_forgets_.load(std::memory_order_relaxed);
   }
 
-  /// Indexing-side losses that became permanent: contributions /
-  /// NDK notifications addressed to a hard-dead peer. They are dropped
-  /// before reaching the key table, so evicting the peer later does not
-  /// bring them back (see ROADMAP item 1(a)).
-  uint64_t lost_contributions() const {
-    return lost_contributions_.load(std::memory_order_relaxed);
-  }
-  uint64_t lost_notifications() const {
-    return lost_notifications_.load(std::memory_order_relaxed);
-  }
-
   const net::Resilience& resilience() const { return res_; }
 
   /// Traffic-free lookup (tests, diagnostics).
@@ -649,8 +635,6 @@ class DistributedGlobalIndex {
   net::TrafficRecorder* traffic_;
   ThreadPool* pool_;
   net::Resilience res_;
-  std::atomic<uint64_t> lost_contributions_{0};
-  std::atomic<uint64_t> lost_notifications_{0};
   std::atomic<uint64_t> missed_replica_pushes_{0};
   std::atomic<uint64_t> missed_replica_forgets_{0};
   /// Bumped per ReconcileReplicas call; salts the sync message fault

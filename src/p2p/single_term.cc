@@ -1,10 +1,8 @@
 #include "p2p/single_term.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/hash.h"
-#include "index/bloom.h"
 #include "index/score_accumulator.h"
 
 namespace hdk::p2p {
@@ -264,171 +262,6 @@ index::SearchResponse SingleTermP2PEngine::Search(
 
   exec.cost.messages = tally.counters().messages;
   exec.cost.hops = tally.counters().hops;
-  return exec;
-}
-
-SingleTermP2PEngine::ConjunctiveExecution
-SingleTermP2PEngine::SearchConjunctive(PeerId origin,
-                                       std::span<const TermId> query,
-                                       size_t k, bool use_bloom,
-                                       double bloom_fp_rate) const {
-  ConjunctiveExecution exec;
-  const net::ScopedTally tally(traffic_);
-
-  const net::Channel channel(traffic_, res_);
-  auto finalize = [&] {
-    exec.messages = tally.counters().messages;
-    exec.hops = tally.counters().hops;
-  };
-  // One protocol message; on a faulty transport it retries with backoff.
-  // false = the hop stayed unreachable — the caller aborts the
-  // conjunction degraded (chain protocols have no replica to fail over
-  // to).
-  auto send = [&](PeerId src, PeerId dst, net::MessageKind kind,
-                  uint64_t postings, uint64_t hops, uint64_t salt) {
-    const net::SendOutcome out =
-        channel.SendReliable(src, dst, kind, postings, hops, salt);
-    exec.retries += out.retries;
-    if (!out.delivered) exec.degraded = true;
-    return out.delivered;
-  };
-
-  // Resolve each distinct term to (owner, posting list), ascending df.
-  std::vector<TermId> terms(query.begin(), query.end());
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-
-  if (terms.empty()) return exec;
-
-  struct TermLoc {
-    TermId term;
-    PeerId owner;
-    const index::PostingList* postings;  // nullptr when absent
-  };
-  std::vector<TermLoc> locs;
-  for (TermId t : terms) {
-    const PeerId owner = overlay_->Responsible(HashU64(t));
-    const auto& fragment = fragments_[owner];
-    auto it = fragment.find(t);
-    locs.push_back(
-        {t, owner, it == fragment.end() ? nullptr : &it->second});
-    if (locs.back().postings == nullptr) {
-      // A missing term empties the conjunction; one probe settles it.
-      const size_t hops = overlay_->Route(origin, HashU64(t));
-      if (send(origin, owner, net::MessageKind::kKeyProbe, 0, hops,
-               HashU64(t))) {
-        send(owner, origin, net::MessageKind::kPostingsResponse, 0, 1,
-             HashU64(t));
-      }
-      finalize();
-      return exec;
-    }
-  }
-  std::sort(locs.begin(), locs.end(),
-            [](const TermLoc& a, const TermLoc& b) {
-              return a.postings->size() < b.postings->size();
-            });
-
-  // Candidate computation.
-  std::vector<DocId> candidates = locs.front().postings->Documents();
-  if (!use_bloom || locs.size() == 1) {
-    // Naive: every full list travels to the origin.
-    for (const TermLoc& loc : locs) {
-      const size_t hops = overlay_->Route(origin, HashU64(loc.term));
-      if (!send(origin, loc.owner, net::MessageKind::kKeyProbe, 0, hops,
-                HashU64(loc.term)) ||
-          !send(loc.owner, origin, net::MessageKind::kPostingsResponse,
-                loc.postings->size(), 1, HashU64(loc.term))) {
-        finalize();
-        return exec;
-      }
-      exec.postings_transferred += loc.postings->size();
-    }
-    for (size_t i = 1; i < locs.size(); ++i) {
-      std::vector<DocId> next;
-      for (DocId d : candidates) {
-        if (locs[i].postings->Contains(d)) next.push_back(d);
-      }
-      candidates = std::move(next);
-    }
-  } else {
-    // Bloom chain: owner_0 -> owner_1 -> ... -> owner_last, then the
-    // surviving postings + per-term verification postings to the origin.
-    // Posting-equivalents for the byte accounting of Bloom payloads use
-    // the default cost model (12 bytes/posting).
-    constexpr uint64_t kPostingBytes = 12;
-    for (size_t i = 0; i + 1 < locs.size(); ++i) {
-      index::BloomFilter bloom =
-          index::BloomFilter::ForItems(candidates.size(), bloom_fp_rate);
-      for (DocId d : candidates) bloom.Insert(d);
-      exec.bloom_bytes += bloom.SizeBytes();
-      const PeerId next_owner = locs[i + 1].owner;
-      const size_t hops =
-          overlay_->Route(locs[i].owner, HashU64(locs[i + 1].term));
-      if (!send(locs[i].owner, next_owner, net::MessageKind::kBloomFilter,
-                (bloom.SizeBytes() + kPostingBytes - 1) / kPostingBytes,
-                hops, HashU64(locs[i + 1].term))) {
-        finalize();
-        return exec;
-      }
-      // The next owner intersects its list against the filter (keeping
-      // Bloom false positives).
-      std::vector<DocId> next;
-      for (const index::Posting& p : locs[i + 1].postings->postings()) {
-        if (bloom.MayContain(p.doc)) next.push_back(p.doc);
-      }
-      candidates = std::move(next);
-    }
-    // Last owner ships the surviving candidates to the origin.
-    if (!send(locs.back().owner, origin,
-              net::MessageKind::kPostingsResponse, candidates.size(), 1,
-              HashU64(locs.back().term))) {
-      finalize();
-      return exec;
-    }
-    exec.postings_transferred += candidates.size();
-    // Verification/scoring: every other owner ships its postings
-    // restricted to the candidate set (also prunes false positives).
-    for (size_t i = 0; i + 1 < locs.size(); ++i) {
-      uint64_t shipped = 0;
-      std::vector<DocId> verified;
-      for (DocId d : candidates) {
-        if (locs[i].postings->Contains(d)) {
-          ++shipped;
-          verified.push_back(d);
-        }
-      }
-      if (!send(locs[i].owner, origin,
-                net::MessageKind::kPostingsResponse, shipped, 1,
-                HashU64(locs[i].term))) {
-        finalize();
-        return exec;
-      }
-      exec.postings_transferred += shipped;
-      candidates = std::move(verified);
-    }
-  }
-
-  // Exact BM25 scoring of the verified conjunctive candidates.
-  index::Bm25Scorer scorer(num_documents_, average_document_length());
-  index::TopK topk(k);
-  for (DocId d : candidates) {
-    double score = 0;
-    for (const TermLoc& loc : locs) {
-      const auto& pl = *loc.postings;
-      auto docs = pl.postings();
-      auto it = std::lower_bound(
-          docs.begin(), docs.end(), d,
-          [](const index::Posting& p, DocId doc) { return p.doc < doc; });
-      if (it != docs.end() && it->doc == d) {
-        score += scorer.Score(it->tf, pl.size(), it->doc_length);
-      }
-    }
-    topk.Offer(index::ScoredDoc{d, score});
-  }
-  exec.results = topk.Take();
-
-  finalize();
   return exec;
 }
 

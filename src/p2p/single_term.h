@@ -24,7 +24,6 @@
 #include "index/bm25.h"
 #include "index/posting.h"
 #include "index/search_result.h"
-#include "index/topk.h"
 #include "net/fault.h"
 #include "net/traffic.h"
 
@@ -107,38 +106,6 @@ class SingleTermP2PEngine {
   /// keys_fetched = terms whose posting list existed, pruned = 0.
   index::SearchResponse Search(PeerId origin, std::span<const TermId> query,
                                size_t k) const;
-
-  /// Conjunctive (AND-semantics) retrieval: only documents containing ALL
-  /// query terms, BM25-ranked. Two protocol variants (related work [15],
-  /// [17], [20] of the paper):
-  ///   * naive (`use_bloom = false`): the origin fetches every term's full
-  ///     posting list and intersects locally — traffic = sum of dfs;
-  ///   * Bloom chain (`use_bloom = true`): the owner of the SMALLEST list
-  ///     forwards a Bloom filter of the running intersection from owner to
-  ///     owner (ascending df); the last owner ships the surviving
-  ///     candidate postings; remaining owners then ship their postings
-  ///     restricted to the candidates so that the origin can compute
-  ///     exact BM25 scores (Bloom false positives are pruned there —
-  ///     results are identical to the naive variant).
-  struct ConjunctiveExecution {
-    std::vector<index::ScoredDoc> results;
-    /// Posting entries transferred (the paper's cost metric).
-    uint64_t postings_transferred = 0;
-    /// Bloom payload shipped between owners.
-    uint64_t bloom_bytes = 0;
-    uint64_t messages = 0;
-    uint64_t hops = 0;
-    /// Failure handling (zero on a healthy network): send attempts
-    /// beyond the first, and whether a chain hop stayed unreachable
-    /// after retries — the conjunction then aborts with the results
-    /// computed so far (usually empty).
-    uint64_t retries = 0;
-    bool degraded = false;
-  };
-  ConjunctiveExecution SearchConjunctive(PeerId origin,
-                                         std::span<const TermId> query,
-                                         size_t k, bool use_bloom,
-                                         double bloom_fp_rate = 0.01) const;
 
   uint64_t num_documents() const { return num_documents_; }
   double average_document_length() const {

@@ -27,8 +27,8 @@ PairPlan PlanPairSync(std::span<const uint64_t> desired,
   PairPlan plan;
 
   // Leg 1: holder ships its strata estimator, primary sizes the diff.
-  StrataEstimator strata_desired(config);
-  StrataEstimator strata_actual(config);
+  StrataEstimator strata_desired;
+  StrataEstimator strata_actual;
   for (uint64_t e : desired) strata_desired.Insert(e);
   for (uint64_t e : actual) strata_actual.Insert(e);
   plan.estimated_diff = strata_desired.EstimateDiff(strata_actual);
@@ -44,8 +44,8 @@ PairPlan PlanPairSync(std::span<const uint64_t> desired,
                                   config.min_cells);
 
   // Leg 2: primary ships its difference IBF, holder subtracts and peels.
-  Ibf ibf_desired(cells, config.num_hashes, config.seed);
-  Ibf ibf_actual(cells, config.num_hashes, config.seed);
+  Ibf ibf_desired(cells, kSketchHashes, kSketchSeed);
+  Ibf ibf_actual(cells, kSketchHashes, kSketchSeed);
   for (uint64_t e : desired) ibf_desired.Insert(e);
   for (uint64_t e : actual) ibf_actual.Insert(e);
   plan.ibf_cells = ibf_desired.num_cells();

@@ -81,13 +81,12 @@ Ibf::DecodeResult Ibf::Decode() const {
   return result;
 }
 
-StrataEstimator::StrataEstimator(const SyncConfig& config)
-    : seed_(HashCombine(config.seed, 0x535452415441ULL)) {  // "STRATA"
-  const uint32_t levels = std::max(config.strata_levels, 1u);
-  strata_.reserve(levels);
-  for (uint32_t i = 0; i < levels; ++i) {
-    strata_.emplace_back(config.strata_cells, config.num_hashes,
-                         HashCombine(config.seed, i));
+StrataEstimator::StrataEstimator()
+    : seed_(HashCombine(kSketchSeed, 0x535452415441ULL)) {  // "STRATA"
+  strata_.reserve(kStrataLevels);
+  for (uint32_t i = 0; i < kStrataLevels; ++i) {
+    strata_.emplace_back(kStrataCells, kSketchHashes,
+                         HashCombine(kSketchSeed, i));
   }
 }
 

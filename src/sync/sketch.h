@@ -27,9 +27,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "sync/sync.h"
-
 namespace hdk::sync {
+
+/// Strata-estimator depth: stratum i samples ~2^-(i+1) of the key space,
+/// so 16 levels size differences up to ~2^17 elements.
+inline constexpr uint32_t kStrataLevels = 16;
+/// IBF cells per stratum (fixed, small: the estimator only needs to
+/// decode the sparse top strata).
+inline constexpr uint32_t kStrataCells = 40;
+/// Hash functions per IBF (partitioned sub-tables, one per function).
+inline constexpr uint32_t kSketchHashes = 3;
+/// Seeds every sketch hash; both sides of a pair must agree.
+inline constexpr uint64_t kSketchSeed = 0x414e544945ULL;  // "ANTIE"
 
 /// Invertible Bloom filter over uint64 element digests.
 class Ibf {
@@ -84,13 +93,13 @@ class Ibf {
 /// Stacked-IBF estimator of the symmetric difference size.
 class StrataEstimator {
  public:
-  explicit StrataEstimator(const SyncConfig& config);
+  StrataEstimator();
 
   void Insert(uint64_t element);
 
-  /// Estimated |A xor B| (this vs other; same config required). Never
-  /// underestimates by design: the first stratum that fails to decode
-  /// scales the count so far by its full sampling rate.
+  /// Estimated |A xor B| (this vs other). Never underestimates by
+  /// design: the first stratum that fails to decode scales the count so
+  /// far by its full sampling rate.
   uint64_t EstimateDiff(const StrataEstimator& other) const;
 
   uint64_t ByteSize() const;

@@ -27,19 +27,13 @@ namespace hdk::sync {
 /// SyncConfig::mode stay for source compatibility; nothing reads them.
 enum class SyncMode : uint8_t { kIbf = 1 };
 
-/// Tuning of the sketch exchange. Defaults follow the Eppstein et al.
-/// "What's the difference?" sizing: ~1.6 IBF cells per expected
+/// Cell budget of the difference IBF. The default follows the Eppstein
+/// et al. "What's the difference?" sizing: ~1.6 IBF cells per expected
 /// difference element decodes with high probability at 3 hash functions.
+/// The estimator's shape and the sketch seed are constants
+/// (sync/sketch.h).
 struct SyncConfig {
   SyncMode mode = SyncMode::kIbf;
-  /// Strata-estimator depth: stratum i samples ~2^-(i+1) of the key
-  /// space, so 16 levels size differences up to ~2^17 elements.
-  uint32_t strata_levels = 16;
-  /// IBF cells per stratum (fixed, small — the estimator only needs to
-  /// decode the sparse top strata).
-  uint32_t strata_cells = 40;
-  /// Hash functions per IBF (partitioned sub-tables, one per function).
-  uint32_t num_hashes = 3;
   /// Difference-IBF cells per estimated difference element.
   double alpha = 1.6;
   /// Cell-count clamp of the difference IBF. An estimate that needs more
@@ -47,8 +41,6 @@ struct SyncConfig {
   /// full-sync fallback.
   uint32_t min_cells = 16;
   uint32_t max_cells = 4096;
-  /// Seeds every sketch hash; both sides of a pair must agree.
-  uint64_t seed = 0x414e544945ULL;  // "ANTIE"
 
   bool operator==(const SyncConfig&) const = default;
 };

@@ -61,28 +61,5 @@ TEST(HdkParamsTest, ToStringMentionsEveryKnob) {
   EXPECT_NE(s.find("s_max=3"), std::string::npos);
 }
 
-TEST(ExperimentParamsTest, DefaultsValid) {
-  ExperimentParams p;
-  EXPECT_TRUE(p.Validate().ok());
-  EXPECT_EQ(p.docs_per_peer, 5000u);
-}
-
-TEST(ExperimentParamsTest, RejectsZeroPeers) {
-  ExperimentParams p;
-  p.num_peers = 0;
-  EXPECT_FALSE(p.Validate().ok());
-}
-
-TEST(ExperimentParamsTest, RejectsZeroDocsPerPeer) {
-  ExperimentParams p;
-  p.docs_per_peer = 0;
-  EXPECT_FALSE(p.Validate().ok());
-}
-
-TEST(ExperimentParamsTest, ToStringIsInformative) {
-  ExperimentParams p;
-  EXPECT_NE(p.ToString().find("docs_per_peer=5000"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace hdk

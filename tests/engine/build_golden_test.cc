@@ -2,8 +2,8 @@
 // corpus, with every observable outcome of the indexing wave pinned to
 // recorded constants — the published contents, the per-kind traffic
 // (messages, postings, hops, bytes), every per-level IndexingReport field
-// after each step, every GrowthStats field of each wave, the indexing-side
-// loss counters and the snapshot length — on both overlays, at 1 and 4
+// after each step, every GrowthStats field of each wave and the snapshot
+// length — on both overlays, at 1 and 4
 // threads, over a perfect transport and over one that loses half of the
 // insertions and notifications. At 50% loss a contribution exhausts its
 // send attempts often enough that the lossy history exercises the level
@@ -100,8 +100,6 @@ struct Golden {
   uint64_t reports;
   /// Both waves' GrowthStats.
   uint64_t growth;
-  uint64_t lost_contributions;
-  uint64_t lost_notifications;
   /// The snapshot's shard sections follow the thread count's shard
   /// layout, so its length is pinned per thread count.
   uint64_t snapshot_bytes_t1;
@@ -111,13 +109,13 @@ struct Golden {
 // Recorded on the mutex-guarded pending-table insert path.
 constexpr Golden kGoldens[] = {
     {OverlayKind::kPGrid, false, 0x9e52188a75e7042fULL, 0x792db781a9f587cdULL,
-     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 0, 0, 2426408, 2427728},
+     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 2426408, 2427728},
     {OverlayKind::kChord, false, 0x9e52188a75e7042fULL, 0x3fb9c0e2573c38efULL,
-     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 0, 0, 2426400, 2427720},
+     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 2426400, 2427720},
     {OverlayKind::kPGrid, true, 0x9e52188a75e7042fULL, 0xae58f515496641cfULL,
-     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 0, 0, 2426408, 2427728},
+     0xdd8c63fb05072e1bULL, 0xa5d912d6c867bad9ULL, 2426408, 2427728},
     {OverlayKind::kChord, true, 0x9e52188a75e7042fULL, 0xf0b7b63adf06896fULL,
-     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 0, 0, 2426400, 2427720},
+     0xdd8c63fb05072e1bULL, 0x764af68dd444a23eULL, 2426400, 2427720},
 };
 
 const char* OverlayName(OverlayKind overlay) {
@@ -158,10 +156,6 @@ TEST_P(BuildGoldenTest, BuildAndJoinsMatchRecordedGoldens) {
   const uint64_t contents =
       FingerprintContents(engine.global_index().ExportContents());
   const uint64_t traffic = FingerprintTraffic(*engine.traffic());
-  const uint64_t lost_contributions =
-      engine.global_index().lost_contributions();
-  const uint64_t lost_notifications =
-      engine.global_index().lost_notifications();
 
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) /
@@ -175,11 +169,9 @@ TEST_P(BuildGoldenTest, BuildAndJoinsMatchRecordedGoldens) {
   char got[256];
   std::snprintf(got, sizeof(got),
                 "\n  got: 0x%016llxULL, 0x%016llxULL, 0x%016llxULL, "
-                "0x%016llxULL, %llu, %llu, snapshot %llu",
+                "0x%016llxULL, snapshot %llu",
                 (unsigned long long)contents, (unsigned long long)traffic,
                 (unsigned long long)reports, (unsigned long long)growth,
-                (unsigned long long)lost_contributions,
-                (unsigned long long)lost_notifications,
                 (unsigned long long)snapshot_bytes);
   const std::string context =
       trace + DescribeTraffic(*engine.traffic()) + got;
@@ -187,8 +179,6 @@ TEST_P(BuildGoldenTest, BuildAndJoinsMatchRecordedGoldens) {
   EXPECT_EQ(traffic, golden.traffic) << context;
   EXPECT_EQ(reports, golden.reports) << context;
   EXPECT_EQ(growth, golden.growth) << context;
-  EXPECT_EQ(lost_contributions, golden.lost_contributions);
-  EXPECT_EQ(lost_notifications, golden.lost_notifications);
   EXPECT_EQ(snapshot_bytes, threads == 1 ? golden.snapshot_bytes_t1
                                          : golden.snapshot_bytes_t4);
 }

@@ -12,9 +12,8 @@
 //     answers from the reachable lattice keys and flags itself;
 //   * evicting the dead peer through the standard departure repair
 //     restores an index identical to a fault-free build over the
-//     survivors;
-//   * the "faulty:..." engine-spec decorator and the single-term baseline
-//     honor the same contract.
+//     survivors, also when the peer died in the middle of the build;
+//   * the single-term baseline honors the same contract.
 #include <memory>
 #include <span>
 #include <string>
@@ -23,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "churn_golden.h"
 #include "corpus/query_gen.h"
 #include "corpus/stats.h"
 #include "corpus/synthetic.h"
@@ -114,8 +114,6 @@ TEST_P(LossyBuildIdentityTest, LossyBuildEqualsFaultFreeBuild) {
 
   ExpectSameContents((*clean)->global_index().ExportContents(),
                      (*lossy)->global_index().ExportContents());
-  EXPECT_EQ((*lossy)->global_index().lost_contributions(), 0u);
-  EXPECT_EQ((*lossy)->global_index().lost_notifications(), 0u);
   // The retried insertions are visible as extra recorded traffic.
   EXPECT_GT((*lossy)->traffic()->total().messages,
             (*clean)->traffic()->total().messages);
@@ -309,39 +307,51 @@ TEST(GracefulDegradationTest, DeadPrimaryWithoutReplicasDegradesThenEvicts) {
   EXPECT_EQ(*again, 0u);
 }
 
-TEST(FaultySpecTest, DecoratorInstallsQueryTimeFaults) {
+// A peer that dies during the build keeps every contribution routed to it
+// and every NDK notification sent to it, so evicting it yields the
+// fault-free build over the survivors. The peer dies before the build's
+// first message, early, or late in the build. Contents only: at 4 threads
+// the moment of death depends on thread timing, and that moves traffic.
+class DeadOwnerEvictionTest
+    : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
+
+TEST_P(DeadOwnerEvictionTest, EvictedBuildEqualsCleanBuildOverSurvivors) {
+  const auto [kill_after, threads] = GetParam();
   corpus::DocumentStore store;
-  FaultCorpus().FillStore(160, &store);
-  const EngineConfig config = FaultConfig();
+  ChurnCorpus().FillStore(300, &store);
+  EngineConfig config;
+  config.hdk.df_max = 8;
+  config.hdk.very_frequent_threshold = 350;
+  config.hdk.window = 8;
+  config.hdk.s_max = 3;
+  config.num_threads = threads;
+  auto plan = net::FaultPlan::Parse("kill=2@" + std::to_string(kill_after));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  config.faults = *plan;
+  auto engine = HdkSearchEngine::Build(config, store, SplitEvenly(300, 5));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE((*engine)->fault_injector().PeerDead(2));
 
-  auto plain = MakeEngine("hdk", config, store, SplitEvenly(160, 4));
-  auto faulty = MakeEngine("faulty:seed=7,loss=0.02(hdk)", config, store,
-                           SplitEvenly(160, 4));
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
-  // The decorator carries no state: the engine name is the backend's.
-  EXPECT_EQ((*faulty)->name(), "hdk");
+  auto evicted = (*engine)->EvictDeadPeers(store);
+  ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
+  EXPECT_EQ(*evicted, 1u);
 
-  const std::vector<DocRange> ranges = SplitEvenly(160, 4);
-  uint64_t retries = 0;
-  for (const auto& q : FaultQueries(store, ranges)) {
-    auto a = (*plain)->Search(q.terms, 20, /*origin=*/0);
-    auto b = (*faulty)->Search(q.terms, 20, /*origin=*/0);
-    EXPECT_FALSE(b.degraded);
-    ExpectSameResults(a, b);
-    retries += b.cost.retries;
-  }
-  EXPECT_GT(retries, 0u);
-
-  // Malformed plans fail at build time; unsupported backends reject the
-  // decorator (the centralized reference accepts it as a no-op).
-  EXPECT_FALSE(
-      MakeEngine("faulty:loss=2(hdk)", config, store, SplitEvenly(160, 4))
-          .ok());
-  EXPECT_TRUE(MakeEngine("faulty:seed=1,loss=0.1(bm25)", config, store,
-                         SplitEvenly(160, 4))
-                  .ok());
+  config.faults = net::FaultPlan();
+  auto clean =
+      HdkSearchEngine::Build(config, store, (*engine)->peer_ranges());
+  ASSERT_TRUE(clean.ok());
+  ExpectSameContents((*clean)->global_index().ExportContents(),
+                     (*engine)->global_index().ExportContents());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    KillPointsThreads, DeadOwnerEvictionTest,
+    ::testing::Combine(::testing::Values(0, 200, 2000),
+                       ::testing::Values<size_t>(1, 4)),
+    [](const auto& info) {
+      return "kill" + std::to_string(std::get<0>(info.param)) + "_t" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(SingleTermFaultsTest, LossRetriesAndDeadOwnerDegrades) {
   corpus::DocumentStore store;

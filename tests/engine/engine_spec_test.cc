@@ -1,6 +1,5 @@
-// The composable engine registry: EngineSpec parsing, the decorator
-// registration seam, and the first decorator — the "cached(...)" bounded
-// LRU result cache. Contract: identical ranked results to the undecorated
+// The engine factory: EngineSpec parsing and its one decorator, the
+// "cached(...)" bounded LRU result cache. Contract: identical ranked results to the undecorated
 // engine, a non-zero hit rate on repeated workloads (hits answer with
 // ZERO network counters), and full invalidation on any membership event.
 #include <algorithm>
@@ -88,23 +87,16 @@ TEST(EngineSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(EngineSpec::Parse("cached: (hdk)").ok());
 }
 
-TEST(EngineSpecTest, RegistryListsBuiltinsAndRejectsUnknown) {
-  auto names = RegisteredEngineDecorators();
-  EXPECT_NE(std::find(names.begin(), names.end(), "cached"), names.end());
-  // A well-formed spec with an unregistered decorator parses but cannot
-  // build.
+TEST(EngineSpecTest, RejectsUnknownDecoratorsAndBadArguments) {
+  // A well-formed spec with an unknown decorator parses but cannot
+  // build; fault plans install through EngineConfig::faults, not a spec.
   corpus::DocumentStore store;
   TestCorpus().FillStore(40, &store);
-  auto built = MakeEngine("superpeer(hdk)", TestConfig(), store,
-                          SplitEvenly(40, 2));
-  EXPECT_FALSE(built.ok());
-  // Registration is idempotent-checked: the builtin name is taken.
-  EXPECT_FALSE(RegisterEngineDecorator(
-      "cached", [](std::unique_ptr<SearchEngine> inner, std::string_view,
-                   const EngineConfig&)
-          -> Result<std::unique_ptr<SearchEngine>> {
-        return std::move(inner);
-      }));
+  for (const char* spec : {"superpeer(hdk)", "faulty:loss=0.1(hdk)"}) {
+    ASSERT_TRUE(EngineSpec::Parse(spec).ok()) << spec;
+    auto built = MakeEngine(spec, TestConfig(), store, SplitEvenly(40, 2));
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
   // A bad capacity argument fails at build time.
   EXPECT_FALSE(MakeEngine("cached:zero(hdk)", TestConfig(), store,
                           SplitEvenly(40, 2))

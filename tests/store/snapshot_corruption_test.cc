@@ -81,7 +81,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
     store_ = nullptr;
   }
 
-  /// Loads `bytes` written to a fresh file and expects a clean failure
+  /// Loads `bytes` written to a fresh file and expects a clean IOError
   /// whose message contains `want_substring`.
   static void ExpectRejected(const std::vector<char>& bytes,
                              const char* case_name,
@@ -90,6 +90,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
     WriteFile(path, bytes);
     auto loaded = LoadEngineSnapshot(Config(), *store_, path);
     ASSERT_FALSE(loaded.ok()) << case_name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << case_name;
     const std::string message = loaded.status().ToString();
     EXPECT_FALSE(message.empty()) << case_name;
     EXPECT_NE(message.find(want_substring), std::string::npos)
@@ -176,15 +177,12 @@ TEST_F(SnapshotCorruptionTest, WrongFormatVersion) {
   }
 }
 
-/// Overwrites the u32 at element `element` of column `column` of the
-/// first shard's key table in the global-index section, then re-seals the
-/// section and table checksums, so only the loader's semantic checks
-/// stand between the edit and the engine. The table's columns, in order:
-/// hashes (u64), keys (28 bytes), contributor counts, contributor ids,
-/// local dfs (u32 each), global dfs (u64), owners (u32).
-std::vector<char> RewriteKeyTableU32(const std::vector<char>& original,
-                                     size_t column, uint64_t element,
-                                     uint32_t value) {
+/// Applies `edit(payload)` to a copy of section `id`'s payload, then
+/// re-seals the section and table checksums, so only the loader's
+/// semantic checks stand between the edit and the engine.
+template <typename Edit>
+std::vector<char> EditSection(const std::vector<char>& original,
+                              store::SectionId id, Edit edit) {
   std::vector<char> bytes = original;
   store::SnapshotHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
@@ -192,23 +190,8 @@ std::vector<char> RewriteKeyTableU32(const std::vector<char>& original,
     const size_t at = sizeof(header) + s * sizeof(store::SectionEntry);
     store::SectionEntry entry;
     std::memcpy(&entry, bytes.data() + at, sizeof(entry));
-    if (entry.id != static_cast<uint32_t>(store::SectionId::kGlobalIndex)) {
-      continue;
-    }
-    constexpr size_t kElementBytes[] = {8, 28, 4, 4, 4, 8, 4};
-    // Past the shard and peer counts, each column is a u64 count plus
-    // its elements.
-    size_t offset = entry.offset + 2 * sizeof(uint64_t);
-    for (size_t c = 0; c < column; ++c) {
-      uint64_t count = 0;
-      std::memcpy(&count, bytes.data() + offset, sizeof(count));
-      offset += sizeof(count) + count * kElementBytes[c];
-    }
-    uint64_t count = 0;
-    std::memcpy(&count, bytes.data() + offset, sizeof(count));
-    EXPECT_LT(element, count);
-    std::memcpy(bytes.data() + offset + sizeof(count) + element * 4, &value,
-                sizeof(value));
+    if (entry.id != static_cast<uint32_t>(id)) continue;
+    edit(bytes.data() + entry.offset, entry.length);
     entry.checksum =
         store::SnapshotChecksum(bytes.data() + entry.offset, entry.length);
     std::memcpy(bytes.data() + at, &entry, sizeof(entry));
@@ -218,8 +201,54 @@ std::vector<char> RewriteKeyTableU32(const std::vector<char>& original,
     std::memcpy(bytes.data(), &header, sizeof(header));
     return bytes;
   }
-  ADD_FAILURE() << "no global-index section";
+  ADD_FAILURE() << "no section " << static_cast<uint32_t>(id);
   return bytes;
+}
+
+/// Overwrites the u32 at element `element` of column `column` of the
+/// first shard's key table in the global-index section. The table's
+/// columns, in order: hashes (u64), keys (28 bytes), contributor counts,
+/// contributor ids, local dfs (u32 each), global dfs (u64), owners (u32).
+std::vector<char> RewriteKeyTableU32(const std::vector<char>& original,
+                                     size_t column, uint64_t element,
+                                     uint32_t value) {
+  return EditSection(
+      original, store::SectionId::kGlobalIndex,
+      [&](char* payload, uint64_t /*length*/) {
+        constexpr size_t kElementBytes[] = {8, 28, 4, 4, 4, 8, 4};
+        // Past the shard and peer counts, each column is a u64 count plus
+        // its elements.
+        size_t offset = 2 * sizeof(uint64_t);
+        for (size_t c = 0; c < column; ++c) {
+          uint64_t count = 0;
+          std::memcpy(&count, payload + offset, sizeof(count));
+          offset += sizeof(count) + count * kElementBytes[c];
+        }
+        uint64_t count = 0;
+        std::memcpy(&count, payload + offset, sizeof(count));
+        EXPECT_LT(element, count);
+        std::memcpy(payload + offset + sizeof(count) + element * 4, &value,
+                    sizeof(value));
+      });
+}
+
+/// Rewrites peer `id`'s document range in the protocol section, found by
+/// its record (id, first, last as u32s), which must occur exactly once.
+std::vector<char> RewritePeerRange(const std::vector<char>& original,
+                                   uint32_t id, DocRange from, DocRange to) {
+  return EditSection(
+      original, store::SectionId::kProtocol,
+      [&](char* payload, uint64_t length) {
+        const uint32_t want[3] = {id, from.first, from.second};
+        const uint32_t put[3] = {id, to.first, to.second};
+        size_t found = 0;
+        for (uint64_t at = 0; at + sizeof(want) <= length; ++at) {
+          if (std::memcmp(payload + at, want, sizeof(want)) != 0) continue;
+          std::memcpy(payload + at, put, sizeof(put));
+          ++found;
+        }
+        EXPECT_EQ(found, 1u) << "peer record " << id;
+      });
 }
 
 TEST_F(SnapshotCorruptionTest, ResealedKeyTableFailsSemanticChecks) {
@@ -232,6 +261,11 @@ TEST_F(SnapshotCorruptionTest, ResealedKeyTableFailsSemanticChecks) {
                  "local df off the global df", "sum to the global df");
   ExpectRejected(RewriteKeyTableU32(*bytes_, /*column=*/6, 0, 4),
                  "owner past the peer count", "owner out of range");
+  // The test engine's peers own [0,20), [20,40), [40,60) and [60,80).
+  ExpectRejected(RewritePeerRange(*bytes_, 3, {60, 80}, {60, 81}),
+                 "peer range past the indexed frontier", "peer ranges");
+  ExpectRejected(RewritePeerRange(*bytes_, 1, {20, 40}, {20, 45}),
+                 "overlapping peer ranges", "peer ranges");
 }
 
 TEST_F(SnapshotCorruptionTest, WrongConfigHashInHeader) {

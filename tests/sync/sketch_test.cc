@@ -143,9 +143,8 @@ TEST(IbfTest, RandomizedDecodeIsCorrectOrRejected) {
 TEST(StrataEstimatorTest, EqualSetsEstimateZero) {
   Rng rng(105);
   const SetPair sets = MakeSets(rng, 1000, 0, 0);
-  SyncConfig config;
-  StrataEstimator a(config);
-  StrataEstimator b(config);
+  StrataEstimator a;
+  StrataEstimator b;
   for (uint64_t e : sets.a) a.Insert(e);
   for (uint64_t e : sets.b) b.Insert(e);
   EXPECT_EQ(a.EstimateDiff(b), 0u);
@@ -153,7 +152,6 @@ TEST(StrataEstimatorTest, EqualSetsEstimateZero) {
 
 TEST(StrataEstimatorTest, RandomizedEstimateTracksTrueDifference) {
   Rng rng(106);
-  SyncConfig config;
   for (size_t t = 0; t < 40; ++t) {
     const size_t shared = rng.NextBounded(2000);
     const size_t diff_a = 1 + rng.NextBounded(200);
@@ -161,8 +159,8 @@ TEST(StrataEstimatorTest, RandomizedEstimateTracksTrueDifference) {
     const SetPair sets = MakeSets(rng, shared, diff_a, diff_b);
     const uint64_t truth = diff_a + diff_b;
 
-    StrataEstimator a(config);
-    StrataEstimator b(config);
+    StrataEstimator a;
+    StrataEstimator b;
     for (uint64_t e : sets.a) a.Insert(e);
     for (uint64_t e : sets.b) b.Insert(e);
     const uint64_t estimate = a.EstimateDiff(b);
