@@ -4,6 +4,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -51,6 +52,16 @@ class DocumentStore {
   std::vector<Document> docs_;
   uint64_t total_tokens_ = 0;
 };
+
+/// A peer's contiguous [first, last) document range.
+using DocRange = std::pair<DocId, DocId>;
+
+/// The peer-range rule of every build: ranges must be pairwise disjoint
+/// (a contribution is derived from its contributor's range, and an
+/// overlap would double-index shared documents and corrupt later
+/// departures) and stay within the first `num_docs` documents.
+Status ValidateDisjointRanges(const std::vector<DocRange>& ranges,
+                              uint64_t num_docs);
 
 }  // namespace hdk::corpus
 

@@ -33,7 +33,7 @@ CentralizedBm25Engine::BuildOverRanges(
     return Status::InvalidArgument(
         "CentralizedBm25Engine: need >= 1 peer range");
   }
-  HDK_RETURN_NOT_OK(ValidateDisjointRanges(peer_ranges, store.size()));
+  HDK_RETURN_NOT_OK(corpus::ValidateDisjointRanges(peer_ranges, store.size()));
   auto engine = std::unique_ptr<CentralizedBm25Engine>(
       new CentralizedBm25Engine());
   engine->store_ = &store;

@@ -645,7 +645,8 @@ Status ReadProtocolSection(const SnapshotReader& reader,
   HDK_RETURN_NOT_OK(cur.ExpectEnd());
   // Run admits only disjoint ranges inside the indexed frontier, and
   // ContributionOf and the departure rescans read documents through them.
-  if (Status st = ValidateDisjointRanges(ranges, indexed_docs); !st.ok()) {
+  if (Status st = corpus::ValidateDisjointRanges(ranges, indexed_docs);
+      !st.ok()) {
     return Status::IOError("snapshot: corrupt peer ranges: " +
                            st.message());
   }

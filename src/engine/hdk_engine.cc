@@ -12,7 +12,7 @@ Result<std::unique_ptr<HdkSearchEngine>> HdkSearchEngine::Build(
   if (peer_ranges.empty()) {
     return Status::InvalidArgument("HdkSearchEngine: need >= 1 peer");
   }
-  HDK_RETURN_NOT_OK(ValidateDisjointRanges(peer_ranges, store.size()));
+  HDK_RETURN_NOT_OK(corpus::ValidateDisjointRanges(peer_ranges, store.size()));
 
   auto engine = std::unique_ptr<HdkSearchEngine>(new HdkSearchEngine());
   engine->config_ = config;

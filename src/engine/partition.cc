@@ -1,7 +1,5 @@
 #include "engine/partition.h"
 
-#include <algorithm>
-
 namespace hdk::engine {
 
 std::vector<DocRange> SplitEvenly(uint64_t num_docs, uint32_t num_peers) {
@@ -51,25 +49,6 @@ Status ValidateJoinRanges(DocId frontier,
   for (const DocRange& range : new_ranges) {
     HDK_RETURN_NOT_OK(ValidateJoinRange(range, frontier, store_size));
     frontier = range.second;
-  }
-  return Status::OK();
-}
-
-Status ValidateDisjointRanges(const std::vector<DocRange>& ranges,
-                              uint64_t store_size) {
-  std::vector<DocRange> sorted = ranges;
-  std::sort(sorted.begin(), sorted.end());
-  DocId covered = 0;  // one past the highest document claimed so far
-  for (const auto& [first, last] : sorted) {
-    if (first > last || last > store_size) {
-      return Status::OutOfRange("invalid peer document range");
-    }
-    if (first == last) continue;  // empty ranges overlap nothing
-    if (first < covered) {
-      return Status::InvalidArgument(
-          "peer document ranges must be pairwise disjoint");
-    }
-    covered = last;
   }
   return Status::OK();
 }

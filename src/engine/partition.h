@@ -5,16 +5,15 @@
 #define HDKP2P_ENGINE_PARTITION_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "corpus/document.h"
 
 namespace hdk::engine {
 
-/// A peer's contiguous [first, last) document range.
-using DocRange = std::pair<DocId, DocId>;
+using corpus::DocRange;
 
 /// Splits `num_docs` documents into `num_peers` contiguous, near-equal
 /// [first, last) ranges (peer i gets the i-th range).
@@ -41,12 +40,6 @@ Status ValidateJoinRange(const DocRange& range, DocId frontier,
 Status ValidateJoinRanges(DocId frontier,
                           const std::vector<DocRange>& new_ranges,
                           uint64_t store_size);
-
-/// Build-time precondition of every backend: peer ranges must be
-/// pairwise disjoint (overlaps would double-index shared documents and
-/// corrupt later departures) and stay within the store.
-Status ValidateDisjointRanges(const std::vector<DocRange>& ranges,
-                              uint64_t store_size);
 
 }  // namespace hdk::engine
 

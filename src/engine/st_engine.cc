@@ -10,7 +10,7 @@ Result<std::unique_ptr<SingleTermEngine>> SingleTermEngine::Build(
   if (peer_ranges.empty()) {
     return Status::InvalidArgument("SingleTermEngine: need >= 1 peer");
   }
-  HDK_RETURN_NOT_OK(ValidateDisjointRanges(peer_ranges, store.size()));
+  HDK_RETURN_NOT_OK(corpus::ValidateDisjointRanges(peer_ranges, store.size()));
   auto engine = std::unique_ptr<SingleTermEngine>(new SingleTermEngine());
   engine->store_ = &store;
   engine->pool_ = ThreadPool::MakeIfParallel(config.num_threads);

@@ -130,31 +130,25 @@ bool GenerableUnder(const TermKey& key, const NdkOracle& oracle);
 /// generation uses exclusively old facts was already produced by the
 /// previous (deterministic) scan over the same documents.
 struct OracleDelta {
-  TermIdSet terms;                 // newly expandable single terms
-  KeySet ndks;                     // newly non-discriminative keys
-  std::vector<TermKey> ndk_pairs;  // the size-2 subset of `ndks`
+  TermIdSet terms;  // newly expandable single terms
+  KeySet ndks;      // newly non-discriminative keys
 
   bool FreshTerm(TermId t) const { return terms.count(t) > 0; }
   bool FreshNdk(const TermKey& k) const { return ndks.count(k) > 0; }
   bool empty() const { return terms.empty() && ndks.empty(); }
 
   void AddTerm(TermId t) { terms.insert(t); }
-  void AddNdk(const TermKey& k) {
-    if (ndks.insert(k).second && k.size() == 2) ndk_pairs.push_back(k);
-  }
+  void AddNdk(const TermKey& k) { ndks.insert(k); }
   /// Forgets everything about a purged (newly very frequent) term.
   void PurgeTerm(TermId t) {
     terms.erase(t);
     for (auto it = ndks.begin(); it != ndks.end();) {
       it = it->Contains(t) ? ndks.erase(it) : std::next(it);
     }
-    std::erase_if(ndk_pairs,
-                  [t](const TermKey& k) { return k.Contains(t); });
   }
   void Clear() {
     terms.clear();
     ndks.clear();
-    ndk_pairs.clear();
   }
 };
 
@@ -208,54 +202,29 @@ class CandidateBuilder {
                                         size_t expected_candidates = 0) const;
 
   /// Level-s candidates that could NOT have been generated before `delta`
-  /// was learned — the incremental-growth work list. A candidate is new
-  /// exactly when one of its terms or one of its (s-1)-sub-keys is fresh
-  /// (the oracle only ever grows, and a peer's documents never change, so
-  /// all-old candidates were produced by the previous scan). Posting lists
-  /// are identical to what a full BuildLevel would return for those keys.
+  /// was learned — the incremental-growth work list. An event (a
+  /// candidate S + {t} completing a window) is new exactly when one of
+  /// the facts its generation uses is fresh: t or a term of S became
+  /// expandable, a gate pair {x, t} (s >= 3) or an (s-1)-sub-key of the
+  /// candidate became an NDK. The oracle only ever grows and a peer's
+  /// documents never change, so all-old events were produced by the
+  /// previous scan. Posting lists are identical to what a full BuildLevel
+  /// would return for those keys.
   ///
-  /// `docs` restricts the scan: every window event of a new candidate lies
-  /// in a document where one of its fresh sub-keys (co-)occurs, so the
-  /// caller passes the union of the fresh facts' local document lists —
-  /// tiny, because a fresh fact is a key that only just crossed DFmax.
-  /// s == 2 uses a hand-tuned fresh-single walk; s == 3 (the paper's
-  /// smax, the dominant growth cost when many pairs cross DFmax per wave)
-  /// uses the per-fresh-pair window walk (see BuildLevel3Delta) that
-  /// enumerates only at windows actually containing a fresh fact; s >= 4
-  /// (the "larger keys" extension) uses the generalized
-  /// fresh-key-targeted walk, so growth cost stays delta-proportional at
-  /// every level. [first, last) is unused (kept for signature stability).
+  /// The walk is BuildLevel's, restricted to the positions whose window
+  /// holds a fresh single term or every term of one fresh NDK of size 2
+  /// or s-1 — the precondition for any new event there. `docs`
+  /// restricts it further: every new event lies in a document where one
+  /// of those fresh facts occurs, so the caller passes the union of
+  /// their local document lists.
   KeyMap<index::PostingList> BuildLevelDelta(
-      uint32_t s, const corpus::DocumentStore& store, DocId first,
-      DocId last, std::span<const DocId> docs, const NdkOracle& oracle,
+      uint32_t s, const corpus::DocumentStore& store,
+      std::span<const DocId> docs, const NdkOracle& oracle,
       const OracleDelta& delta, CandidateBuildStats* stats) const;
 
   const HdkParams& params() const { return params_; }
 
  private:
-  /// The level-3 per-fresh-pair window walk: a cheap hash-lookup prefilter
-  /// pass first marks the trigger positions whose window contains a fresh
-  /// single or BOTH terms of one fresh NDK pair (the exact precondition
-  /// for any new triple event), then the expensive tail/enumeration
-  /// machinery runs only at those positions, rebuilding the window tail
-  /// across gaps. Candidate maps are byte-identical to the old
-  /// full-position walk; cost drops from O(positions) tail updates per
-  /// document to O(active positions * window).
-  KeyMap<index::PostingList> BuildLevel3Delta(
-      const corpus::DocumentStore& store, std::span<const DocId> docs,
-      const NdkOracle& oracle, const OracleDelta& delta,
-      CandidateBuildStats* stats) const;
-
-  /// The generalized fresh-key-targeted delta walk used for s >= 4: at
-  /// positions that can touch fresh knowledge, enumerate candidates as
-  /// BuildLevel would and keep exactly the events whose generation uses a
-  /// fresh fact (trigger/pool expandability, gate pair, or an
-  /// (s-1)-sub-key of the candidate).
-  KeyMap<index::PostingList> BuildLevelDeltaGeneral(
-      uint32_t s, const corpus::DocumentStore& store,
-      std::span<const DocId> docs, const NdkOracle& oracle,
-      const OracleDelta& delta, CandidateBuildStats* stats) const;
-
   HdkParams params_;
 };
 

@@ -94,12 +94,4 @@ bool PostingList::Contains(DocId doc) const {
   return it != view.end() && it->doc == doc;
 }
 
-std::vector<DocId> PostingList::Documents() const {
-  const std::span<const Posting> view = postings();
-  std::vector<DocId> out;
-  out.reserve(view.size());
-  for (const auto& p : view) out.push_back(p.doc);
-  return out;
-}
-
 }  // namespace hdk::index

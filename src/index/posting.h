@@ -100,9 +100,6 @@ class PostingList {
   }
   const Posting& operator[](size_t i) const { return postings()[i]; }
 
-  /// The document ids of this list, in ascending order.
-  std::vector<DocId> Documents() const;
-
   /// Content equality, regardless of owned/borrowed representation.
   bool operator==(const PostingList& other) const {
     const std::span<const Posting> a = postings();

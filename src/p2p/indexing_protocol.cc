@@ -74,25 +74,13 @@ Result<std::unique_ptr<DistributedGlobalIndex>> HdkIndexingProtocol::Run(
     return Status::InvalidArgument(
         "peer_ranges must match the overlay's peer count");
   }
-  DocId watermark = 0;
-  for (const auto& [first, last] : peer_ranges) {
-    if (first > last || last > store_.size()) {
-      return Status::OutOfRange("invalid peer document range");
-    }
-    watermark = std::max(watermark, last);
-  }
   // The key table derives a whole contribution from its contributor's
   // document range (DistributedGlobalIndex::ContributionOf), so no two
   // peers may share a document.
-  std::vector<std::pair<DocId, DocId>> sorted = peer_ranges;
-  std::sort(sorted.begin(), sorted.end());
-  DocId end = 0;
-  for (const auto& [first, last] : sorted) {
-    if (first == last) continue;
-    if (first < end) {
-      return Status::InvalidArgument("peer document ranges overlap");
-    }
-    end = last;
+  HDK_RETURN_NOT_OK(corpus::ValidateDisjointRanges(peer_ranges, store_.size()));
+  DocId watermark = 0;
+  for (const auto& range : peer_ranges) {
+    watermark = std::max(watermark, range.second);
   }
   indexed_docs_ = watermark;
 
@@ -431,7 +419,7 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
     // level entry (knowledge updates arrive after EndLevel), so the
     // participants are independent of each other. The joining peers'
     // full scans go first, so the wave's longest tasks start first and
-    // the small delta scans fill in around them.
+    // the old peers' shorter delta scans fill in around them.
     struct ScanTask {
       Peer* peer = nullptr;
       bool is_new = false;

@@ -27,29 +27,24 @@ hdk::KeyMap<index::PostingList> Peer::BuildLevelDelta(
     uint32_t s, const corpus::DocumentStore& store,
     ContributionLookup contribution, hdk::CandidateBuildStats* stats) const {
   // Every window event of a NEW candidate lies in a document where one of
-  // its fresh sub-keys occurs — and the peer contributed each fresh
-  // sub-key with its full local list. The union is tiny: fresh facts are
-  // keys that only just crossed DFmax.
+  // the fresh facts it uses occurs: a fresh term, or at s >= 3 a fresh
+  // NDK of size 2 (a gate pair) or s-1 (a sub-key). The peer contributed
+  // each of them with its full local list, and the scan visits only the
+  // union of those lists.
   std::vector<DocId> docs;
   auto append = [&](const hdk::TermKey& key) {
     for (const index::Posting& p : contribution(key)) docs.push_back(p.doc);
   };
   for (TermId t : delta_.terms) append(hdk::TermKey{t});
   if (s >= 3) {
-    for (const hdk::TermKey& pair : delta_.ndk_pairs) append(pair);
-  }
-  if (s >= 4) {
-    // The generalized walk also consults fresh (s-1)-sub-keys (gate pairs
-    // are already covered above).
     for (const hdk::TermKey& key : delta_.ndks) {
-      if (key.size() == s - 1) append(key);
+      if (key.size() == 2 || key.size() == s - 1) append(key);
     }
   }
   std::sort(docs.begin(), docs.end());
   docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
 
-  return builder_.BuildLevelDelta(s, store, first_, last_, docs, oracle_,
-                                  delta_, stats);
+  return builder_.BuildLevelDelta(s, store, docs, oracle_, delta_, stats);
 }
 
 void Peer::PurgeTerms(const TermIdSet& terms) {

@@ -71,8 +71,8 @@ class Peer {
   /// Only the level-s candidates that the peer's FRESH knowledge (facts
   /// learned since the last protocol pass, see fresh_knowledge()) makes
   /// newly generable — the incremental-growth work list. `contribution`
-  /// yields the peer's own list of a fresh sub-key, whose documents are
-  /// the only ones the scan revisits.
+  /// yields the peer's own list of a fresh fact (a term or an NDK it
+  /// contributed), whose documents are the only ones the scan revisits.
   hdk::KeyMap<index::PostingList> BuildLevelDelta(
       uint32_t s, const corpus::DocumentStore& store,
       ContributionLookup contribution,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
+#include "common/rng.h"
 #include "text/window.h"
 
 namespace hdk::hdk {
@@ -200,6 +202,123 @@ TEST(CandidateOracleAgreementTest, Level2MatchesWindowOracle) {
     }
   }
 }
+
+// The delta scan against two full scans. `new_facts` is the fact set of a
+// small centralized build (expandable terms and NDKs are the level lists
+// with df > DFmax, level by level); `old_facts` drops every fact that
+// contains a drawn term, pair or triple — still downward closed, as a
+// peer's knowledge is before a join wave — and the delta is the
+// difference. The keys new under `new_facts` must be exactly the delta
+// scan's, posting for posting, and the delta's formations exactly the
+// full scans' difference.
+class DeltaScanTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  void SetUp() override {
+    Rng rng(7 + GetParam());
+    // A skewed vocabulary of 18 terms: frequent terms pair with most
+    // others, rare ones stay discriminative.
+    auto term = [&rng] { return static_cast<TermId>(1 + rng.NextBounded(18)); };
+    for (int d = 0; d < 60; ++d) {
+      std::vector<TermId> tokens(30);
+      for (TermId& t : tokens) t = std::min(term(), term());
+      store_.Add(std::move(tokens));
+    }
+    params_.window = GetParam();
+    params_.df_max = 4;
+    params_.s_max = 4;
+    params_.very_frequent_threshold = 1000000;
+  }
+
+  SetNdkOracle BuildFacts(const CandidateBuilder& builder) const {
+    SetNdkOracle facts;
+    for (const auto& [key, pl] :
+         builder.BuildLevel1(store_, 0, store_.size(), {}, nullptr)) {
+      if (pl.size() > params_.df_max) facts.AddExpandableTerm(key.term(0));
+    }
+    for (uint32_t s = 2; s <= params_.s_max; ++s) {
+      for (const auto& [key, pl] :
+           builder.BuildLevel(s, store_, 0, store_.size(), facts, nullptr)) {
+        if (pl.size() > params_.df_max) facts.AddNdk(key);
+      }
+    }
+    return facts;
+  }
+
+  corpus::DocumentStore store_;
+  HdkParams params_;
+};
+
+TEST_P(DeltaScanTest, EqualsTheDifferenceOfTwoFullScans) {
+  CandidateBuilder builder(params_);
+  const SetNdkOracle new_facts = BuildFacts(builder);
+
+  // Draw one fact of each size 1-3.
+  Rng rng(GetParam());
+  std::vector<TermKey> drawn;
+  std::vector<TermKey> by_size[4];
+  for (TermId t : new_facts.expandable_terms()) {
+    by_size[1].push_back(TermKey{t});
+  }
+  for (const TermKey& k : new_facts.ndks()) {
+    if (k.size() <= 3) by_size[k.size()].push_back(k);
+  }
+  for (uint32_t size = 1; size <= 3; ++size) {
+    ASSERT_FALSE(by_size[size].empty()) << size;
+    std::sort(by_size[size].begin(), by_size[size].end());
+    drawn.push_back(by_size[size][rng.NextBounded(by_size[size].size())]);
+  }
+  auto gone = [&](const TermKey& k) {
+    return std::any_of(drawn.begin(), drawn.end(), [&](const TermKey& x) {
+      return k.ContainsAll(x);
+    });
+  };
+  SetNdkOracle old_facts;
+  OracleDelta delta;
+  for (TermId t : new_facts.expandable_terms()) {
+    if (gone(TermKey{t})) {
+      delta.AddTerm(t);
+    } else {
+      old_facts.AddExpandableTerm(t);
+    }
+  }
+  for (const TermKey& k : new_facts.ndks()) {
+    if (gone(k)) {
+      delta.AddNdk(k);
+    } else {
+      old_facts.AddNdk(k);
+    }
+  }
+
+  std::vector<DocId> all(store_.size());
+  std::iota(all.begin(), all.end(), 0);
+  for (uint32_t s = 2; s <= params_.s_max; ++s) {
+    SCOPED_TRACE("s = " + std::to_string(s));
+    CandidateBuildStats new_stats, old_stats, delta_stats;
+    const auto full_new = builder.BuildLevel(s, store_, 0, store_.size(),
+                                             new_facts, &new_stats);
+    const auto full_old = builder.BuildLevel(s, store_, 0, store_.size(),
+                                             old_facts, &old_stats);
+    const auto got =
+        builder.BuildLevelDelta(s, store_, all, new_facts, delta,
+                                &delta_stats);
+    size_t expected = 0;
+    for (const auto& [key, pl] : full_new) {
+      if (full_old.count(key) > 0) continue;
+      ++expected;
+      auto it = got.find(key);
+      ASSERT_NE(it, got.end()) << key.ToString();
+      EXPECT_EQ(it->second, pl) << key.ToString();
+    }
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(got.size(), expected);
+    EXPECT_EQ(delta_stats.formations,
+              new_stats.formations - old_stats.formations);
+    EXPECT_EQ(delta_stats.documents_scanned, store_.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, DeltaScanTest,
+                         ::testing::Values(4u, 5u, 8u));
 
 }  // namespace
 }  // namespace hdk::hdk

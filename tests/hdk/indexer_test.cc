@@ -1,5 +1,6 @@
 #include "hdk/indexer.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -136,22 +137,40 @@ TEST_F(HdkIndexerTest, DfAntiMonotonicity) {
 }
 
 TEST_F(HdkIndexerTest, HdkPostingsMatchWindowOracle) {
-  // Every multi-term HDK's posting list must be exactly the documents
-  // where its terms co-occur within the window (spot-check a sample).
+  // Every multi-term HDK's posting list must be exactly its window events
+  // (spot-check a sample): per document where its terms co-occur within
+  // the window, tf counts the positions holding one of its terms with the
+  // others among the w-1 positions before.
   auto contents = BuildIndex();
   ASSERT_TRUE(contents.ok());
+  const uint32_t w = params_.window;
   size_t checked = 0;
   for (const auto& [key, entry] : contents->entries()) {
     if (!entry.is_hdk || key.size() < 2) continue;
     if (++checked > 25) break;  // sample
-    std::vector<DocId> expected;
+    std::vector<index::Posting> expected;
     for (DocId d = 0; d < store_.size(); ++d) {
-      if (text::WindowCoOccurs(store_.Tokens(d), params_.window,
-                               key.terms())) {
-        expected.push_back(d);
+      const std::span<const TermId> tokens = store_.Tokens(d);
+      uint32_t events = 0;
+      for (size_t p = 0; p < tokens.size(); ++p) {
+        if (!key.Contains(tokens[p])) continue;
+        const size_t start = p + 1 >= w ? p + 1 - w : 0;
+        bool all = true;
+        for (TermId t : key.terms()) {
+          if (t == tokens[p]) continue;
+          all = all && std::find(tokens.begin() + start, tokens.begin() + p,
+                                 t) != tokens.begin() + p;
+        }
+        if (all) ++events;
+      }
+      if (events > 0) {
+        EXPECT_TRUE(text::WindowCoOccurs(tokens, w, key.terms()));
+        expected.push_back(
+            {d, events, static_cast<uint32_t>(tokens.size())});
       }
     }
-    EXPECT_EQ(entry.postings.Documents(), expected) << key.ToString();
+    EXPECT_EQ(entry.postings, index::PostingList(std::move(expected)))
+        << key.ToString();
   }
   EXPECT_GT(checked, 0u);
 }
